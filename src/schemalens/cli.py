@@ -18,11 +18,10 @@ from pathlib import Path
 from . import report
 from .corpus import (
     CorpusManifest,
+    bundled_data_dir,
     capability_grid,
     capability_matrix,
     capability_records,
-    default_criteria_path,
-    default_weights_path,
     load_manifest,
 )
 from .errors import SchemaLensError
@@ -119,13 +118,18 @@ def _coefficients(args) -> WidthCoefficients:
     return DEFAULT_COEFFICIENTS
 
 
+def _config(path: str | None, manifest: CorpusManifest, name: str) -> str | Path:
+    """``path`` if given, else ``configs/<name>`` beside the manifest, else the
+    bundled default."""
+    if path is not None:
+        return path
+    beside = manifest.root / "configs" / name
+    return beside if beside.is_file() else bundled_data_dir() / "configs" / name
+
+
 def _criteria(args, manifest: CorpusManifest):
-    path = getattr(args, "criteria", None)
-    if path is None:
-        bundled = manifest.root / "configs" / "criteria.json"
-        path = bundled if bundled.is_file() else default_criteria_path()
-    criteria, default_collection = load_criteria(path)
-    override = getattr(args, "collection", None)
+    criteria, default_collection = load_criteria(_config(args.criteria, manifest, "criteria.json"))
+    override = args.collection
     if override and default_collection and override != default_collection:
         criteria = [
             replace(
@@ -138,14 +142,6 @@ def _criteria(args, manifest: CorpusManifest):
     return criteria
 
 
-def _weight_cases(args, manifest: CorpusManifest):
-    path = getattr(args, "weights", None)
-    if path is None:
-        bundled = manifest.root / "configs" / "weights.json"
-        path = bundled if bundled.is_file() else default_weights_path()
-    return load_weight_cases(path)
-
-
 def cmd_metrics(args) -> int:
     manifest = _manifest(args)
     names = _schema_names(args, manifest, default_all=True)
@@ -154,12 +150,10 @@ def cmd_metrics(args) -> int:
     if args.type_filter:
         criteria = [c for c in criteria if c.type_name == args.type_filter]
     metric_report = report.build_metric_report(graphs, criteria, _coefficients(args))
-    if args.format == "csv":
-        sys.stdout.write(report.render_metric_csv(metric_report))
-    elif args.format == "records":
+    if args.format == "records":
         print(json.dumps(report.metric_report_records(metric_report), indent=2))
     else:
-        sys.stdout.write(report.render_metric_table(metric_report))
+        sys.stdout.write(report.render(args.format, *report.metric_report_grid(metric_report)))
     return 0
 
 
@@ -168,15 +162,10 @@ def cmd_evaluate(args) -> int:
     names = _schema_names(args, manifest, default_all=True)
     graphs = manifest.graphs(names, args.collection)
     criteria = _criteria(args, manifest)
-    cases = _weight_cases(args, manifest)
+    cases = load_weight_cases(_config(args.weights, manifest, "weights.json"))
     result = run_comparison(graphs, criteria, cases, _coefficients(args))
     if args.chart_data:
         print(json.dumps(result.chart_data(), indent=2))
-        return 0
-    if args.format == "csv":
-        sys.stdout.write(report.render_score_csv(result))
-        if args.breakdown:
-            sys.stdout.write(report.render_breakdown_csv(result))
     elif args.format == "records":
         payload = {"scores": report.score_records(result)}
         if args.breakdown:
@@ -186,9 +175,11 @@ def cmd_evaluate(args) -> int:
             }
         print(json.dumps(payload, indent=2))
     else:
-        sys.stdout.write(report.render_score_table(result))
+        sys.stdout.write(report.render(args.format, *report.score_matrix_grid(result)))
         if args.breakdown:
-            sys.stdout.write("\n" + report.render_breakdown_table(result))
+            # The table separates the two grids with a blank line; CSV does not.
+            sys.stdout.write("" if args.format == "csv" else "\n")
+            sys.stdout.write(report.render(args.format, *report.breakdown_grid(result)))
     return 0
 
 
@@ -257,11 +248,7 @@ def cmd_capability(args) -> int:
     if args.format == "records":
         print(json.dumps(capability_records(verdicts), indent=2))
         return 0
-    header, rows = capability_grid(manifest, verdicts)
-    if args.format == "csv":
-        sys.stdout.write(report.grid_csv(header, rows))
-    else:
-        sys.stdout.write(report.render_grid(header, rows))
+    sys.stdout.write(report.render(args.format, *capability_grid(manifest, verdicts)))
     return 0
 
 
@@ -291,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (SchemaLensError, OSError, ValueError) as exc:
+    except (SchemaLensError, OSError, ValueError, RecursionError) as exc:
         print(f"schemalens: error: {exc}", file=sys.stderr)
         return 2
 

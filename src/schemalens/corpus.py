@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
-from .errors import CorpusError, UnknownSchema, UnknownScenario
+from .errors import CorpusError, UnknownSchema, UnknownScenario, require
 from .graph import MetricGraph, build_graph, effective_children
 from .loader import CorpusHandle, ResolvedNode, load_corpus, resolve
 
@@ -63,10 +63,6 @@ class SchemaSet:
 
     def resolved_metric_entry(self) -> ResolvedNode:
         return resolve(self.corpus(), self.metric_entry)
-
-    def resolved_envelope_for(self, event: str) -> ResolvedNode:
-        entry = self.envelope or self.events[event]
-        return resolve(self.corpus(), entry)
 
 
 @dataclass
@@ -135,14 +131,14 @@ def load_manifest(root: str | Path | None = None) -> CorpusManifest:
     data = json.loads(manifest_path.read_text(encoding="utf-8"))
 
     schema_sets = {}
-    for name, entry in data["schemas"].items():
+    for name, entry in require(data, "schemas", manifest_path).items():
         schema_sets[name] = SchemaSet(
             name=name,
             title=entry.get("title", name.upper()),
-            corpus_dir=root_dir / entry["corpus"],
-            metric_entry=entry["metric_entry"],
+            corpus_dir=root_dir / require(entry, "corpus", manifest_path),
+            metric_entry=require(entry, "metric_entry", manifest_path),
             envelope=entry.get("envelope"),
-            events=dict(entry["events"]),
+            events=dict(require(entry, "events", manifest_path)),
         )
     scenarios = {
         int(sid): [root_dir / rel for rel in files]
@@ -158,10 +154,6 @@ def load_manifest(root: str | Path | None = None) -> CorpusManifest:
     )
 
 
-def _envelope_member_names(node: ResolvedNode) -> set[str]:
-    return {name for name, _ in effective_children(node)}
-
-
 def capability_matrix(
     manifest: CorpusManifest,
     required_envelope_fields: Sequence[str] = DEFAULT_ENVELOPE_FIELDS,
@@ -170,8 +162,10 @@ def capability_matrix(
     """Per (schema, case-study event) verdicts: Unsupported when the event
     schema is absent, Partial when present but a required envelope field has
     no home, Full otherwise. Envelope fields are matched by property name at
-    the top level of the resolved envelope schema."""
+    the top level of the resolved envelope schema; each distinct (schema,
+    envelope entry) is resolved once."""
     names = list(schemas or manifest.schema_names())
+    members: dict[tuple[str, str], set[str]] = {}
     verdicts: list[CapabilityVerdict] = []
     for label, event in manifest.case_study_events:
         for name in names:
@@ -179,8 +173,11 @@ def capability_matrix(
             if event not in schema_set.events:
                 verdicts.append(CapabilityVerdict(schema=name, event=label, level=UNSUPPORTED))
                 continue
-            members = _envelope_member_names(schema_set.resolved_envelope_for(event))
-            missing = [f for f in required_envelope_fields if f not in members]
+            key = (name, schema_set.envelope or schema_set.events[event])
+            if key not in members:
+                envelope = resolve(schema_set.corpus(), key[1])
+                members[key] = {member for member, _ in effective_children(envelope)}
+            missing = [f for f in required_envelope_fields if f not in members[key]]
             verdicts.append(
                 CapabilityVerdict(
                     schema=name,

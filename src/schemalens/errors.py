@@ -6,6 +6,8 @@ callers (and the CLI) can catch one base type and map it to exit code 2.
 
 from __future__ import annotations
 
+from typing import Any
+
 
 class SchemaLensError(Exception):
     """Base class for all toolkit errors."""
@@ -65,3 +67,14 @@ class UnknownSchema(SchemaLensError):
 
 class UnknownScenario(SchemaLensError):
     """A scenario id outside the bundled 1..14 range was requested."""
+
+
+class ConfigError(SchemaLensError):
+    """A criteria, weights or manifest document lacks a required key."""
+
+
+def require(data: Any, key: str, source: object) -> Any:
+    """``data[key]``, or a ConfigError naming ``source`` and the key."""
+    if not isinstance(data, dict) or key not in data:
+        raise ConfigError(f"{source}: missing required key {key!r}")
+    return data[key]

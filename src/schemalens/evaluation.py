@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import metrics
-from .errors import TypeAbsent, UnknownCollection, UnknownCriterionMetric
+from .errors import TypeAbsent, UnknownCollection, UnknownCriterionMetric, require
 from .graph import MetricGraph
 from .metrics import ABSENT, Absent, MetricValue, WidthCoefficients
 
@@ -222,13 +222,14 @@ def load_criteria(path: str | Path) -> tuple[list[CriterionSpec], str]:
     """Read a criteria config document; returns the specs and the default
     collection name the targets refer to."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
+    entries = require(data, "criteria", path)
     collection = data.get("collection", "")
     criteria = []
-    for entry in data["criteria"]:
+    for entry in entries:
         criteria.append(
             CriterionSpec(
-                id=int(entry["id"]),
-                metric=entry["metric"],
+                id=int(require(entry, "id", path)),
+                metric=require(entry, "metric", path),
                 type_name=entry.get("type"),
                 collection=entry.get("collection"),
                 direction=entry.get("direction", PRESENCE),
@@ -242,8 +243,8 @@ def load_weight_cases(path: str | Path) -> list[WeightCase]:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     return [
         WeightCase(
-            name=entry["name"],
-            weights={int(k): float(v) for k, v in entry["weights"].items()},
+            name=require(entry, "name", path),
+            weights={int(k): float(v) for k, v in require(entry, "weights", path).items()},
         ).validate_total()
-        for entry in data["cases"]
+        for entry in require(data, "cases", path)
     ]

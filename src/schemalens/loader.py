@@ -8,22 +8,23 @@ markers so resolution always terminates.
 
 Supported dialect subset: type, properties, items, required,
 additionalProperties, enum, format, $ref, oneOf, allOf, if/then/else,
-description. Unknown keywords are preserved as opaque annotations and ignored.
+description. Unknown keywords are ignored.
 
 All reference targets are file-local, resolved relative to the referencing
 document's directory; absolute URLs and paths escaping the corpus root are
-rejected. ``additionalProperties: false`` must not appear on a schema whose
-allOf branches declare properties: merged semantics would otherwise diverge
-from per-branch evaluation.
+rejected. ``additionalProperties: false`` must not appear on an allOf
+participant -- the host schema or any of its branches -- that lacks a
+property another participant declares: merged semantics would otherwise
+diverge from per-branch evaluation, so resolution raises MergeConflict.
 """
 
 from __future__ import annotations
 
 import json
 import posixpath
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from .errors import CorpusError, IoError, MergeConflict, ParseError, UnknownRef
 
@@ -65,7 +66,6 @@ class RawNode:
     ref_target: str | None = None
     required: tuple[str, ...] = ()
     additional_allowed: bool = True
-    additional_declared: bool = False
     one_of: tuple["RawNode", ...] = ()
     all_of: tuple["RawNode", ...] = ()
     condition: "RawNode | None" = None
@@ -73,7 +73,6 @@ class RawNode:
     otherwise: "RawNode | None" = None
     enum_values: tuple[Any, ...] = ()
     format_tag: str | None = None
-    annotations: tuple[tuple[str, Any], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -152,12 +151,6 @@ class CorpusHandle:
     documents: dict[str, SchemaDocument]
     errors: list[ParseError] = field(default_factory=list)
 
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self.documents
-
-    def ids(self) -> Iterator[str]:
-        return iter(self.documents)
-
     def get(self, doc_id: str) -> SchemaDocument:
         try:
             return self.documents[doc_id]
@@ -184,8 +177,7 @@ def parse_schema(value: Any, where: str = "<inline>") -> RawNode:
             raise ParseError(
                 where, f"$ref with constraint siblings {sorted(siblings)} is outside the supported subset"
             )
-        annotations = tuple((k, v) for k, v in value.items() if k != "$ref")
-        return RawNode(kind=REFERENCE, ref_target=ref, annotations=annotations)
+        return RawNode(kind=REFERENCE, ref_target=ref)
 
     type_tag = value.get("type") if isinstance(value.get("type"), str) else None
     children: list[tuple[str, RawNode]] = []
@@ -206,9 +198,8 @@ def parse_schema(value: Any, where: str = "<inline>") -> RawNode:
     if not isinstance(required, list) or not all(isinstance(n, str) for n in required):
         raise ParseError(where, "required must be a list of names")
 
-    additional = value.get("additionalProperties")
-    additional_declared = "additionalProperties" in value
-    if additional_declared and not isinstance(additional, bool):
+    additional = value.get("additionalProperties", True)
+    if not isinstance(additional, bool):
         raise ParseError(where, "schema-valued additionalProperties is outside the supported subset")
 
     one_of = tuple(
@@ -234,10 +225,6 @@ def parse_schema(value: Any, where: str = "<inline>") -> RawNode:
 
     format_tag = value.get("format") if isinstance(value.get("format"), str) else None
 
-    known = {"type", "properties", "items", "required", "additionalProperties",
-             "enum", "format", "oneOf", "allOf", "if", "then", "else"}
-    annotations = tuple((k, v) for k, v in value.items() if k not in known)
-
     if all_of:
         kind = ALLOF
     elif one_of:
@@ -260,10 +247,8 @@ def parse_schema(value: Any, where: str = "<inline>") -> RawNode:
         type_tag=type_tag,
         children=tuple(children),
         item=item,
-        ref_target=None,
         required=tuple(required),
-        additional_allowed=additional if isinstance(additional, bool) else True,
-        additional_declared=additional_declared,
+        additional_allowed=additional,
         one_of=one_of,
         all_of=all_of,
         condition=condition,
@@ -271,7 +256,6 @@ def parse_schema(value: Any, where: str = "<inline>") -> RawNode:
         otherwise=otherwise,
         enum_values=enum_values,
         format_tag=format_tag,
-        annotations=annotations,
     )
 
 
@@ -316,14 +300,6 @@ def load_corpus(directory: str | Path) -> CorpusHandle:
     return CorpusHandle(root_dir=root, documents=documents, errors=errors)
 
 
-def _split_target(target: str) -> tuple[str, str]:
-    if "#" in target:
-        path_part, _, fragment = target.partition("#")
-    else:
-        path_part, fragment = target, ""
-    return path_part, fragment
-
-
 def _resolve_target_id(base_doc: str, path_part: str) -> str:
     if path_part.startswith(("http://", "https://", "file://", "//")):
         raise UnknownRef(f"absolute URL references are rejected: {path_part!r}")
@@ -357,10 +333,6 @@ def _type_name_for_target(doc_id: str, fragment: str) -> str:
     if fragment and fragment != "/":
         return fragment.rstrip("/").rsplit("/", 1)[-1]
     return posixpath.basename(doc_id).rsplit(".", 1)[0]
-
-
-def _structurally_equal(a: ResolvedNode, b: ResolvedNode) -> bool:
-    return a.structural_key() == b.structural_key()
 
 
 class _Resolver:
@@ -399,9 +371,8 @@ class _Resolver:
                     self._node(raw.otherwise, doc_id, f"{path}/else", stack) if raw.otherwise else None,
                 ),
             )
-        kind = raw.kind if raw.kind != ALLOF else OBJECT
         return ResolvedNode(
-            kind=kind,
+            kind=raw.kind,
             doc_id=doc_id,
             path=path,
             type_tag=raw.type_tag,
@@ -417,7 +388,7 @@ class _Resolver:
 
     def _reference(self, raw: RawNode, doc_id: str, path: str, stack: frozenset) -> ResolvedNode:
         assert raw.ref_target is not None
-        path_part, fragment = _split_target(raw.ref_target)
+        path_part, _, fragment = raw.ref_target.partition("#")
         target_id = _resolve_target_id(doc_id, path_part) if path_part else doc_id
         target_doc = self.corpus.get(target_id)
         key = (target_id, fragment)
@@ -437,49 +408,19 @@ class _Resolver:
         except ParseError as exc:
             raise UnknownRef(f"reference target is not a schema: {exc}") from exc
         resolved = self._node(target_node, target_id, fragment, stack | {key})
-        return ResolvedNode(
-            kind=resolved.kind,
-            doc_id=resolved.doc_id,
-            path=resolved.path,
-            type_tag=resolved.type_tag,
-            children=resolved.children,
-            item=resolved.item,
-            required=resolved.required,
-            additional_allowed=resolved.additional_allowed,
-            one_of_groups=resolved.one_of_groups,
-            conditionals=resolved.conditionals,
-            enum_values=resolved.enum_values,
-            format_tag=resolved.format_tag,
+        return replace(
+            resolved,
             ref_names=(type_name,) + resolved.ref_names,
             ref_docs=(target_id,) + resolved.ref_docs,
-            cycle_target=resolved.cycle_target,
         )
 
     def _merge_all_of(self, raw: RawNode, doc_id: str, path: str, stack: frozenset) -> ResolvedNode:
-        host = self._node(
-            RawNode(
-                kind=OBJECT if (raw.children or raw.type_tag == "object") else ANY,
-                type_tag=raw.type_tag,
-                children=raw.children,
-                item=raw.item,
-                required=raw.required,
-                additional_allowed=raw.additional_allowed,
-                additional_declared=raw.additional_declared,
-                one_of=raw.one_of,
-                condition=raw.condition,
-                then=raw.then,
-                otherwise=raw.otherwise,
-                enum_values=raw.enum_values,
-                format_tag=raw.format_tag,
-            ),
-            doc_id,
-            path,
-            stack,
-        )
+        host_kind = OBJECT if (raw.children or raw.type_tag == "object") else ANY
+        host = self._node(replace(raw, kind=host_kind, all_of=()), doc_id, path, stack)
+        participants = [("the host schema", host)]
         merged_children = list(host.children)
         names = {n: i for i, (n, _) in enumerate(merged_children)}
         required = list(host.required)
-        additional = host.additional_allowed
         one_of_groups = list(host.one_of_groups)
         conditionals = list(host.conditionals)
         ref_names = list(host.ref_names)
@@ -493,10 +434,11 @@ class _Resolver:
                 raise MergeConflict(
                     f"{doc_id}{path}: allOf branch {i} is a cyclic reference and cannot be merged"
                 )
+            participants.append((f"allOf branch {i}", branch))
             for name, sub in branch.children:
                 if name in names:
                     existing = merged_children[names[name]][1]
-                    if not _structurally_equal(existing, sub):
+                    if existing.structural_key() != sub.structural_key():
                         raise MergeConflict(
                             f"{doc_id}{path}: allOf branches disagree on property {name!r}"
                         )
@@ -506,7 +448,6 @@ class _Resolver:
             for name in branch.required:
                 if name not in required:
                     required.append(name)
-            additional = additional and branch.additional_allowed
             one_of_groups.extend(branch.one_of_groups)
             conditionals.extend(branch.conditionals)
             ref_names.extend(branch.ref_names)
@@ -516,25 +457,30 @@ class _Resolver:
             if kind in (ANY, ATOMIC) and branch.kind in (OBJECT, ARRAY, ENUM):
                 kind = branch.kind
 
+        for label, participant in participants:
+            if participant.additional_allowed:
+                continue
+            foreign = names.keys() - {n for n, _ in participant.children}
+            if foreign:
+                raise MergeConflict(
+                    f"{doc_id}{path}: {label} forbids additional properties"
+                    f" but the merge adds {sorted(foreign)}"
+                )
+
         if merged_children or type_tag == "object":
             kind = OBJECT
-        return ResolvedNode(
+        return replace(
+            host,
             kind=kind,
-            doc_id=doc_id,
-            path=path,
             type_tag=type_tag,
             children=tuple(merged_children),
-            item=host.item,
             required=tuple(required),
-            additional_allowed=additional,
+            additional_allowed=all(p.additional_allowed for _, p in participants),
             one_of_groups=tuple(one_of_groups),
             conditionals=tuple(conditionals),
-            enum_values=host.enum_values,
-            format_tag=host.format_tag,
             ref_names=tuple(ref_names),
             ref_docs=tuple(ref_docs),
         )
-
 
 def resolve(corpus: CorpusHandle, entry_id: str) -> ResolvedNode:
     """Resolve one entry document into a reference-free tree.

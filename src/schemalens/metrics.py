@@ -149,24 +149,24 @@ def doc_depth_in_col(graph: MetricGraph, collection: str, type_name: str) -> int
     return max(level for _, level, _ in occurrences)
 
 
-def _collections_containing(graph: MetricGraph, type_name: str) -> list[str]:
-    return [
-        c.type_name for c in graph.collections() if doc_existence(graph, c.type_name, type_name)
-    ]
+def _doc_depths(graph: MetricGraph, type_name: str) -> list[int]:
+    """docDepthInCol of the type in every collection that holds it."""
+    depths = []
+    for c in graph.collections():
+        levels = [level for _, level, _ in _occurrences(graph, c.type_name, type_name)]
+        if levels:
+            depths.append(max(levels))
+    if not depths:
+        raise TypeAbsent(f"type {type_name!r} occurs in no collection")
+    return depths
 
 
 def max_doc_depth(graph: MetricGraph, type_name: str) -> int:
-    holders = _collections_containing(graph, type_name)
-    if not holders:
-        raise TypeAbsent(f"type {type_name!r} occurs in no collection")
-    return max(doc_depth_in_col(graph, c, type_name) for c in holders)
+    return max(_doc_depths(graph, type_name))
 
 
 def min_doc_depth(graph: MetricGraph, type_name: str) -> int:
-    holders = _collections_containing(graph, type_name)
-    if not holders:
-        raise TypeAbsent(f"type {type_name!r} occurs in no collection")
-    return min(doc_depth_in_col(graph, c, type_name) for c in holders)
+    return min(_doc_depths(graph, type_name))
 
 
 def _node_for_type(graph: MetricGraph, type_name: str, collection: str) -> GraphNode:
@@ -247,11 +247,7 @@ def doc_copies_in_col(graph: MetricGraph, type_name: str, collection: str) -> in
     """Estimated copies of the type inside the collection: 0 when absent,
     otherwise the cardinality product along each embedding chain, summed
     over occurrence sites (1 per site when nothing is annotated)."""
-    try:
-        occurrences = _occurrences(graph, collection, type_name)
-    except UnknownCollection:
-        raise
-    return sum(copies for _, _, copies in occurrences)
+    return sum(copies for _, _, copies in _occurrences(graph, collection, type_name))
 
 
 def doc_type_copies(graph: MetricGraph, type_name: str) -> int:

@@ -28,12 +28,6 @@ class MetricReport:
     schemas: list[str]
     rows: list["MetricRow"] = field(default_factory=list)
 
-    def value(self, schema: str, criterion_id: int) -> MetricValue:
-        for row in self.rows:
-            if row.criterion_id == criterion_id:
-                return row.values[schema]
-        raise KeyError(criterion_id)
-
 
 @dataclass
 class MetricRow:
@@ -89,6 +83,11 @@ def grid_csv(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
+def render(fmt: str, header: list[str], rows: list[list[str]]) -> str:
+    """The grid as CSV for ``fmt == "csv"``, else as an aligned table."""
+    return grid_csv(header, rows) if fmt == "csv" else render_grid(header, rows)
+
+
 def metric_report_grid(report: MetricReport) -> tuple[list[str], list[list[str]]]:
     header = ["criterion", "metric", *report.schemas]
     rows = [
@@ -96,14 +95,6 @@ def metric_report_grid(report: MetricReport) -> tuple[list[str], list[list[str]]
         for row in report.rows
     ]
     return header, rows
-
-
-def render_metric_table(report: MetricReport) -> str:
-    return render_grid(*metric_report_grid(report))
-
-
-def render_metric_csv(report: MetricReport) -> str:
-    return grid_csv(*metric_report_grid(report))
 
 
 def metric_report_records(report: MetricReport) -> list[dict]:
@@ -142,14 +133,6 @@ def score_matrix_grid(result: ComparisonResult) -> tuple[list[str], list[list[st
     return header, rows
 
 
-def render_score_table(result: ComparisonResult) -> str:
-    return render_grid(*score_matrix_grid(result))
-
-
-def render_score_csv(result: ComparisonResult) -> str:
-    return grid_csv(*score_matrix_grid(result))
-
-
 def score_records(result: ComparisonResult) -> list[dict]:
     return [
         {"schema": schema, "case": case, "score": result.totals[schema][case]}
@@ -171,10 +154,3 @@ def breakdown_grid(result: ComparisonResult) -> tuple[list[str], list[list[str]]
         )
     return header, rows
 
-
-def render_breakdown_table(result: ComparisonResult) -> str:
-    return render_grid(*breakdown_grid(result))
-
-
-def render_breakdown_csv(result: ComparisonResult) -> str:
-    return grid_csv(*breakdown_grid(result))

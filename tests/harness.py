@@ -14,8 +14,6 @@ import json
 import random
 from datetime import datetime
 from pathlib import Path
-from urllib.parse import urlparse
-from urllib.request import url2pathname
 
 import jsonschema
 from referencing import Registry, Resource
@@ -67,14 +65,18 @@ def _oracle_date_time(value) -> bool:
 
 
 def reference_validator(corpus_dir: Path, entry: str) -> jsonschema.Draft201909Validator:
-    def retrieve(uri: str):
-        path = Path(url2pathname(urlparse(uri).path))
-        return Resource.from_contents(
-            json.loads(path.read_text(encoding="utf-8")),
-            default_specification=DRAFT201909,
+    # Every corpus file is registered under its file URI and the registry is
+    # crawled once up front, so no is_valid call re-reads or re-crawls files.
+    registry = Registry().with_resources(
+        (
+            path.resolve().as_uri(),
+            Resource.from_contents(
+                json.loads(path.read_text(encoding="utf-8")),
+                default_specification=DRAFT201909,
+            ),
         )
-
-    registry = Registry(retrieve=retrieve)
+        for path in sorted(corpus_dir.rglob("*.json"))
+    ).crawl()
     checker = jsonschema.FormatChecker()
     checker.checks("date-time")(_oracle_date_time)
     entry_uri = (corpus_dir / entry).resolve().as_uri()

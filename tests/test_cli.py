@@ -5,7 +5,9 @@ import json
 import pytest
 
 from schemalens.cli import main
-from schemalens.report import parse_metric_records
+from schemalens.corpus import capability_grid, capability_matrix
+from schemalens.evaluation import run_comparison
+from schemalens.report import breakdown_grid, parse_metric_records, score_matrix_grid
 
 from harness import envelope_mutants
 
@@ -167,6 +169,23 @@ def test_capability_table(capsys):
     assert castration.split()[-3:] == ["✓", "x", "x"]
 
 
+def test_capability_csv_equals_the_grid(capsys, manifest):
+    code, out, _ = run_cli(capsys, "capability", "--format", "csv")
+    assert code == 0
+    header, rows = capability_grid(manifest, capability_matrix(manifest))
+    assert list(csv.reader(io.StringIO(out))) == [header, *rows]
+
+
+def test_evaluate_breakdown_csv_equals_both_grids(capsys, graphs, criteria, weight_cases):
+    code, out, _ = run_cli(capsys, "evaluate", "--format", "csv", "--breakdown")
+    assert code == 0
+    result = run_comparison(graphs, criteria, weight_cases)
+    score_header, score_rows = score_matrix_grid(result)
+    breakdown_header, breakdown_rows = breakdown_grid(result)
+    expected = [score_header, *score_rows, breakdown_header, *breakdown_rows]
+    assert list(csv.reader(io.StringIO(out))) == expected
+
+
 def test_capability_records(capsys):
     code, out, _ = run_cli(capsys, "capability", "--format", "records")
     assert code == 0
@@ -194,3 +213,44 @@ def test_unknown_schema_name_exits_2(capsys):
 def test_bad_coefficients_exit_2(capsys):
     code, _, err = run_cli(capsys, "metrics", "--coefficients", "1,2")
     assert code == 2
+
+
+def _write(path, document):
+    path.write_text(document if isinstance(document, str) else json.dumps(document))
+    return str(path)
+
+
+def _metrics_on_manifest(tmp_path, manifest):
+    _write(tmp_path / "manifest.json", manifest)
+    return ["metrics", "--corpus", str(tmp_path)]
+
+
+def _manifest_without(key):
+    entry = {"corpus": "corpora/lei", "metric_entry": "m.json", "events": {}}
+    del entry[key]
+    return {"schemas": {"lei": entry}}
+
+
+@pytest.mark.parametrize(
+    "make_argv, expected",
+    [
+        (lambda tmp: ["metrics", "--criteria", _write(tmp / "c.json", {"collection": "weight"})], "'criteria'"),
+        (lambda tmp: ["metrics", "--criteria", _write(tmp / "c.json", {"criteria": [{"id": 1}]})], "'metric'"),
+        (lambda tmp: ["evaluate", "--weights", _write(tmp / "w.json", {})], "'cases'"),
+        (lambda tmp: ["evaluate", "--weights", _write(tmp / "w.json", {"cases": [{"weights": {}}]})], "'name'"),
+        (lambda tmp: _metrics_on_manifest(tmp, {}), "'schemas'"),
+        (lambda tmp: _metrics_on_manifest(tmp, _manifest_without("corpus")), "'corpus'"),
+        (lambda tmp: _metrics_on_manifest(tmp, _manifest_without("metric_entry")), "'metric_entry'"),
+        (lambda tmp: _metrics_on_manifest(tmp, _manifest_without("events")), "'events'"),
+        (lambda tmp: ["validate", _write(tmp / "deep.json", "[" * 100_000 + "]" * 100_000)], "recursion"),
+    ],
+    ids=[
+        "criteria", "criterion-metric", "cases", "case-name", "schemas",
+        "corpus", "metric_entry", "events", "deep-instance",
+    ],
+)
+def test_malformed_inputs_exit_2_with_one_line(capsys, tmp_path, make_argv, expected):
+    code, _, err = run_cli(capsys, *make_argv(tmp_path))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("schemalens: error:")
+    assert expected in err

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from schemalens import corpus as corpus_mod
 from schemalens.corpus import (
     FULL,
     PARTIAL,
@@ -168,3 +171,26 @@ def test_manifest_from_explicit_root_matches_bundled(manifest):
     again = load_manifest(manifest.root)
     assert again.schema_names() == manifest.schema_names()
     assert again.collection == manifest.collection
+
+
+def test_capability_matrix_resolves_each_envelope_once(monkeypatch):
+    manifest = load_manifest()
+    calls = Counter()
+    real_resolve = corpus_mod.resolve
+
+    def counting_resolve(corpus, entry_id):
+        calls[(corpus.root_dir, entry_id)] += 1
+        return real_resolve(corpus, entry_id)
+
+    monkeypatch.setattr(corpus_mod, "resolve", counting_resolve)
+    capability_matrix(manifest)
+    expected = {
+        (s.corpus_dir, s.envelope or s.events[event])
+        for s in manifest.schema_sets.values()
+        for _, event in manifest.case_study_events
+        if event in s.events
+    }
+    assert set(calls) == expected
+    assert set(calls.values()) == {1}
+    lei = manifest.schema_set("lei")
+    assert calls[(lei.corpus_dir, "eventCore.json")] == 1

@@ -141,6 +141,43 @@ def test_allof_same_shape_duplicate_is_fine():
     assert "a" in resolve(corpus, "e.json").child_map()
 
 
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {  # the host forbids a property that an allOf branch declares
+            "additionalProperties": False,
+            "properties": {"a": {"type": "string"}},
+            "allOf": [{"properties": {"b": {"type": "number"}}}],
+        },
+        {  # a branch forbids a property that the host declares
+            "properties": {"a": {"type": "string"}},
+            "allOf": [{"additionalProperties": False, "properties": {"b": {"type": "number"}}}],
+        },
+    ],
+    ids=["host", "branch"],
+)
+def test_allof_participant_forbidding_a_merged_property_raises(schema):
+    # jsonschema evaluates each participant on its own and rejects
+    # {"a": "x", "b": 1}; the merged tree would accept it.
+    with pytest.raises(MergeConflict):
+        resolve(make_corpus({"e.json": schema}), "e.json")
+
+
+def test_allof_closed_participant_holding_every_merged_property_is_fine():
+    corpus = make_corpus(
+        {
+            "e.json": {
+                "additionalProperties": False,
+                "properties": {"a": {"type": "string"}, "b": {"type": "number"}},
+                "allOf": [{"properties": {"b": {"type": "number"}}, "required": ["b"]}],
+            }
+        }
+    )
+    resolved = resolve(corpus, "e.json")
+    assert sorted(resolved.child_map()) == ["a", "b"]
+    assert resolved.additional_allowed is False
+
+
 def test_resolution_is_deterministic(lei_corpus):
     first = resolve(lei_corpus, "eventCore.json")
     second = resolve(lei_corpus, "eventCore.json")
