@@ -131,14 +131,16 @@ def load_manifest(root: str | Path | None = None) -> CorpusManifest:
     data = json.loads(manifest_path.read_text(encoding="utf-8"))
 
     schema_sets = {}
-    for name, entry in require(data, "schemas", manifest_path).items():
+    schemas = require(data, "schemas", manifest_path, dict)
+    for name in schemas:
+        entry = require(schemas, name, manifest_path, dict)
         schema_sets[name] = SchemaSet(
             name=name,
             title=entry.get("title", name.upper()),
-            corpus_dir=root_dir / require(entry, "corpus", manifest_path),
-            metric_entry=require(entry, "metric_entry", manifest_path),
+            corpus_dir=root_dir / require(entry, "corpus", manifest_path, str),
+            metric_entry=require(entry, "metric_entry", manifest_path, str),
             envelope=entry.get("envelope"),
-            events=dict(require(entry, "events", manifest_path)),
+            events=dict(require(entry, "events", manifest_path, dict)),
         )
     scenarios = {
         int(sid): [root_dir / rel for rel in files]

@@ -70,11 +70,26 @@ class UnknownScenario(SchemaLensError):
 
 
 class ConfigError(SchemaLensError):
-    """A criteria, weights or manifest document lacks a required key."""
+    """A criteria, weights or manifest document lacks a required key, or
+    holds one of the wrong JSON type."""
 
 
-def require(data: Any, key: str, source: object) -> Any:
-    """``data[key]``, or a ConfigError naming ``source`` and the key."""
+_JSON_TYPE_NAMES = {
+    dict: "an object", list: "an array", str: "a string", int: "a number",
+    float: "a number", bool: "a boolean", type(None): "null",
+}
+
+
+def require(data: Any, key: str, source: object, expected: type = object) -> Any:
+    """``data[key]``, or a ConfigError naming ``source`` and the key when the
+    key is missing or its value is not an ``expected`` (a JSON container or
+    string type; the default accepts any value)."""
     if not isinstance(data, dict) or key not in data:
         raise ConfigError(f"{source}: missing required key {key!r}")
-    return data[key]
+    value = data[key]
+    if not isinstance(value, expected):
+        raise ConfigError(
+            f"{source}: key {key!r} must be {_JSON_TYPE_NAMES[expected]}, "
+            f"not {_JSON_TYPE_NAMES.get(type(value), type(value).__name__)}"
+        )
+    return value

@@ -222,14 +222,14 @@ def load_criteria(path: str | Path) -> tuple[list[CriterionSpec], str]:
     """Read a criteria config document; returns the specs and the default
     collection name the targets refer to."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    entries = require(data, "criteria", path)
+    entries = require(data, "criteria", path, list)
     collection = data.get("collection", "")
     criteria = []
     for entry in entries:
         criteria.append(
             CriterionSpec(
                 id=int(require(entry, "id", path)),
-                metric=require(entry, "metric", path),
+                metric=require(entry, "metric", path, str),
                 type_name=entry.get("type"),
                 collection=entry.get("collection"),
                 direction=entry.get("direction", PRESENCE),
@@ -243,8 +243,8 @@ def load_weight_cases(path: str | Path) -> list[WeightCase]:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     return [
         WeightCase(
-            name=require(entry, "name", path),
-            weights={int(k): float(v) for k, v in require(entry, "weights", path).items()},
+            name=require(entry, "name", path, str),
+            weights={int(k): float(v) for k, v in require(entry, "weights", path, dict).items()},
         ).validate_total()
-        for entry in require(data, "cases", path)
+        for entry in require(data, "cases", path, list)
     ]

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import posixpath
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -76,6 +77,59 @@ class RawNode:
 
 
 @dataclass(frozen=True)
+class OneOfTags:
+    """Branch lookup for one oneOf group.
+
+    A branch *gates* a property when it declares it as a non-cycle child
+    whose enum holds only strings. ``gates`` maps each gated property to the
+    branches each of its enum values admits, in group order.
+    ``discriminator`` names a gated property that every branch gates and
+    requires, with enum values disjoint across branches. In an object, a
+    string there selects at most one branch, and every other branch fails on
+    the enum; an absent or non-string value fails every branch. It is None
+    when no property qualifies.
+    """
+
+    gates: dict[str, dict[str, tuple["ResolvedNode", ...]]]
+    discriminator: str | None
+
+
+def _is_gate(node: "ResolvedNode") -> bool:
+    return (
+        node.kind != CYCLE
+        and bool(node.enum_values)
+        and all(isinstance(v, str) for v in node.enum_values)
+    )
+
+
+def _one_of_tags(group: tuple["ResolvedNode", ...]) -> OneOfTags:
+    gated = [{name for name, child in branch.children if _is_gate(child)} for branch in group]
+    gates: dict[str, dict[str, list[ResolvedNode]]] = {}
+    for branch, names in zip(group, gated):
+        for name, child in branch.children:
+            if name in names:
+                table = gates.setdefault(name, {})
+                for value in dict.fromkeys(child.enum_values):
+                    table.setdefault(value, []).append(branch)
+    discriminator = next(
+        (
+            name
+            for name in (group[0].required if group else ())
+            if all(name in b.required and name in g for b, g in zip(group, gated))
+            and all(len(branches) == 1 for branches in gates[name].values())
+        ),
+        None,
+    )
+    return OneOfTags(
+        gates={
+            name: {value: tuple(branches) for value, branches in table.items()}
+            for name, table in gates.items()
+        },
+        discriminator=discriminator,
+    )
+
+
+@dataclass(frozen=True)
 class ResolvedNode:
     """Reference-free schema tree node.
 
@@ -104,6 +158,12 @@ class ResolvedNode:
 
     def child_map(self) -> dict[str, "ResolvedNode"]:
         return dict(self.children)
+
+    @cached_property
+    def one_of_tags(self) -> tuple[OneOfTags, ...]:
+        """One :class:`OneOfTags` per oneOf group. Built on first use, so
+        resolution does no extra work; not a field, so eq and hash ignore it."""
+        return tuple(_one_of_tags(group) for group in self.one_of_groups)
 
     def one_of_branches(self) -> tuple["ResolvedNode", ...]:
         """All oneOf branches across groups, flattened (each group is an

@@ -7,6 +7,14 @@ assertive format checks for ``date-time`` (ISO 8601 / RFC 3339 profile) and
 the loader merges it during resolution. All violations are collected, not
 just the first; identical inputs yield identical violation lists.
 
+Checks whose violations nobody reads -- oneOf branches and if-conditions --
+run the same walker in quiet mode, which stops at the first violation. A
+discriminated oneOf group (see ``loader.OneOfTags``) is dispatched on its
+tag: for an object instance only the branch a string tag selects is
+evaluated, since every other branch fails on the tag's ``required`` or
+``enum``. Non-object instances and other groups evaluate every branch.
+Neither shortcut changes the top-level violation list, which stays complete.
+
 Only ``(instance_path, keyword)`` pairs are contract-bearing; message text is
 informational.
 """
@@ -15,8 +23,9 @@ from __future__ import annotations
 
 import calendar
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any
 
 from . import loader
 from .errors import AmbiguousBranch, NoBranch, SchemaUnresolved
@@ -112,7 +121,7 @@ class ValidationOutcome:
     violations: list[Violation] = field(default_factory=list)
 
 
-def _check(value: Any, node: ResolvedNode, ipath: str, out: list[Violation]) -> None:
+def _check(value: Any, node: ResolvedNode, ipath: str, out: list[Violation] | _QuietSink) -> None:
     if node.kind == loader.CYCLE:
         return  # cycle stub: unconstrained
     spath = f"{node.doc_id}#{node.path}"
@@ -136,11 +145,11 @@ def _check(value: Any, node: ResolvedNode, ipath: str, out: list[Violation]) -> 
         for name in node.required:
             if name not in value:
                 out.append(Violation(ipath, spath, "required", f"missing required property {name!r}"))
-        declared = {name for name, _ in node.children}
         for name, child in node.children:
             if name in value:
                 _check(value[name], child, f"{ipath}/{name}", out)
         if not node.additional_allowed:
+            declared = {name for name, _ in node.children}
             for key in value:
                 if key not in declared:
                     out.append(
@@ -152,8 +161,8 @@ def _check(value: Any, node: ResolvedNode, ipath: str, out: list[Violation]) -> 
         for i, element in enumerate(value):
             _check(element, node.item, f"{ipath}/{i}", out)
 
-    for group in node.one_of_groups:
-        matched = sum(1 for branch in group if _quiet_valid(value, branch))
+    for group, tags in zip(node.one_of_groups, node.one_of_tags):
+        matched = _count_matches(value, group, tags)
         if matched != 1:
             out.append(
                 Violation(ipath, spath, "oneOf",
@@ -170,10 +179,37 @@ def _check(value: Any, node: ResolvedNode, ipath: str, out: list[Violation]) -> 
             _check(value, otherwise, ipath, out)
 
 
+class _Invalid(Exception):
+    """Raised by the quiet sink on the first violation."""
+
+
+class _QuietSink:
+    """Violation sink of quiet mode: the first append ends the walk."""
+
+    def append(self, violation: Violation) -> None:
+        raise _Invalid
+
+
+_QUIET = _QuietSink()
+
+
 def _quiet_valid(value: Any, node: ResolvedNode) -> bool:
-    scratch: list[Violation] = []
-    _check(value, node, "", scratch)
-    return not scratch
+    try:
+        _check(value, node, "", _QUIET)
+    except _Invalid:
+        return False
+    return True
+
+
+def _count_matches(value: Any, group: tuple[ResolvedNode, ...], tags: loader.OneOfTags) -> int:
+    """How many branches of one oneOf group ``value`` is valid against."""
+    if tags.discriminator is not None and isinstance(value, Mapping):
+        # Every branch requires the tag and lists the strings it admits, so
+        # an absent or non-string tag fails them all, and a string tag all
+        # but the branch it selects.
+        tag = value.get(tags.discriminator)
+        group = tags.gates[tags.discriminator].get(tag, ()) if isinstance(tag, str) else ()
+    return sum(1 for branch in group if _quiet_valid(value, branch))
 
 
 def validate(instance: Any, schema: ResolvedNode) -> ValidationOutcome:
@@ -189,9 +225,11 @@ def dispatch_event_schema(schema: ResolvedNode, message: Mapping[str, Any]) -> s
     """Pick the event sub-schema a message dispatches to.
 
     Uses the message node's conditional (itemType gates which event names are
-    admissible) and its oneOf dispatch group (eventName selects the branch).
-    Returns the event schema's document id. Raises NoBranch when nothing
-    matches and AmbiguousBranch when more than one branch does.
+    admissible) and the branch index of its oneOf groups, the one the
+    validator dispatches on (``ResolvedNode.one_of_tags``): the matches are
+    the branches whose string enum on eventName admits the message's
+    eventName. Returns the event schema's document id. Raises NoBranch when
+    nothing matches and AmbiguousBranch when more than one branch does.
     """
     if not isinstance(schema, ResolvedNode):
         raise SchemaUnresolved("dispatch needs a resolved schema tree")
@@ -210,13 +248,12 @@ def dispatch_event_schema(schema: ResolvedNode, message: Mapping[str, Any]) -> s
                     )
 
     matches: list[ResolvedNode] = []
-    for group in message_node.one_of_groups:
-        for branch in group:
-            gate = branch.child_map().get("eventName")
-            if gate is None or not gate.enum_values:
-                continue
-            if any(json_equal(event_name, v) for v in gate.enum_values):
-                matches.append(branch)
+    if isinstance(event_name, str):
+        matches = [
+            branch
+            for tags in message_node.one_of_tags
+            for branch in tags.gates.get("eventName", {}).get(event_name, ())
+        ]
     if not matches:
         raise NoBranch(f"no event branch accepts eventName {event_name!r}")
     if len(matches) > 1:

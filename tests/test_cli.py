@@ -242,11 +242,17 @@ def _manifest_without(key):
         (lambda tmp: _metrics_on_manifest(tmp, _manifest_without("corpus")), "'corpus'"),
         (lambda tmp: _metrics_on_manifest(tmp, _manifest_without("metric_entry")), "'metric_entry'"),
         (lambda tmp: _metrics_on_manifest(tmp, _manifest_without("events")), "'events'"),
+        (lambda tmp: _metrics_on_manifest(tmp, {"schemas": {"lei": []}}), "'lei'"),
+        (
+            lambda tmp: ["evaluate", "--weights", _write(tmp / "w.json", {"cases": [{"name": "x", "weights": [1]}]})],
+            "'weights'",
+        ),
         (lambda tmp: ["validate", _write(tmp / "deep.json", "[" * 100_000 + "]" * 100_000)], "recursion"),
     ],
     ids=[
         "criteria", "criterion-metric", "cases", "case-name", "schemas",
-        "corpus", "metric_entry", "events", "deep-instance",
+        "corpus", "metric_entry", "events", "schema-entry-type", "case-weights-type",
+        "deep-instance",
     ],
 )
 def test_malformed_inputs_exit_2_with_one_line(capsys, tmp_path, make_argv, expected):

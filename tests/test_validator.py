@@ -1,7 +1,11 @@
 import copy
+import hashlib
+import json
+import random
 
 import pytest
 
+from schemalens import validator
 from schemalens.errors import AmbiguousBranch, NoBranch, SchemaUnresolved
 from schemalens.loader import resolve
 from schemalens.validator import (
@@ -13,7 +17,14 @@ from schemalens.validator import (
     validate_batch,
 )
 
-from harness import BAD_IPS, BAD_TIMESTAMPS, envelope_mutants, make_corpus
+from harness import (
+    BAD_IPS,
+    BAD_TIMESTAMPS,
+    envelope_mutants,
+    make_corpus,
+    random_variant,
+    reference_validator,
+)
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +104,29 @@ def test_validate_requires_resolved_schema(weight_instance):
         validate(weight_instance, {"type": "object"})
 
 
+# Full violation lists of a fixed seeded stream, recorded before quiet checks
+# stopped early and discriminated oneOf groups were dispatched.
+GOLDEN_VIOLATIONS_SHA256 = "23fb9968b18d8fd2dbb7e5e62dbd5dfe7aee931c1e3adfbcafde2bb871525433"
+
+
+def test_violation_lists_match_golden_digest(scenario_documents, lei_envelope):
+    rng = random.Random(0)
+    bases = [doc for _, doc in scenario_documents]
+    bodies = [copy.deepcopy(doc["message"]["event"]) for doc in bases]
+    lists = []
+    for _ in range(300):
+        variant = random_variant(rng, rng.choice(bases), bodies)
+        lists.append(
+            [
+                [v.instance_path, v.schema_path, v.keyword, v.message]
+                for v in validate(variant, lei_envelope).violations
+            ]
+        )
+    assert sum(1 for violations in lists if not violations) == 99
+    digest = hashlib.sha256(json.dumps(lists).encode()).hexdigest()
+    assert digest == GOLDEN_VIOLATIONS_SHA256
+
+
 # ----------------------------------------------------------------- dispatch
 
 def test_dispatch_weight(lei_envelope):
@@ -133,6 +167,80 @@ def test_dispatch_ambiguous_branch_reported():
     schema = resolve(corpus, "dup.json")
     with pytest.raises(AmbiguousBranch):
         dispatch_event_schema(schema, {"eventName": "Weight"})
+
+
+def test_weight_scenario_evaluates_one_message_branch(weight_instance, lei_envelope, monkeypatch):
+    (group,) = lei_envelope.child_map()["message"].one_of_groups
+    assert len(group) == 34
+    evaluated = []
+    quiet_valid = validator._quiet_valid
+
+    def counting(value, node):
+        if any(node is branch for branch in group):
+            evaluated.append(node)
+        return quiet_valid(value, node)
+
+    monkeypatch.setattr(validator, "_quiet_valid", counting)
+    assert validate(weight_instance, lei_envelope).valid
+    assert len(evaluated) == 1
+    assert evaluated[0].child_map()["eventName"].enum_values == ("Weight",)
+
+
+# ------------------------------------------------- discriminated oneOf groups
+
+def _branch(tag_values, body, required=("kind",)):
+    branch = {"properties": {"kind": {"enum": list(tag_values)}, **body}}
+    if required is not None:
+        branch["required"] = [*required, *body]
+    return branch
+
+
+_A = _branch(["a"], {"x": {"type": "string"}})
+_BC = _branch(["b", "c"], {"y": {"type": "integer"}})
+
+_INSTANCES = [
+    {"kind": "a", "x": "s"},
+    {"kind": "a", "x": 1},
+    {"kind": "b", "y": 2},
+    {"kind": "c", "y": "no"},
+    {"kind": "a", "y": 2},
+    {"kind": "a", "x": "s", "y": 2},
+    {"kind": "zzz", "x": "s"},
+    {"kind": 1, "x": "s"},
+    {"kind": True, "y": 2},
+    {"kind": None, "x": "s"},
+    {"x": "s"},
+    {"y": 2},
+    {},
+    "a",
+    ["a"],
+    7,
+    None,
+]
+
+
+def _assert_agrees_with_oracle(tmp_path, branches, discriminator):
+    document = {"$schema": "https://json-schema.org/draft/2019-09/schema", "oneOf": branches}
+    (tmp_path / "s.json").write_text(json.dumps(document))
+    schema = resolve(make_corpus({"s.json": document}), "s.json")
+    assert schema.one_of_tags[0].discriminator == discriminator
+    oracle = reference_validator(tmp_path, "s.json")
+    for instance in _INSTANCES:
+        assert validate(instance, schema).valid is oracle.is_valid(instance), instance
+
+
+def test_discriminated_group_agrees_with_oracle(tmp_path):
+    _assert_agrees_with_oracle(tmp_path, [_A, _BC], "kind")
+
+
+def test_branch_without_required_falls_back(tmp_path):
+    loose = _branch(["b", "c"], {"y": {"type": "integer"}}, required=None)
+    _assert_agrees_with_oracle(tmp_path, [_A, loose], None)
+
+
+def test_duplicated_enum_value_falls_back(tmp_path):
+    overlapping = _branch(["a", "b"], {"y": {"type": "integer"}})
+    _assert_agrees_with_oracle(tmp_path, [_A, overlapping], None)
 
 
 # -------------------------------------------------------------------- batch
