@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import posixpath
 import random
 from datetime import datetime
 from pathlib import Path
@@ -384,3 +385,70 @@ def random_cyclic_corpus(rng: random.Random) -> tuple[CorpusHandle, str]:
             props["label"] = {"type": "string"}
         docs[f"doc{i}.json"] = {"type": "object", "properties": props}
     return make_corpus(docs), "doc0.json"
+
+
+def random_ref_corpus(rng: random.Random) -> CorpusHandle:
+    """A corpus that exercises every reference shape the resolver handles:
+    self-references, mutual cycles (also through fragments), ``#``/``#/``
+    root refs, fragment refs across documents and subdirectories, ref-only
+    documents, and allOf branches that inline or reference shared
+    definitions.
+
+    Each document ``i`` carries two ``$defs``: ``pure`` holds atomics and
+    refs to the ``pure`` of later documents only (so it is acyclic and safe
+    as an allOf branch), ``mixed`` may reference any document root. allOf
+    participants use disjoint property names, except that two branches may
+    reference the same ``pure`` definition, which declares identical
+    properties."""
+    n = rng.randint(2, 6)
+    ids = [f"sub/doc{i}.json" if rng.random() < 0.3 else f"doc{i}.json" for i in range(n)]
+
+    def ref(src: int, dst: int, fragment: str = "") -> dict:
+        base = "" if dst == src and fragment else posixpath.relpath(ids[dst], posixpath.dirname(ids[src]) or ".")
+        return {"$ref": f"{base}#{fragment}" if fragment else base}
+
+    def value(src: int) -> dict:
+        roll = rng.random()
+        dst = rng.randrange(n)
+        if roll < 0.2:
+            return copy.deepcopy(rng.choice(_ATOMIC_SCHEMAS))
+        if roll < 0.4:
+            return ref(src, dst)
+        if roll < 0.5:
+            return ref(src, dst, rng.choice(["/$defs/pure", "/$defs/mixed"]))
+        if roll < 0.55:
+            return {"$ref": rng.choice(["#", "#/"])}
+        if roll < 0.65:
+            return {"type": "array", "items": ref(src, dst)}
+        if roll < 0.75:
+            return {"oneOf": [ref(src, dst), copy.deepcopy(rng.choice(_ATOMIC_SCHEMAS))]}
+        if roll < 0.85:
+            return {"if": {"properties": {"alpha": {"enum": ["x"]}}}, "then": ref(src, dst)}
+        return {"type": "object", "properties": {"inner": ref(src, dst, "/$defs/mixed")}}
+
+    docs = {}
+    for i in range(n):
+        pure = {f"p{i}_{k}": copy.deepcopy(rng.choice(_ATOMIC_SCHEMAS)) for k in range(rng.randint(1, 3))}
+        if i + 1 < n and rng.random() < 0.6:
+            pure[f"p{i}_next"] = ref(i, rng.randrange(i + 1, n), "/$defs/pure")
+        defs = {
+            "pure": {"type": "object", "properties": pure},
+            "mixed": {"type": "object", "properties": {f"m{i}_{k}": value(i) for k in range(rng.randint(1, 3))}},
+        }
+        if rng.random() < 0.1:
+            docs[ids[i]] = {"$ref": ref(i, rng.randrange(n))["$ref"], "$defs": defs}
+            continue
+        props = {f"h{i}_{k}": value(i) for k in range(rng.randint(1, 4))}
+        doc = {"type": "object", "properties": props, "$defs": defs}
+        if rng.random() < 0.5:
+            doc["required"] = sorted(rng.sample(sorted(props), rng.randint(1, len(props))))
+        if rng.random() < 0.4:
+            branches = []
+            for b in range(rng.randint(1, 3)):
+                if rng.random() < 0.5:
+                    branches.append({"properties": {f"b{i}_{b}": value(i)}, "required": [f"b{i}_{b}"]})
+                else:
+                    branches.append(ref(i, rng.randrange(i, n), "/$defs/pure"))
+            doc["allOf"] = branches
+        docs[ids[i]] = doc
+    return make_corpus(docs)

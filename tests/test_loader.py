@@ -1,9 +1,21 @@
+import hashlib
+import json
+import random
+from dataclasses import fields
+
 import pytest
 
 from schemalens.errors import CorpusError, MergeConflict, ParseError, UnknownRef
-from schemalens.loader import CYCLE, load_corpus, parse_schema, resolve
+from schemalens.loader import CYCLE, ResolvedNode, load_corpus, parse_schema, resolve
 
-from harness import make_corpus
+from harness import make_corpus, random_cyclic_corpus, random_ref_corpus
+
+# sha256 over the canonical walk of every resolve() output named in
+# test_resolve_output_matches_golden_digest. Any change to a resolved field
+# -- provenance, cycle stubs, merge order -- changes it.
+GOLDEN_RESOLVE_SHA256 = "4e3789ff8fc80a02d59230b872773fbc3e15ff919de9bd600d71956b05c0e960"
+N_REF_CORPORA = 60
+N_CYCLIC_CORPORA = 50
 
 
 def _count_json_files(directory):
@@ -266,3 +278,54 @@ def test_relative_refs_resolve_against_the_referencing_document(lei_corpus):
 def test_draft_tag_is_recorded(lei_corpus):
     doc = lei_corpus.get("eventCore.json")
     assert "2019-09" in doc.draft
+
+
+def _node_digest(node: ResolvedNode | None, memo: dict) -> str | None:
+    """Merkle digest of a resolved tree over every dataclass field. Shared
+    subtrees hash once, and a tree and a DAG of the same shape digest alike."""
+    if node is None:
+        return None
+    if id(node) not in memo:
+        record = {}
+        for f in fields(node):
+            value = getattr(node, f.name)
+            if f.name == "children":
+                value = [[name, _node_digest(child, memo)] for name, child in value]
+            elif f.name == "item":
+                value = _node_digest(value, memo)
+            elif f.name == "one_of_groups":
+                value = [[_node_digest(b, memo) for b in group] for group in value]
+            elif f.name == "conditionals":
+                value = [[_node_digest(part, memo) for part in cond] for cond in value]
+            record[f.name] = value
+        digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+        memo[id(node)] = (node, digest)  # the node keeps its id() from being reused
+    return memo[id(node)][1]
+
+
+def _resolve_digests(corpus, entries):
+    rows = []
+    for entry in entries:
+        try:
+            rows.append([entry, _node_digest(resolve(corpus, entry), {})])
+        except Exception as exc:  # the error class is part of the contract
+            rows.append([entry, type(exc).__name__])
+    return rows
+
+
+def test_resolve_output_matches_golden_digest(manifest):
+    rows = []
+    for name in manifest.schema_names():
+        schema_set = manifest.schema_set(name)
+        entries = dict.fromkeys(
+            [schema_set.metric_entry, *filter(None, [schema_set.envelope]), *schema_set.events.values()]
+        )
+        rows.append([name, _resolve_digests(schema_set.corpus(), entries)])
+    for seed in range(N_REF_CORPORA):
+        corpus = random_ref_corpus(random.Random(seed))
+        rows.append([f"ref-{seed}", _resolve_digests(corpus, sorted(corpus.documents))])
+    for seed in range(N_CYCLIC_CORPORA):
+        corpus, _ = random_cyclic_corpus(random.Random(seed))
+        rows.append([f"cyclic-{seed}", _resolve_digests(corpus, sorted(corpus.documents))])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == GOLDEN_RESOLVE_SHA256
