@@ -93,3 +93,16 @@ def require(data: Any, key: str, source: object, expected: type = object) -> Any
             f"not {_JSON_TYPE_NAMES.get(type(value), type(value).__name__)}"
         )
     return value
+
+
+def as_number(value: Any, to: type, source: object, key: str) -> Any:
+    """``to(value)`` for ``to`` in (int, float), or a ConfigError naming
+    ``source`` and the key when the value does not convert (a container,
+    null, or a non-numeric string)."""
+    try:
+        return to(value)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"{source}: key {key!r} must be a number, "
+            f"not {_JSON_TYPE_NAMES.get(type(value), type(value).__name__)}"
+        ) from None

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import metrics
-from .errors import TypeAbsent, UnknownCollection, UnknownCriterionMetric, require
+from .errors import TypeAbsent, UnknownCollection, UnknownCriterionMetric, as_number, require
 from .graph import MetricGraph
 from .metrics import ABSENT, Absent, MetricValue, WidthCoefficients
 
@@ -228,7 +228,7 @@ def load_criteria(path: str | Path) -> tuple[list[CriterionSpec], str]:
     for entry in entries:
         criteria.append(
             CriterionSpec(
-                id=int(require(entry, "id", path)),
+                id=as_number(require(entry, "id", path), int, path, "id"),
                 metric=require(entry, "metric", path, str),
                 type_name=entry.get("type"),
                 collection=entry.get("collection"),
@@ -244,7 +244,10 @@ def load_weight_cases(path: str | Path) -> list[WeightCase]:
     return [
         WeightCase(
             name=require(entry, "name", path, str),
-            weights={int(k): float(v) for k, v in require(entry, "weights", path, dict).items()},
+            weights={
+                as_number(k, int, path, k): as_number(v, float, path, k)
+                for k, v in require(entry, "weights", path, dict).items()
+            },
         ).validate_total()
         for entry in require(data, "cases", path, list)
     ]

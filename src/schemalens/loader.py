@@ -2,9 +2,14 @@
 
 A corpus is a directory tree of UTF-8 ``*.json`` schema files. ``load_corpus``
 parses every file into a :class:`SchemaDocument`; ``resolve`` turns one entry
-document into a self-contained :class:`ResolvedNode` tree with every ``$ref``
-inlined, ``allOf`` branches merged, and reference cycles stubbed with CYCLE
-markers so resolution always terminates.
+document into a self-contained, reference-free :class:`ResolvedNode` graph:
+``allOf`` branches are merged, reference cycles are stubbed with CYCLE
+markers so resolution always terminates, and each ``$ref`` target is
+resolved once per call, its one node shared by every site that references
+it. The result is a DAG whose unfolding is the fully inlined tree, so a ref
+diamond of depth d costs d resolutions rather than 2^d, and a ref chain of
+any length resolves without deep recursion. Nodes are immutable, which
+makes the sharing safe.
 
 Supported dialect subset: type, properties, items, required,
 additionalProperties, enum, format, $ref, oneOf, allOf, if/then/else,
@@ -25,7 +30,7 @@ import posixpath
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from .errors import CorpusError, IoError, MergeConflict, ParseError, UnknownRef
 
@@ -131,13 +136,20 @@ def _one_of_tags(group: tuple["ResolvedNode", ...]) -> OneOfTags:
 
 @dataclass(frozen=True)
 class ResolvedNode:
-    """Reference-free schema tree node.
+    """Reference-free, immutable schema node.
 
-    Every ``$ref`` has been replaced by the target subtree (``ref_names`` /
-    ``ref_docs`` record the inlining chain, outermost first) or, on a cycle,
-    by a ``kind == "cycle"`` stub naming the target. allOf is gone: object
-    branches are merged into ``children`` and residual constraint branches
-    live in ``conditionals`` / ``one_of_groups``.
+    Every ``$ref`` stands for its target's node (``ref_names`` /
+    ``ref_docs`` record the reference chain, outermost first) or, on a
+    cycle, for a ``kind == "cycle"`` stub naming the target. Target nodes
+    are shared: within one ``resolve`` call, every site that references the
+    same target outside a cycle holds the same object, so the nodes form a
+    DAG. A walk that follows children as a tree visits a shared subtree once
+    per path; memoise on ``id(node)`` to visit it once. ``==`` and ``hash``
+    compare fields recursively and so also walk the unfolded tree; to test
+    shapes for equality on large DAGs, compare :meth:`structural_key`,
+    which each node computes once. allOf is gone: object branches are
+    merged into ``children`` and residual constraint branches live in
+    ``conditionals`` / ``one_of_groups``.
     """
 
     kind: str
@@ -172,7 +184,12 @@ class ResolvedNode:
 
     def structural_key(self) -> Any:
         """Provenance-free shape, used for merge-conflict checks and the
-        determinism invariant."""
+        determinism invariant. Computed once per node, so a shared subtree
+        costs one walk however many paths lead to it."""
+        return self._structural_key
+
+    @cached_property
+    def _structural_key(self) -> Any:
         return (
             self.kind,
             self.type_tag,
@@ -395,13 +412,150 @@ def _type_name_for_target(doc_id: str, fragment: str) -> str:
     return posixpath.basename(doc_id).rsplit(".", 1)[0]
 
 
+# A reference target: (document id, JSON-pointer fragment).
+_Key = tuple[str, str]
+
+_NO_STACK: frozenset = frozenset()
+
+
+def _ref_sites(raw: RawNode, sites: list[RawNode]) -> list[RawNode]:
+    """Append the REFERENCE nodes of one document body to ``sites``, in the
+    order the resolver reaches them: properties, items, oneOf branches,
+    if/then/else, allOf."""
+    if raw.kind == REFERENCE:
+        sites.append(raw)
+        return sites
+    for _, sub in raw.children:
+        _ref_sites(sub, sites)
+    for sub in (raw.item, *raw.one_of, raw.condition, raw.then, raw.otherwise, *raw.all_of):
+        if sub is not None:
+            _ref_sites(sub, sites)
+    return sites
+
+
 class _Resolver:
+    """Resolve over the ref graph of one entry, sharing every target.
+
+    The nodes of the ref graph are keys ``(target_id, fragment)``. A target's
+    expansion depends on the resolution stack only through the stack keys it
+    can reach, and every stack key reaches the key being expanded, so only
+    keys in its strongly connected component matter. The stack therefore
+    holds keys of the current component alone, and each expansion is
+    memoised under ``(key, stack)``: a key entered from another component is
+    resolved once, under the empty stack, and that one node is reused at
+    every site that references it. Such keys are resolved in reverse
+    topological order of the components, so each of their references into
+    another component is a memo hit and recursion depth is bounded by the
+    nesting inside one document and the size of one component.
+    """
+
     def __init__(self, corpus: CorpusHandle):
         self.corpus = corpus
+        self._raw: dict[_Key, RawNode] = {}
+        self._targets: dict[_Key, list[_Key]] = {}
+        self._site_keys: dict[tuple[str, str], _Key] = {}
+        self._component: dict[_Key, int] = {}
+        self._memo: dict[tuple[_Key, frozenset], ResolvedNode] = {}
 
     def resolve(self, entry_id: str) -> ResolvedNode:
-        doc = self.corpus.get(entry_id)
-        return self._node(doc.root, entry_id, "", frozenset({(entry_id, "")}))
+        entry = (entry_id, "")
+        components = self._components(entry)
+        entered = {
+            target
+            for key, targets in self._targets.items()
+            for target in targets
+            if self._component[target] != self._component[key]
+        }
+        for component in components:
+            for key in component:
+                if key in entered:
+                    self._expand(key, _NO_STACK)
+        return self._node(self._raw[entry], entry_id, "", frozenset({entry}))
+
+    def _components(self, entry: _Key) -> list[list[_Key]]:
+        """Tarjan's strongly connected components of the ref graph reachable
+        from ``entry``, in reverse topological order (a component comes after
+        every component it references). Iterative, so chain length does not
+        touch the recursion limit. Targets are discovered depth-first in
+        site order, so of several broken references the one a depth-first
+        resolution reaches first is reported."""
+        index: dict[_Key, int] = {}
+        low: dict[_Key, int] = {}
+        path: list[_Key] = []
+        on_path: set[_Key] = set()
+        components: list[list[_Key]] = []
+
+        def visit(key: _Key) -> tuple[_Key, Iterator[_Key]]:
+            index[key] = low[key] = len(index)
+            path.append(key)
+            on_path.add(key)
+            return key, self._discover(key)
+
+        work = [visit(entry)]
+        while work:
+            key, targets = work[-1]
+            for target in targets:
+                if target not in index:
+                    work.append(visit(target))
+                    break
+                if target in on_path:
+                    low[key] = min(low[key], index[target])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[key])
+                if low[key] == index[key]:
+                    component = []
+                    while not component or component[-1] != key:
+                        member = path.pop()
+                        on_path.discard(member)
+                        self._component[member] = len(components)
+                        component.append(member)
+                    components.append(component)
+        return components
+
+    def _discover(self, key: _Key) -> Iterator[_Key]:
+        """Parse the target of ``key`` and yield the key of each of its
+        reference sites, in site order. Lazy, so errors surface in the order
+        a depth-first resolution meets them."""
+        doc_id, fragment = key
+        doc = self.corpus.get(doc_id)
+        if fragment in ("", "/"):
+            raw = doc.root
+        else:
+            try:
+                raw = parse_schema(_navigate_fragment(doc, fragment), f"{doc_id}#{fragment}")
+            except ParseError as exc:
+                raise UnknownRef(f"reference target is not a schema: {exc}") from exc
+        self._raw[key] = raw
+        targets = self._targets[key] = []
+        for site in _ref_sites(raw, []):
+            assert site.ref_target is not None
+            target = self._site_keys.get((doc_id, site.ref_target))
+            if target is None:
+                path_part, _, target_fragment = site.ref_target.partition("#")
+                target_id = _resolve_target_id(doc_id, path_part) if path_part else doc_id
+                self.corpus.get(target_id)
+                target = self._site_keys[doc_id, site.ref_target] = (target_id, target_fragment)
+            targets.append(target)
+            yield target
+
+    def _expand(self, key: _Key, stack: frozenset) -> ResolvedNode:
+        """The expansion of ``key`` under ``stack`` (keys of its component
+        only), with the ref prefix added, as every reference to it sees it.
+        Memoised: the same node object is returned for the same arguments."""
+        memo_key = (key, stack)
+        if memo_key in self._memo:
+            return self._memo[memo_key]
+        target_id, fragment = key
+        resolved = self._node(self._raw[key], target_id, fragment, stack | {key})
+        resolved = self._memo[memo_key] = replace(
+            resolved,
+            ref_names=(_type_name_for_target(target_id, fragment),) + resolved.ref_names,
+            ref_docs=(target_id,) + resolved.ref_docs,
+        )
+        return resolved
 
     def _node(self, raw: RawNode, doc_id: str, path: str, stack: frozenset) -> ResolvedNode:
         if raw.kind == REFERENCE:
@@ -448,31 +602,22 @@ class _Resolver:
 
     def _reference(self, raw: RawNode, doc_id: str, path: str, stack: frozenset) -> ResolvedNode:
         assert raw.ref_target is not None
-        path_part, _, fragment = raw.ref_target.partition("#")
-        target_id = _resolve_target_id(doc_id, path_part) if path_part else doc_id
-        target_doc = self.corpus.get(target_id)
-        key = (target_id, fragment)
-        type_name = _type_name_for_target(target_id, fragment)
+        key = self._site_keys[doc_id, raw.ref_target]
         if key in stack:
+            target_id, fragment = key
             return ResolvedNode(
                 kind=CYCLE,
                 doc_id=doc_id,
                 path=path,
                 cycle_target=target_id,
-                ref_names=(type_name,),
+                ref_names=(_type_name_for_target(target_id, fragment),),
                 ref_docs=(target_id,),
             )
-        fragment_raw = _navigate_fragment(target_doc, fragment)
-        try:
-            target_node = parse_schema(fragment_raw, f"{target_id}#{fragment}")
-        except ParseError as exc:
-            raise UnknownRef(f"reference target is not a schema: {exc}") from exc
-        resolved = self._node(target_node, target_id, fragment, stack | {key})
-        return replace(
-            resolved,
-            ref_names=(type_name,) + resolved.ref_names,
-            ref_docs=(target_id,) + resolved.ref_docs,
-        )
+        # Every stack key lies in one component; outside it, the stack is
+        # irrelevant to the expansion of ``key``.
+        if self._component[key] != self._component[next(iter(stack))]:
+            stack = _NO_STACK
+        return self._expand(key, stack)
 
     def _merge_all_of(self, raw: RawNode, doc_id: str, path: str, stack: frozenset) -> ResolvedNode:
         host_kind = OBJECT if (raw.children or raw.type_tag == "object") else ANY
@@ -542,11 +687,14 @@ class _Resolver:
             ref_docs=tuple(ref_docs),
         )
 
+
 def resolve(corpus: CorpusHandle, entry_id: str) -> ResolvedNode:
-    """Resolve one entry document into a reference-free tree.
+    """Resolve one entry document into a reference-free DAG of shared,
+    immutable nodes (see :class:`ResolvedNode`).
 
     Cycles are stubbed (kind "cycle"), never expanded, so this terminates on
     any corpus. Resolution is deterministic: equal corpora yield structurally
-    identical trees.
+    identical results, and the result unfolds to the tree a per-site
+    inlining of every reference would build.
     """
     return _Resolver(corpus).resolve(entry_id)

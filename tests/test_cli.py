@@ -247,12 +247,17 @@ def _manifest_without(key):
             lambda tmp: ["evaluate", "--weights", _write(tmp / "w.json", {"cases": [{"name": "x", "weights": [1]}]})],
             "'weights'",
         ),
+        (lambda tmp: ["metrics", "--criteria", _write(tmp / "c.json", {"criteria": [{"id": [1], "metric": "nbrCol"}]})], "'id'"),
+        (
+            lambda tmp: ["evaluate", "--weights", _write(tmp / "w.json", {"cases": [{"name": "x", "weights": {"1": [1]}}]})],
+            "'1'",
+        ),
         (lambda tmp: ["validate", _write(tmp / "deep.json", "[" * 100_000 + "]" * 100_000)], "recursion"),
     ],
     ids=[
         "criteria", "criterion-metric", "cases", "case-name", "schemas",
         "corpus", "metric_entry", "events", "schema-entry-type", "case-weights-type",
-        "deep-instance",
+        "criterion-id-type", "weight-value-type", "deep-instance",
     ],
 )
 def test_malformed_inputs_exit_2_with_one_line(capsys, tmp_path, make_argv, expected):

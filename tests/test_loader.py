@@ -5,6 +5,8 @@ from dataclasses import fields
 
 import pytest
 
+from schemalens import loader
+from schemalens.cli import main
 from schemalens.errors import CorpusError, MergeConflict, ParseError, UnknownRef
 from schemalens.loader import CYCLE, ResolvedNode, load_corpus, parse_schema, resolve
 
@@ -304,13 +306,7 @@ def _node_digest(node: ResolvedNode | None, memo: dict) -> str | None:
 
 
 def _resolve_digests(corpus, entries):
-    rows = []
-    for entry in entries:
-        try:
-            rows.append([entry, _node_digest(resolve(corpus, entry), {})])
-        except Exception as exc:  # the error class is part of the contract
-            rows.append([entry, type(exc).__name__])
-    return rows
+    return [[entry, _node_digest(resolve(corpus, entry), {})] for entry in entries]
 
 
 def test_resolve_output_matches_golden_digest(manifest):
@@ -329,3 +325,124 @@ def test_resolve_output_matches_golden_digest(manifest):
         rows.append([f"cyclic-{seed}", _resolve_digests(corpus, sorted(corpus.documents))])
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == GOLDEN_RESOLVE_SHA256
+
+
+# --------------------------------------------------------------------------
+# Shared targets: ref diamonds and long chains (no timing gates; the work is
+# bounded by counting calls)
+
+
+def _diamond_docs(depth: int, fragments: bool) -> tuple[dict, str]:
+    """Level k refs level k+1 twice (``leftPart``/``rightPart``); an
+    expanded tree would hold 2^depth copies of the last level. With
+    ``fragments`` the levels are ``$defs`` of one library document."""
+    def level(k: int) -> dict:
+        if k == depth:
+            return {"type": "object", "properties": {"value": {"type": "string"}}}
+        target = {"$ref": f"#/$defs/t{k + 1}" if fragments else f"t{k + 1}.json"}
+        return {
+            "type": "object",
+            "properties": {"leftPart": target, "rightPart": dict(target), "tag": {"type": "string"}},
+        }
+
+    if fragments:
+        library = {"$defs": {f"t{k}": level(k) for k in range(depth + 1)}}
+        entry = {"type": "object", "properties": {"top": {"$ref": "lib.json#/$defs/t0"}}}
+        return {"entry.json": entry, "lib.json": library}, "entry.json"
+    docs = {f"t{k}.json": level(k) for k in range(depth + 1)}
+    docs["entry.json"] = {"type": "object", "properties": {"top": {"$ref": "t0.json"}}}
+    return docs, "entry.json"
+
+
+@pytest.mark.parametrize("fragments", [False, True], ids=["documents", "fragments"])
+def test_depth_30_diamond_shares_each_level(monkeypatch, fragments):
+    depth = 30
+    docs, entry = _diamond_docs(depth, fragments)
+    corpus = make_corpus(docs)
+    calls = []
+    original = loader.parse_schema
+    monkeypatch.setattr(
+        loader, "parse_schema", lambda *args: calls.append(args[1:]) or original(*args)
+    )
+    node = resolve(corpus, entry).child_map()["top"]
+    # Document roots are parsed once, by load_corpus; a fragment target is
+    # parsed once per resolution (4 parse_schema calls per level, 2 for the
+    # last).
+    assert len(calls) == (4 * depth + 2 if fragments else 0)
+    for k in range(depth):
+        members = node.child_map()
+        assert members["leftPart"] is members["rightPart"], k
+        assert members["leftPart"].ref_names == (f"t{k + 1}",)
+        node = members["leftPart"]
+    assert list(node.child_map()) == ["value"]
+
+
+def test_allof_merge_of_shared_diamonds_compares_each_node_once(monkeypatch):
+    # Both branches declare "shape" through different keys (t0.json and
+    # t0.json#/), so the merge compares two distinct nodes whose subtrees
+    # are shared; compared as trees this is 2^25 work.
+    depth = 25
+    docs, _ = _diamond_docs(depth, fragments=False)
+    docs["merged.json"] = {
+        "type": "object",
+        "allOf": [
+            {"properties": {"shape": {"$ref": "t0.json"}}},
+            {"properties": {"shape": {"$ref": "t0.json#/"}}},
+        ],
+    }
+    corpus = make_corpus(docs)
+    calls = []
+    original = ResolvedNode.structural_key
+    monkeypatch.setattr(
+        ResolvedNode, "structural_key", lambda self: calls.append(self) or original(self)
+    )
+    merged = resolve(corpus, "merged.json")
+    assert merged.child_map()["shape"].ref_names == ("t0",)
+    # Each distinct node computes its key once and asks each child once.
+    assert len({id(node) for node in calls}) <= 2 * (depth + 2)
+    assert len(calls) <= 4 * 3 * (depth + 2)
+
+
+def _chain_docs(length: int) -> dict:
+    docs = {}
+    for k in range(length):
+        properties = {"tag": {"type": "string"}}
+        if k + 1 < length:
+            properties["next"] = {"$ref": f"link{k + 1}.json"}
+        docs[f"link{k}.json"] = {"type": "object", "properties": properties}
+    return docs
+
+
+CHAIN_LENGTH = 10_000
+
+
+def test_ten_thousand_document_chain_resolves():
+    node = resolve(make_corpus(_chain_docs(CHAIN_LENGTH)), "link0.json")
+    hops = 0
+    while "next" in node.child_map():
+        node = node.child_map()["next"]
+        hops += 1
+        assert node.ref_names == (f"link{hops}",)
+    assert hops == CHAIN_LENGTH - 1
+
+
+@pytest.fixture(scope="module")
+def chain_manifest_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("chain")
+    (root / "chain").mkdir()
+    for doc_id, doc in _chain_docs(CHAIN_LENGTH).items():
+        (root / "chain" / doc_id).write_text(json.dumps(doc))
+    manifest = {"schemas": {"lei": {"corpus": "chain", "metric_entry": "link0.json", "events": {}}}}
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    return root
+
+
+@pytest.mark.parametrize("command", ["graph", "metrics"])
+def test_ten_thousand_document_chain_graph_exits_2_with_one_line(capsys, chain_manifest_dir, command):
+    # The metric graph is still an expanded tree built by recursion, so a
+    # chain this long exceeds the recursion limit there, not in resolve.
+    code = main([command, "--corpus", str(chain_manifest_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("schemalens: error:")
+    assert "recursion" in err
