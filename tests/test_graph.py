@@ -1,6 +1,12 @@
+import hashlib
+import json
+import random
+from dataclasses import astuple
+
 import pytest
 
-from schemalens.errors import UnknownCollection
+from schemalens import metrics
+from schemalens.errors import SchemaLensError, UnknownCollection
 from schemalens.graph import (
     ARRAY_DOCUMENT,
     ATOMIC,
@@ -16,7 +22,16 @@ from schemalens.graph import (
 )
 from schemalens.loader import ResolvedNode, resolve
 
-from harness import make_corpus
+from harness import make_corpus, random_cyclic_corpus, random_graph, random_ref_corpus
+
+# sha256 over every node, edge and cardinality of the graphs named in
+# test_graph_and_metrics_match_golden_digest, plus the type-scoped metrics of
+# every type name they hold. Any change to node ids, sibling order, node
+# fields or a metric value changes it.
+GOLDEN_GRAPH_SHA256 = "773047b2a6e2c2765daf8d29df529b830afad6ebc4d6b2177d4967a2d97c2802"
+N_REF_CORPORA = 40
+N_CYCLIC_CORPORA = 40
+N_RANDOM_GRAPHS = 20
 
 
 def _resolve_single(schema_dict):
@@ -248,3 +263,61 @@ def test_to_dot_labels_nodes_with_kind_and_type(envelope_graph):
     assert '"Collection:weight"' in dot
     assert "Embedded:message" in dot
     assert "->" in dot
+
+
+def _metric(call, *args):
+    try:
+        value = call(*args)
+    except SchemaLensError as exc:
+        return type(exc).__name__
+    return astuple(value) if isinstance(value, metrics.AttributeCounts) else value
+
+
+def _graph_record(graph):
+    names = sorted(
+        {n.type_name for n in graph.nodes.values() if n.id != graph.root}
+        | {r for n in graph.nodes.values() for r in n.ref_names}
+    )
+    collections = [c.type_name for c in graph.collections()]
+    return {
+        "nodes": [astuple(n) for n in graph.nodes.values()],
+        "children": list(graph.children.items()),
+        "cardinalities": sorted(graph.cardinalities.items()),
+        "col_depth": [_metric(metrics.col_depth, graph, c) for c in collections],
+        "ref_load": [
+            [_metric(metrics.ref_load, graph, t), _metric(metrics.ref_load, graph, t, "outgoing")]
+            for t in names
+        ],
+        "per_collection": [
+            [
+                _metric(metrics.doc_depth_in_col, graph, c, t),
+                _metric(metrics.doc_copies_in_col, graph, t, c),
+                _metric(metrics.attribute_counts, graph, t, c),
+            ]
+            for c in collections
+            for t in names
+        ],
+    }
+
+
+def test_graph_and_metrics_match_golden_digest(manifest):
+    rows = []
+    for name in manifest.schema_names():
+        schema_set = manifest.schema_set(name)
+        corpus = schema_set.corpus()
+        entries = dict.fromkeys(
+            [schema_set.metric_entry, *filter(None, [schema_set.envelope]), *schema_set.events.values()]
+        )
+        for entry in entries:
+            rows.append([name, entry, _graph_record(build_graph({"weight": resolve(corpus, entry)}))])
+    corpora = [random_ref_corpus(random.Random(seed)) for seed in range(N_REF_CORPORA)]
+    corpora += [random_cyclic_corpus(random.Random(seed))[0] for seed in range(N_CYCLIC_CORPORA)]
+    for corpus in corpora:
+        entries = {doc_id.removesuffix(".json"): resolve(corpus, doc_id) for doc_id in sorted(corpus.documents)}
+        rows.append(_graph_record(build_graph(entries)))
+    for seed in range(N_RANDOM_GRAPHS):
+        graph, _ = random_graph(random.Random(seed))
+        rows.append(_graph_record(graph))
+    assert any(row["cardinalities"] for row in rows[-N_RANDOM_GRAPHS:])  # annotated graphs
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == GOLDEN_GRAPH_SHA256
