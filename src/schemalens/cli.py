@@ -29,7 +29,7 @@ from .evaluation import load_criteria, load_weight_cases, run_comparison
 from .graph import to_dot
 from .loader import resolve
 from .metrics import DEFAULT_COEFFICIENTS, WidthCoefficients
-from .validator import validate
+from .validator import validate_batch
 
 ENV_CORPUS = "SCHEMALENS_CORPUS"
 
@@ -198,6 +198,13 @@ def _instance_paths(raw_paths: list[str]) -> list[Path]:
     return paths
 
 
+def _read_instance(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaLensError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def cmd_validate(args) -> int:
     manifest = _manifest(args)
     name = _schema_names(args, manifest, default_all=False)[0]
@@ -207,30 +214,23 @@ def cmd_validate(args) -> int:
     envelope = resolve(schema_set.corpus(), schema_set.envelope)
 
     paths = _instance_paths(args.files)
-    records = []
-    any_invalid = False
-    for path in paths:
-        try:
-            instance = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise SchemaLensError(f"{path}: not valid JSON: {exc}") from exc
-        outcome = validate(instance, envelope)
-        any_invalid = any_invalid or not outcome.valid
-        records.append(
-            {
-                "file": str(path),
-                "valid": outcome.valid,
-                "violations": [
-                    {
-                        "instancePath": v.instance_path,
-                        "schemaPath": v.schema_path,
-                        "keyword": v.keyword,
-                        "message": v.message,
-                    }
-                    for v in outcome.violations
-                ],
-            }
-        )
+    outcomes, totals = validate_batch(map(_read_instance, paths), envelope)
+    records = [
+        {
+            "file": str(path),
+            "valid": outcome.valid,
+            "violations": [
+                {
+                    "instancePath": v.instance_path,
+                    "schemaPath": v.schema_path,
+                    "keyword": v.keyword,
+                    "message": v.message,
+                }
+                for v in outcome.violations
+            ],
+        }
+        for path, outcome in zip(paths, outcomes)
+    ]
     if args.format == "records":
         print(json.dumps(records, indent=2))
     else:
@@ -239,7 +239,7 @@ def cmd_validate(args) -> int:
             print(f"{record['file']}: {status}")
             for violation in record["violations"]:
                 print(f"  {violation['instancePath'] or '/'} [{violation['keyword']}] {violation['message']}")
-    return 1 if any_invalid else 0
+    return 1 if totals["invalid"] else 0
 
 
 def cmd_capability(args) -> int:

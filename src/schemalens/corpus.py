@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
-from .errors import CorpusError, UnknownSchema, UnknownScenario, require
+from .errors import ConfigError, CorpusError, UnknownSchema, UnknownScenario, as_number, optional, require
 from .graph import MetricGraph, build_graph, effective_children
 from .loader import CorpusHandle, ResolvedNode, load_corpus, resolve
 
@@ -136,20 +136,26 @@ def load_manifest(root: str | Path | None = None) -> CorpusManifest:
         entry = require(schemas, name, manifest_path, dict)
         schema_sets[name] = SchemaSet(
             name=name,
-            title=entry.get("title", name.upper()),
+            title=optional(entry, "title", manifest_path, str, name.upper()),
             corpus_dir=root_dir / require(entry, "corpus", manifest_path, str),
             metric_entry=require(entry, "metric_entry", manifest_path, str),
             envelope=entry.get("envelope"),
             events=dict(require(entry, "events", manifest_path, dict)),
         )
-    scenarios = {
-        int(sid): [root_dir / rel for rel in files]
-        for sid, files in data.get("scenarios", {}).items()
-    }
-    case_study = [(row["label"], row["event"]) for row in data.get("case_study_events", [])]
+    scenarios = {}
+    scenario_files = optional(data, "scenarios", manifest_path, dict, {})
+    for sid in scenario_files:
+        files = require(scenario_files, sid, manifest_path, list)
+        if not all(isinstance(rel, str) for rel in files):
+            raise ConfigError(f"{manifest_path}: key {sid!r} must be an array of strings")
+        scenarios[as_number(sid, int, manifest_path, sid)] = [root_dir / rel for rel in files]
+    case_study = [
+        (require(row, "label", manifest_path, str), require(row, "event", manifest_path, str))
+        for row in optional(data, "case_study_events", manifest_path, list, [])
+    ]
     return CorpusManifest(
         root=root_dir,
-        collection=data.get("collection", "weight"),
+        collection=optional(data, "collection", manifest_path, str, "weight"),
         schema_sets=schema_sets,
         case_study_events=case_study,
         scenarios=scenarios,

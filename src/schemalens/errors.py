@@ -95,6 +95,11 @@ def require(data: Any, key: str, source: object, expected: type = object) -> Any
     return value
 
 
+def optional(data: dict, key: str, source: object, expected: type, default: Any) -> Any:
+    """``require`` for a key that may be absent: ``default`` when it is."""
+    return require(data, key, source, expected) if key in data else default
+
+
 def as_number(value: Any, to: type, source: object, key: str) -> Any:
     """``to(value)`` for ``to`` in (int, float), or a ConfigError naming
     ``source`` and the key when the value does not convert (a container,

@@ -108,6 +108,26 @@ def round2(value: float) -> float:
     return float(Decimal(repr(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
+# Metric name -> call on (graph, type name, collection, docWidth
+# coefficients), with a missing type name or collection passed as "". A
+# count of 0 from docExistence or docCopies means the target is absent.
+_METRIC_CALLS = {
+    "colExistence": lambda g, t, col, cf: metrics.col_existence(g, t or col),
+    "docExistence": lambda g, t, col, cf: metrics.doc_existence(g, col, t) or ABSENT,
+    "docCopies": lambda g, t, col, cf: metrics.doc_copies_in_col(g, t, col) or ABSENT,
+    "docCopiesInCol": lambda g, t, col, cf: metrics.doc_copies_in_col(g, t, col) or ABSENT,
+    "refLoad": lambda g, t, col, cf: metrics.ref_load(g, t or col),
+    "docWidth": lambda g, t, col, cf: metrics.doc_width(g, t or col, col or t, cf),
+    "docDepthInCol": lambda g, t, col, cf: metrics.doc_depth_in_col(g, col, t),
+    "nbrCol": lambda g, t, col, cf: metrics.nbr_col(g),
+    "colDepth": lambda g, t, col, cf: metrics.col_depth(g, col or t),
+    "globalDepth": lambda g, t, col, cf: metrics.global_depth(g),
+    "maxDocDepth": lambda g, t, col, cf: metrics.max_doc_depth(g, t),
+    "minDocDepth": lambda g, t, col, cf: metrics.min_doc_depth(g, t),
+    "docTypeCopies": lambda g, t, col, cf: metrics.doc_type_copies(g, t),
+}
+
+
 def criterion_value(
     graph: MetricGraph,
     criterion: CriterionSpec,
@@ -115,37 +135,13 @@ def criterion_value(
 ) -> MetricValue:
     """Raw metric value for one criterion target, with missing targets
     surfaced as the Absent marker rather than 0."""
-    name = criterion.metric
-    t = criterion.type_name
-    col = criterion.collection
+    call = _METRIC_CALLS.get(criterion.metric)
+    if call is None:
+        raise UnknownCriterionMetric(f"criterion {criterion.id} uses unknown metric {criterion.metric!r}")
     try:
-        if name == "colExistence":
-            return metrics.col_existence(graph, t or col or "")
-        if name == "docExistence":
-            return metrics.doc_existence(graph, col or "", t or "") or ABSENT
-        if name in ("docCopies", "docCopiesInCol"):
-            return metrics.doc_copies_in_col(graph, t or "", col or "") or ABSENT
-        if name == "refLoad":
-            return metrics.ref_load(graph, t or col or "")
-        if name == "docWidth":
-            return metrics.doc_width(graph, t or col or "", col or t or "", coefficients)
-        if name == "docDepthInCol":
-            return metrics.doc_depth_in_col(graph, col or "", t or "")
-        if name == "nbrCol":
-            return metrics.nbr_col(graph)
-        if name == "colDepth":
-            return metrics.col_depth(graph, col or t or "")
-        if name == "globalDepth":
-            return metrics.global_depth(graph)
-        if name == "maxDocDepth":
-            return metrics.max_doc_depth(graph, t or "")
-        if name == "minDocDepth":
-            return metrics.min_doc_depth(graph, t or "")
-        if name == "docTypeCopies":
-            return metrics.doc_type_copies(graph, t or "")
+        return call(graph, criterion.type_name or "", criterion.collection or "", coefficients)
     except (TypeAbsent, UnknownCollection):
         return ABSENT
-    raise UnknownCriterionMetric(f"criterion {criterion.id} uses unknown metric {name!r}")
 
 
 def normalize(value: MetricValue, direction: str) -> float:

@@ -12,6 +12,11 @@ so their declared properties are unioned into the host node's children (a
 structurally richer branch subtree replaces an empty placeholder; first
 occurrence wins on collisions). Nodes remember the $ref chain that produced
 them (``ref_names``) so referencing metrics can count inlined references.
+
+The graph is a tree: a resolved node shared by several $ref sites is
+expanded once per site. ``build_graph`` places nodes with one explicit stack
+and ``MetricGraph.walk`` reads them with another, so neither recurses per
+embedding level and a ref chain of any length builds and measures.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import loader
 from .errors import UnknownCollection
@@ -113,13 +118,23 @@ class MetricGraph:
     def edge_cardinality(self, parent: int, child: int) -> int:
         return self.cardinalities.get((parent, child), 1)
 
-    def walk(self, start: int) -> Iterable[GraphNode]:
-        """Preorder traversal of the subtree rooted at ``start`` (inclusive)."""
-        stack = [start]
+    def walk(self, start: int) -> Iterator[tuple[GraphNode, int, int]]:
+        """``(node, level, copies)`` for every node strictly below ``start``,
+        in preorder. ``level`` is 1 for direct members plus one per Embedded
+        node strictly between; ``copies`` is the product of edge
+        cardinalities from ``start`` down to the node."""
+        nodes, children, cards = self.nodes, self.children, self.cardinalities
+        stack = [(start, 1, 1)]
+        push = stack.append
         while stack:
-            node_id = stack.pop()
-            yield self.nodes[node_id]
-            stack.extend(reversed(self.child_ids(node_id)))
+            node_id, level, copies = stack.pop()
+            if node_id != start:
+                node = nodes[node_id]
+                yield node, level, copies
+                if node.kind == EMBEDDED:
+                    level += 1
+            for kid in reversed(children.get(node_id, ())):
+                push((kid, level, copies * cards.get((node_id, kid), 1) if cards else copies))
 
     def knows_name(self, name: str) -> bool:
         return any(n.matches(name) for n in self.nodes.values())
@@ -201,95 +216,35 @@ def effective_children(node: ResolvedNode) -> list[tuple[str, ResolvedNode]]:
     return [(name, merged[name]) for name in order]
 
 
-class _Builder:
-    def __init__(self):
-        self.graph = MetricGraph(root=0)
-        self.graph.nodes[0] = GraphNode(id=0, kind=ROOT, type_name="root")
-        self.graph.children[0] = ()
-        self._next_id = 1
-
-    def _add(self, parent: int, node: GraphNode) -> int:
-        self.graph.nodes[node.id] = node
-        self.graph.children[parent] = self.graph.children.get(parent, ()) + (node.id,)
-        self.graph.children.setdefault(node.id, ())
-        return node.id
-
-    def _new_id(self) -> int:
-        nid = self._next_id
-        self._next_id += 1
-        return nid
-
-    def add_collection(self, name: str, entry: ResolvedNode):
-        cid = self._add(
-            self.graph.root,
-            GraphNode(id=self._new_id(), kind=COLLECTION, type_name=name, ref_names=entry.ref_names),
-        )
-        self._expand_members(cid, entry)
-
-    def _expand_members(self, parent: int, node: ResolvedNode):
-        required = set(node.required)
-        for name, sub in effective_children(node):
-            self._add_member(parent, name, sub, name in required)
-
-    def _add_member(self, parent: int, name: str, sub: ResolvedNode, required: bool):
+def _member_specs(node: ResolvedNode) -> list[tuple[tuple, object]]:
+    """What each effective property of ``node`` becomes, as ``(fields,
+    below)``: ``fields`` are the GraphNode fields after ``id``; ``below`` is
+    the ResolvedNode whose members go under the new node, or a tuple of
+    ready specs. A cycle stub becomes a Reference, a document an Embedded
+    node with its members below, anything else an Attribute, with the item's
+    Embedded node (or Reference) below an array of documents."""
+    required = set(node.required)
+    specs: list[tuple[tuple, object]] = []
+    for name, sub in effective_children(node):
+        req = name in required
         if sub.kind == loader.CYCLE:
-            self._add(
-                parent,
-                GraphNode(
-                    id=self._new_id(),
-                    kind=REFERENCE,
-                    type_name=sub.ref_names[0] if sub.ref_names else name,
-                    ref_names=sub.ref_names,
-                    required=required,
-                ),
-            )
-            return
+            type_name = sub.ref_names[0] if sub.ref_names else name
+            specs.append(((REFERENCE, type_name, None, sub.ref_names, req, False), ()))
+            continue
         attr_class = classify_attribute(sub)
         if attr_class == DOCUMENT:
-            nid = self._add(
-                parent,
-                GraphNode(
-                    id=self._new_id(),
-                    kind=EMBEDDED,
-                    type_name=name,
-                    ref_names=sub.ref_names,
-                    required=required,
-                    flagged=_is_mixed_one_of(sub),
-                ),
-            )
-            self._expand_members(nid, sub)
-            return
-        nid = self._add(
-            parent,
-            GraphNode(
-                id=self._new_id(),
-                kind=ATTRIBUTE,
-                type_name=name,
-                attr_class=attr_class,
-                ref_names=sub.ref_names,
-                required=required,
-            ),
-        )
-        if attr_class == ARRAY_DOCUMENT and sub.item is not None:
-            item = sub.item
+            specs.append(((EMBEDDED, name, None, sub.ref_names, req, _is_mixed_one_of(sub)), sub))
+            continue
+        below: tuple = ()
+        item = sub.item
+        if attr_class == ARRAY_DOCUMENT and item is not None:
             item_name = item.ref_names[0] if item.ref_names else f"{name}Item"
             if item.kind == loader.CYCLE:
-                self._add(
-                    nid,
-                    GraphNode(
-                        id=self._new_id(), kind=REFERENCE, type_name=item_name,
-                        ref_names=item.ref_names,
-                    ),
-                )
-                return
-            inner = self._add(
-                nid,
-                GraphNode(
-                    id=self._new_id(), kind=EMBEDDED, type_name=item_name,
-                    ref_names=item.ref_names,
-                ),
-            )
-            self._expand_members(inner, item)
+                below = (((REFERENCE, item_name, None, item.ref_names, False, False), ()),)
+            else:
+                below = (((EMBEDDED, item_name, None, item.ref_names, False, False), item),)
+        specs.append(((ATTRIBUTE, name, attr_class, sub.ref_names, req, False), below))
+    return specs
 
 
 def build_graph(
@@ -300,14 +255,35 @@ def build_graph(
 
     ``collections`` maps collection names to their resolved entry schemas.
     Cardinality annotations override the default edge cardinality of 1.
+    Node ids are assigned in preorder. A resolved node shared by several
+    sites is expanded at each site, its member specs computed once.
     """
     items = list(collections.items()) if isinstance(collections, Mapping) else list(collections)
     if not items:
         raise UnknownCollection("at least one collection name is required")
-    builder = _Builder()
-    for name, entry in items:
-        builder.add_collection(name, entry)
-    graph = builder.graph
+    graph = MetricGraph(root=0)
+    nodes, children = graph.nodes, graph.children
+    nodes[0] = GraphNode(id=0, kind=ROOT, type_name="root")
+    children[0] = []  # a list while building, a tuple when done
+    memo: dict[int, list[tuple[tuple, object]]] = {}
+    stack = [
+        (0, ((COLLECTION, name, None, entry.ref_names, False, False), entry))
+        for name, entry in reversed(items)
+    ]
+    while stack:
+        parent, (node_fields, below) = stack.pop()
+        nid = len(nodes)
+        nodes[nid] = GraphNode(nid, *node_fields)
+        children[parent].append(nid)
+        if isinstance(below, ResolvedNode):
+            specs = memo.get(id(below))
+            if specs is None:
+                specs = memo[id(below)] = _member_specs(below)
+            below = specs
+        children[nid] = [] if below else ()
+        stack.extend([(nid, spec) for spec in reversed(below)])
+    for nid, ids in children.items():
+        children[nid] = tuple(ids)
     for ann in annotations:
         _apply_annotation(graph, ann)
     return graph

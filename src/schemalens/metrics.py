@@ -94,19 +94,7 @@ def _occurrences(graph: MetricGraph, collection: str, type_name: str) -> list[tu
     that matches the type. ``level`` is 1 for direct members; ``copies`` is
     the product of edge cardinalities from the collection down to the node."""
     start = graph.collection_node(collection)
-    found: list[tuple[GraphNode, int, int]] = []
-
-    def descend(node_id: int, embs_above: int, copies: int):
-        node = graph.node(node_id)
-        if node.matches(type_name):
-            found.append((node, embs_above + 1, copies))
-        embs_below = embs_above + (1 if node.kind == EMBEDDED else 0)
-        for kid in graph.child_ids(node_id):
-            descend(kid, embs_below, copies * graph.edge_cardinality(node_id, kid))
-
-    for kid in graph.child_ids(start.id):
-        descend(kid, 0, graph.edge_cardinality(start.id, kid))
-    return found
+    return [found for found in graph.walk(start.id) if found[0].matches(type_name)]
 
 
 def doc_existence(graph: MetricGraph, collection: str, type_name: str) -> int:
@@ -119,19 +107,11 @@ def nbr_col(graph: MetricGraph) -> int:
     return len(graph.collections())
 
 
-def _max_embedded_below(graph: MetricGraph, node_id: int) -> int:
-    best = 0
-    for kid in graph.child_ids(node_id):
-        node = graph.node(kid)
-        depth = (1 if node.kind == EMBEDDED else 0) + _max_embedded_below(graph, kid)
-        best = max(best, depth)
-    return best
-
-
 def col_depth(graph: MetricGraph, collection: str) -> int:
     """Maximum embedded-node count over the collection's child paths
     (0 for a childless collection)."""
-    return _max_embedded_below(graph, graph.collection_node(collection).id)
+    start = graph.collection_node(collection)
+    return max((level - (node.kind != EMBEDDED) for node, level, _ in graph.walk(start.id)), default=0)
 
 
 def global_depth(graph: MetricGraph) -> int:
@@ -227,8 +207,7 @@ def ref_load(graph: MetricGraph, name: str, direction: str = "incoming") -> int:
         raise ValueError("direction must be 'incoming' or 'outgoing'")
     if direction == "outgoing":
         start = graph.collection_node(name)
-        nodes = list(graph.walk(start.id))[1:]
-        return sum(_reference_count(n, None) for n in nodes)
+        return sum(_reference_count(node, None) for node, _, _ in graph.walk(start.id))
     if not graph.knows_name(name):
         raise UnknownCollection(f"name {name!r} appears nowhere in the graph")
     return sum(_reference_count(n, name) for n in graph.nodes.values())

@@ -231,6 +231,10 @@ def _manifest_without(key):
     return {"schemas": {"lei": entry}}
 
 
+def _manifest_with(**slots):
+    return {"schemas": {"lei": {"corpus": "corpora/lei", "metric_entry": "m.json", "events": {}}}, **slots}
+
+
 @pytest.mark.parametrize(
     "make_argv, expected",
     [
@@ -253,11 +257,20 @@ def _manifest_without(key):
             "'1'",
         ),
         (lambda tmp: ["validate", _write(tmp / "deep.json", "[" * 100_000 + "]" * 100_000)], "recursion"),
+        (lambda tmp: _metrics_on_manifest(tmp, _manifest_with(scenarios=[])), "'scenarios'"),
+        (lambda tmp: _metrics_on_manifest(tmp, _manifest_with(scenarios={"1": 5})), "'1'"),
+        (lambda tmp: _metrics_on_manifest(tmp, _manifest_with(scenarios={"1": [5]})), "'1'"),
+        (lambda tmp: _metrics_on_manifest(tmp, _manifest_with(collection=[1])), "'collection'"),
+        (lambda tmp: _metrics_on_manifest(tmp, {"schemas": {"lei": {"corpus": "c", "metric_entry": "m.json", "events": {}, "title": [1]}}}), "'title'"),
+        (lambda tmp: _metrics_on_manifest(tmp, _manifest_with(case_study_events=[1])), "'label'"),
+        (lambda tmp: _metrics_on_manifest(tmp, _manifest_with(case_study_events=[{"label": "a"}])), "'event'"),
     ],
     ids=[
         "criteria", "criterion-metric", "cases", "case-name", "schemas",
         "corpus", "metric_entry", "events", "schema-entry-type", "case-weights-type",
         "criterion-id-type", "weight-value-type", "deep-instance",
+        "scenarios-type", "scenario-files-type", "scenario-file-type", "collection-type", "title-type",
+        "case-study-row-type", "case-study-event",
     ],
 )
 def test_malformed_inputs_exit_2_with_one_line(capsys, tmp_path, make_argv, expected):
