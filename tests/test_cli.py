@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -278,3 +279,45 @@ def test_malformed_inputs_exit_2_with_one_line(capsys, tmp_path, make_argv, expe
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("schemalens: error:")
     assert expected in err
+
+
+# sha256 over (argv, exit code, stdout) of every subcommand in each of its
+# output shapes on the bundled data, computed in process. Data-directory and
+# tmp_path prefixes are replaced first, so the digest is machine-independent.
+GOLDEN_CLI_SHA256 = "97712dd6758d2eaaf71b710190bc2faa49359c32e560de958ff37558ea69188d"
+
+FORMATS = ("table", "csv", "records")
+
+
+def test_cli_output_matches_golden_digest(capsys, tmp_path, manifest, scenario_documents):
+    _, doc = scenario_documents[0]
+    _, mutant = envelope_mutants(doc)[0]
+    bad = _write(tmp_path / "bad.json", mutant)
+    scenarios = str(manifest.root / "scenarios")
+    commands = [
+        ["metrics"],
+        ["metrics", "--format", "csv"],
+        ["metrics", "--format", "records"],
+        ["metrics", "--type", "eventDateTime"],
+        ["metrics", "--type", "nothing"],
+        ["metrics", "--coefficients", "1,1,1,1"],
+        ["metrics", "--schema", "icar"],
+        *(["evaluate", "--format", fmt, *extra] for fmt in FORMATS for extra in ([], ["--breakdown"])),
+        ["evaluate", "--chart-data"],
+        *(["capability", "--format", fmt] for fmt in FORMATS),
+        *(["graph", "--schema", name] for name in ("lei", "icar", "isc")),
+        ["validate", scenarios],
+        ["validate", "--format", "records", scenarios],
+        ["validate", bad],
+    ]
+
+    def portable(text):
+        return text.replace(str(tmp_path), "<tmp>").replace(str(manifest.root), "<data>")
+
+    rows = []
+    for argv in commands:
+        code, out, _ = run_cli(capsys, *argv)
+        rows.append([[portable(arg) for arg in argv], code, portable(out)])
+    assert rows[-1][1] == 1
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == GOLDEN_CLI_SHA256
