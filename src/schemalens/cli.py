@@ -149,11 +149,11 @@ def cmd_metrics(args) -> int:
     criteria = _criteria(args, manifest)
     if args.type_filter:
         criteria = [c for c in criteria if c.type_name == args.type_filter]
-    metric_report = report.build_metric_report(graphs, criteria, _coefficients(args))
+    result = run_comparison(graphs, criteria, (), _coefficients(args))
     if args.format == "records":
-        print(json.dumps(report.metric_report_records(metric_report), indent=2))
+        print(json.dumps(report.metric_report_records(result), indent=2))
     else:
-        sys.stdout.write(report.render(args.format, *report.metric_report_grid(metric_report)))
+        sys.stdout.write(report.render(args.format, *report.metric_report_grid(result)))
     return 0
 
 

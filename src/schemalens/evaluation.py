@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import metrics
-from .errors import TypeAbsent, UnknownCollection, UnknownCriterionMetric, as_number, require
+from .errors import ConfigError, TypeAbsent, UnknownCollection, UnknownCriterionMetric, as_number, require
 from .graph import MetricGraph
 from .metrics import ABSENT, Absent, MetricValue, WidthCoefficients
 
@@ -189,10 +189,11 @@ def run_comparison(
     coefficients: WidthCoefficients = metrics.DEFAULT_COEFFICIENTS,
 ) -> ComparisonResult:
     """Score every schema under every weight case; also keeps the raw and
-    normalised per-criterion values for breakdown reporting."""
+    normalised per-criterion values for the metric table and breakdown
+    reporting. With no cases, only the per-criterion values are taken."""
     pairs = list(schemas.items()) if isinstance(schemas, Mapping) else list(schemas)
-    if not pairs or not cases:
-        raise ValueError("need at least one schema and one weight case")
+    if not pairs:
+        raise ValueError("need at least one schema")
     raw: dict[str, dict[int, MetricValue]] = {}
     normalized: dict[str, dict[int, float]] = {}
     totals: dict[str, dict[str, float]] = {}
@@ -237,6 +238,9 @@ def load_criteria(path: str | Path) -> tuple[list[CriterionSpec], str]:
 
 def load_weight_cases(path: str | Path) -> list[WeightCase]:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
+    entries = require(data, "cases", path, list)
+    if not entries:
+        raise ConfigError(f"{path}: key 'cases' must hold at least one weight case")
     return [
         WeightCase(
             name=require(entry, "name", path, str),
@@ -245,5 +249,5 @@ def load_weight_cases(path: str | Path) -> list[WeightCase]:
                 for k, v in require(entry, "weights", path, dict).items()
             },
         ).validate_total()
-        for entry in require(data, "cases", path, list)
+        for entry in entries
     ]

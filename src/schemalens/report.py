@@ -11,52 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
-from .evaluation import ComparisonResult, CriterionSpec, criterion_value, round2
-from .graph import MetricGraph
-from .metrics import ABSENT, DEFAULT_COEFFICIENTS, Absent, MetricValue, WidthCoefficients
+from .evaluation import ComparisonResult, round2
+from .metrics import ABSENT, Absent, MetricValue
 
 ABSENT_GLYPH = "-"
-
-
-@dataclass
-class MetricReport:
-    """Named metric values per schema, one row per criterion target."""
-
-    schemas: list[str]
-    rows: list["MetricRow"] = field(default_factory=list)
-
-
-@dataclass
-class MetricRow:
-    criterion_id: int
-    metric: str
-    target: str
-    values: dict[str, MetricValue]
-
-
-def build_metric_report(
-    graphs: Mapping[str, MetricGraph] | Sequence[tuple[str, MetricGraph]],
-    criteria: Sequence[CriterionSpec],
-    coefficients: WidthCoefficients = DEFAULT_COEFFICIENTS,
-) -> MetricReport:
-    pairs = list(graphs.items()) if isinstance(graphs, Mapping) else list(graphs)
-    report = MetricReport(schemas=[name for name, _ in pairs])
-    for criterion in criteria:
-        values = {
-            name: criterion_value(graph, criterion, coefficients) for name, graph in pairs
-        }
-        report.rows.append(
-            MetricRow(
-                criterion_id=criterion.id,
-                metric=criterion.metric,
-                target=criterion.target_label(),
-                values=values,
-            )
-        )
-    return report
 
 
 def _cell(value: MetricValue) -> str:
@@ -88,26 +47,27 @@ def render(fmt: str, header: list[str], rows: list[list[str]]) -> str:
     return grid_csv(header, rows) if fmt == "csv" else render_grid(header, rows)
 
 
-def metric_report_grid(report: MetricReport) -> tuple[list[str], list[list[str]]]:
-    header = ["criterion", "metric", *report.schemas]
+def metric_report_grid(result: ComparisonResult) -> tuple[list[str], list[list[str]]]:
+    """The metric table: one row per criterion, the raw value per schema."""
+    header = ["criterion", "metric", *result.schemas]
     rows = [
-        [f"Criterion {row.criterion_id}", row.target, *(_cell(row.values[s]) for s in report.schemas)]
-        for row in report.rows
+        [f"Criterion {c.id}", c.target_label(), *(_cell(result.raw[s][c.id]) for s in result.schemas)]
+        for c in result.criteria
     ]
     return header, rows
 
 
-def metric_report_records(report: MetricReport) -> list[dict]:
+def metric_report_records(result: ComparisonResult) -> list[dict]:
     records = []
-    for row in report.rows:
-        for schema in report.schemas:
-            value = row.values[schema]
+    for criterion in result.criteria:
+        for schema in result.schemas:
+            value = result.raw[schema][criterion.id]
             records.append(
                 {
                     "schema": schema,
-                    "criterion": row.criterion_id,
-                    "metric": row.metric,
-                    "target": row.target,
+                    "criterion": criterion.id,
+                    "metric": criterion.metric,
+                    "target": criterion.target_label(),
                     "value": None if isinstance(value, Absent) else value,
                     "absent": isinstance(value, Absent),
                 }

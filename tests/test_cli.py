@@ -51,12 +51,10 @@ def test_metrics_records_round_trip(capsys, manifest, graphs, criteria):
     code, out, _ = run_cli(capsys, "metrics", "--format", "records")
     assert code == 0
     parsed = parse_metric_records(out)
-    from schemalens.report import build_metric_report
-
-    report = build_metric_report(graphs, criteria)
-    for row in report.rows:
-        for schema in report.schemas:
-            assert parsed[(schema, row.criterion_id)] == row.values[schema]
+    raw = run_comparison(graphs, criteria, []).raw
+    for schema, values in raw.items():
+        for criterion_id, value in values.items():
+            assert parsed[(schema, criterion_id)] == value
 
 
 def test_metrics_csv_parses(capsys):
