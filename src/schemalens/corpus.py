@@ -21,7 +21,7 @@ from typing import Any, Sequence
 
 from .errors import ConfigError, CorpusError, UnknownSchema, UnknownScenario, as_number, optional, require
 from .graph import MetricGraph, build_graph, effective_children
-from .loader import CorpusHandle, ResolvedNode, load_corpus, resolve
+from .loader import CorpusHandle, load_corpus, resolve
 
 FULL = "Full"
 PARTIAL = "Partial"
@@ -61,9 +61,6 @@ class SchemaSet:
             self._corpus = load_corpus(self.corpus_dir)
         return self._corpus
 
-    def resolved_metric_entry(self) -> ResolvedNode:
-        return resolve(self.corpus(), self.metric_entry)
-
 
 @dataclass
 class CapabilityVerdict:
@@ -96,7 +93,7 @@ class CorpusManifest:
 
     def graph(self, name: str, collection: str | None = None) -> MetricGraph:
         schema_set = self.schema_set(name)
-        entry = schema_set.resolved_metric_entry()
+        entry = resolve(schema_set.corpus(), schema_set.metric_entry)
         return build_graph({collection or self.collection: entry})
 
     def graphs(self, names: Sequence[str] | None = None, collection: str | None = None) -> dict[str, MetricGraph]:
@@ -162,17 +159,13 @@ def load_manifest(root: str | Path | None = None) -> CorpusManifest:
     )
 
 
-def capability_matrix(
-    manifest: CorpusManifest,
-    required_envelope_fields: Sequence[str] = DEFAULT_ENVELOPE_FIELDS,
-    schemas: Sequence[str] | None = None,
-) -> list[CapabilityVerdict]:
+def capability_matrix(manifest: CorpusManifest) -> list[CapabilityVerdict]:
     """Per (schema, case-study event) verdicts: Unsupported when the event
     schema is absent, Partial when present but a required envelope field has
     no home, Full otherwise. Envelope fields are matched by property name at
     the top level of the resolved envelope schema; each distinct (schema,
     envelope entry) is resolved once."""
-    names = list(schemas or manifest.schema_names())
+    names = manifest.schema_names()
     members: dict[tuple[str, str], set[str]] = {}
     verdicts: list[CapabilityVerdict] = []
     for label, event in manifest.case_study_events:
@@ -185,7 +178,7 @@ def capability_matrix(
             if key not in members:
                 envelope = resolve(schema_set.corpus(), key[1])
                 members[key] = {member for member, _ in effective_children(envelope)}
-            missing = [f for f in required_envelope_fields if f not in members[key]]
+            missing = [f for f in DEFAULT_ENVELOPE_FIELDS if f not in members[key]]
             verdicts.append(
                 CapabilityVerdict(
                     schema=name,

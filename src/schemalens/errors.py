@@ -53,6 +53,18 @@ class SchemaUnresolved(SchemaLensError):
     """validate() was handed something that is not a resolved schema tree."""
 
 
+class CycleReached(SchemaLensError):
+    """Validation reached a cycle stub: the instance goes on into a schema
+    that references itself, which the validator does not follow."""
+
+    def __init__(self, instance_path: str, target: str | None):
+        super().__init__(instance_path, target)
+        self.instance_path, self.target = instance_path, target
+
+    def __str__(self) -> str:
+        return f"{self.instance_path or '/'}: validation does not follow the recursive reference to {self.target!r}"
+
+
 class NoBranch(SchemaLensError):
     """Event dispatch found no oneOf branch for the message's eventName."""
 

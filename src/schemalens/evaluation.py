@@ -26,13 +26,14 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import metrics
-from .errors import ConfigError, TypeAbsent, UnknownCollection, UnknownCriterionMetric, as_number, require
+from .errors import ConfigError, TypeAbsent, UnknownCollection, UnknownCriterionMetric, as_number, optional, require
 from .graph import MetricGraph
 from .metrics import ABSENT, Absent, MetricValue, WidthCoefficients
 
 PRESENCE = "presence"
 MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
+DIRECTIONS = (PRESENCE, MAXIMIZE, MINIMIZE)
 
 WEIGHT_SUM_TOLERANCE = 0.01  # admits 3 x 6.667 rounding in the bundled cases
 
@@ -189,8 +190,7 @@ def run_comparison(
     coefficients: WidthCoefficients = metrics.DEFAULT_COEFFICIENTS,
 ) -> ComparisonResult:
     """Score every schema under every weight case; also keeps the raw and
-    normalised per-criterion values for the metric table and breakdown
-    reporting. With no cases, only the per-criterion values are taken."""
+    normalised per-criterion values for the metric table and breakdowns."""
     pairs = list(schemas.items()) if isinstance(schemas, Mapping) else list(schemas)
     if not pairs:
         raise ValueError("need at least one schema")
@@ -198,13 +198,11 @@ def run_comparison(
     normalized: dict[str, dict[int, float]] = {}
     totals: dict[str, dict[str, float]] = {}
     for name, graph in pairs:
-        values = {c.id: criterion_value(graph, c, coefficients) for c in criteria}
-        raw[name] = values
+        raw[name] = values = {c.id: criterion_value(graph, c, coefficients) for c in criteria}
         normalized[name] = {c.id: normalize(values[c.id], c.direction) for c in criteria}
-        totals[name] = {}
-        for case in cases:
-            result = evaluate_schema(values, criteria, case, schema_name=name)
-            totals[name][case.name] = result.per_case[case.name]
+        totals[name] = {
+            case.name: evaluate_schema(values, criteria, case, name).per_case[case.name] for case in cases
+        }
     return ComparisonResult(
         schemas=[n for n, _ in pairs],
         cases=[c.name for c in cases],
@@ -220,19 +218,22 @@ def load_criteria(path: str | Path) -> tuple[list[CriterionSpec], str]:
     collection name the targets refer to."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     entries = require(data, "criteria", path, list)
-    collection = data.get("collection", "")
-    criteria = []
+    collection = optional(data, "collection", path, str, "")
+    criteria: list[CriterionSpec] = []
     for entry in entries:
-        criteria.append(
-            CriterionSpec(
-                id=as_number(require(entry, "id", path), int, path, "id"),
-                metric=require(entry, "metric", path, str),
-                type_name=entry.get("type"),
-                collection=entry.get("collection"),
-                direction=entry.get("direction", PRESENCE),
-                label=entry.get("label", ""),
-            )
+        criterion = CriterionSpec(
+            id=as_number(require(entry, "id", path), int, path, "id"),
+            metric=require(entry, "metric", path, str),
+            type_name=optional(entry, "type", path, str, None),
+            collection=optional(entry, "collection", path, str, None),
+            direction=optional(entry, "direction", path, str, PRESENCE),
+            label=optional(entry, "label", path, str, ""),
         )
+        if criterion.direction not in DIRECTIONS:
+            raise ConfigError(f"{path}: key 'direction' must be one of {DIRECTIONS}, not {criterion.direction!r}")
+        if any(c.id == criterion.id for c in criteria):
+            raise ConfigError(f"{path}: key 'id' repeats criterion {criterion.id}")
+        criteria.append(criterion)
     return criteria, collection
 
 

@@ -17,10 +17,17 @@ description. Unknown keywords are ignored.
 
 All reference targets are file-local, resolved relative to the referencing
 document's directory; absolute URLs and paths escaping the corpus root are
-rejected. ``additionalProperties: false`` must not appear on an allOf
-participant -- the host schema or any of its branches -- that lacks a
-property another participant declares: merged semantics would otherwise
-diverge from per-branch evaluation, so resolution raises MergeConflict.
+rejected.
+
+``allOf`` merges into its host exactly, or resolution raises MergeConflict.
+Across the participants (the host schema and its branches), a property
+declared twice and ``items`` set twice must have one shape; ``type`` and
+``format`` set twice must be equal, except that ``integer`` with ``number``
+gives ``integer``; ``enum`` becomes the values every enum admits (JSON
+equality, host order) and must not be empty; a participant with
+``additionalProperties: false`` must declare every merged property; and no
+branch may be a cyclic reference. ``required``, oneOf groups and
+if/then/else conditionals are collected from every participant.
 """
 
 from __future__ import annotations
@@ -161,7 +168,7 @@ class ResolvedNode:
     required: tuple[str, ...] = ()
     additional_allowed: bool = True
     one_of_groups: tuple[tuple["ResolvedNode", ...], ...] = ()
-    conditionals: tuple[tuple["ResolvedNode | None", "ResolvedNode | None", "ResolvedNode | None"], ...] = ()
+    conditionals: tuple[tuple["ResolvedNode", "ResolvedNode | None", "ResolvedNode | None"], ...] = ()
     enum_values: tuple[Any, ...] = ()
     format_tag: str | None = None
     ref_names: tuple[str, ...] = ()
@@ -377,6 +384,21 @@ def load_corpus(directory: str | Path) -> CorpusHandle:
     return CorpusHandle(root_dir=root, documents=documents, errors=errors)
 
 
+def json_equal(a: Any, b: Any) -> bool:
+    """JSON-semantics equality: booleans are distinct from numbers."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return isinstance(a, bool) and isinstance(b, bool) and a is b
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return a == b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(json_equal(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(json_equal(v, b[k]) for k, v in a.items())
+    if type(a) is not type(b):
+        return False
+    return a == b
+
+
 def _resolve_target_id(base_doc: str, path_part: str) -> str:
     if path_part.startswith(("http://", "https://", "file://", "//")):
         raise UnknownRef(f"absolute URL references are rejected: {path_part!r}")
@@ -390,8 +412,6 @@ def _resolve_target_id(base_doc: str, path_part: str) -> str:
 
 
 def _navigate_fragment(doc: SchemaDocument, fragment: str) -> Any:
-    if fragment in ("", "/"):
-        return doc.raw
     if not fragment.startswith("/"):
         raise UnknownRef(f"unsupported fragment {fragment!r} in {doc.id} (plain-name anchors not supported)")
     current: Any = doc.raw
@@ -631,22 +651,40 @@ class _Resolver:
         ref_names = list(host.ref_names)
         ref_docs = list(host.ref_docs)
         type_tag = host.type_tag
+        format_tag = host.format_tag
+        item = host.item
+        enum_values = host.enum_values if host.kind == ENUM or host.enum_values else None
         kind = host.kind
 
         for i, branch_raw in enumerate(raw.all_of):
             branch = self._node(branch_raw, doc_id, f"{path}/allOf/{i}", stack)
+            where = f"{doc_id}{path}: allOf branch {i}"
             if branch.kind == CYCLE:
-                raise MergeConflict(
-                    f"{doc_id}{path}: allOf branch {i} is a cyclic reference and cannot be merged"
-                )
+                raise MergeConflict(f"{where} is a cyclic reference and cannot be merged")
             participants.append((f"allOf branch {i}", branch))
+            if type_tag and branch.type_tag and type_tag != branch.type_tag:
+                if {type_tag, branch.type_tag} != {"integer", "number"}:
+                    raise MergeConflict(f"{where} has type {branch.type_tag!r}, not {type_tag!r}")
+                type_tag = "integer"
+            type_tag = type_tag or branch.type_tag
+            if format_tag and branch.format_tag and format_tag != branch.format_tag:
+                raise MergeConflict(f"{where} has format {branch.format_tag!r}, not {format_tag!r}")
+            format_tag = format_tag or branch.format_tag
+            if item and branch.item and item.structural_key() != branch.item.structural_key():
+                raise MergeConflict(f"{where} disagrees on items")
+            item = item or branch.item
+            if branch.kind == ENUM or branch.enum_values:
+                admitted = branch.enum_values
+                if enum_values is not None:
+                    admitted = tuple(v for v in enum_values if any(json_equal(v, w) for w in admitted))
+                if not admitted:
+                    raise MergeConflict(f"{where} leaves no enum value that every participant admits")
+                enum_values = admitted
             for name, sub in branch.children:
                 if name in names:
                     existing = merged_children[names[name]][1]
                     if existing.structural_key() != sub.structural_key():
-                        raise MergeConflict(
-                            f"{doc_id}{path}: allOf branches disagree on property {name!r}"
-                        )
+                        raise MergeConflict(f"{where} disagrees on property {name!r}")
                 else:
                     names[name] = len(merged_children)
                     merged_children.append((name, sub))
@@ -657,8 +695,6 @@ class _Resolver:
             conditionals.extend(branch.conditionals)
             ref_names.extend(branch.ref_names)
             ref_docs.extend(branch.ref_docs)
-            if branch.type_tag and not type_tag:
-                type_tag = branch.type_tag
             if kind in (ANY, ATOMIC) and branch.kind in (OBJECT, ARRAY, ENUM):
                 kind = branch.kind
 
@@ -678,6 +714,9 @@ class _Resolver:
             host,
             kind=kind,
             type_tag=type_tag,
+            format_tag=format_tag,
+            item=item,
+            enum_values=enum_values or (),
             children=tuple(merged_children),
             required=tuple(required),
             additional_allowed=all(p.additional_allowed for _, p in participants),

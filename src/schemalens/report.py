@@ -48,7 +48,6 @@ def render(fmt: str, header: list[str], rows: list[list[str]]) -> str:
 
 
 def metric_report_grid(result: ComparisonResult) -> tuple[list[str], list[list[str]]]:
-    """The metric table: one row per criterion, the raw value per schema."""
     header = ["criterion", "metric", *result.schemas]
     rows = [
         [f"Criterion {c.id}", c.target_label(), *(_cell(result.raw[s][c.id]) for s in result.schemas)]

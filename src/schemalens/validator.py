@@ -5,7 +5,8 @@ items, every oneOf group (exactly-one-match semantics), if/then/else, and
 assertive format checks for ``date-time`` (ISO 8601 / RFC 3339 profile) and
 ``ipv4`` (strict dotted quad, no leading zeros). allOf never appears here:
 the loader merges it during resolution. All violations are collected, not
-just the first; identical inputs yield identical violation lists.
+just the first; identical inputs yield identical violation lists. An
+instance that reaches a cycle stub is refused with CycleReached.
 
 Checks whose violations nobody reads -- oneOf branches and if-conditions --
 run the same walker in quiet mode, which stops at the first violation. A
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from . import loader
-from .errors import AmbiguousBranch, NoBranch, SchemaUnresolved
-from .loader import ResolvedNode
+from .errors import AmbiguousBranch, CycleReached, NoBranch, SchemaUnresolved
+from .loader import ResolvedNode, json_equal
 
 _DATE_TIME_RE = re.compile(
     r"^(\d{4})-(\d{2})-(\d{2})[Tt]"
@@ -72,21 +73,6 @@ def is_ipv4(value: str) -> bool:
 _FORMAT_CHECKS = {"date-time": is_date_time, "ipv4": is_ipv4}
 
 
-def json_equal(a: Any, b: Any) -> bool:
-    """JSON-semantics equality: booleans are distinct from numbers."""
-    if isinstance(a, bool) or isinstance(b, bool):
-        return isinstance(a, bool) and isinstance(b, bool) and a is b
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return a == b
-    if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(json_equal(x, y) for x, y in zip(a, b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(json_equal(v, b[k]) for k, v in a.items())
-    if type(a) is not type(b):
-        return False
-    return a == b
-
-
 def _type_matches(value: Any, tag: str) -> bool:
     if tag == "string":
         return isinstance(value, str)
@@ -123,7 +109,7 @@ class ValidationOutcome:
 
 def _check(value: Any, node: ResolvedNode, ipath: str, out: list[Violation] | _QuietSink) -> None:
     if node.kind == loader.CYCLE:
-        return  # cycle stub: unconstrained
+        raise CycleReached(ipath, node.cycle_target)
     spath = f"{node.doc_id}#{node.path}"
 
     if node.type_tag and not _type_matches(value, node.type_tag):
@@ -161,8 +147,13 @@ def _check(value: Any, node: ResolvedNode, ipath: str, out: list[Violation] | _Q
         for i, element in enumerate(value):
             _check(element, node.item, f"{ipath}/{i}", out)
 
+    # Quiet checks start at instance path "", so prefix this node's path.
     for group, tags in zip(node.one_of_groups, node.one_of_tags):
-        matched = _count_matches(value, group, tags)
+        try:
+            matched = _count_matches(value, group, tags)
+        except CycleReached as exc:
+            exc.instance_path = ipath + exc.instance_path
+            raise
         if matched != 1:
             out.append(
                 Violation(ipath, spath, "oneOf",
@@ -170,13 +161,13 @@ def _check(value: Any, node: ResolvedNode, ipath: str, out: list[Violation] | _Q
             )
 
     for condition, then, otherwise in node.conditionals:
-        if condition is None:
-            continue
-        if _quiet_valid(value, condition):
-            if then is not None:
-                _check(value, then, ipath, out)
-        elif otherwise is not None:
-            _check(value, otherwise, ipath, out)
+        try:
+            arm = then if _quiet_valid(value, condition) else otherwise
+        except CycleReached as exc:
+            exc.instance_path = ipath + exc.instance_path
+            raise
+        if arm is not None:
+            _check(value, arm, ipath, out)
 
 
 class _Invalid(Exception):
@@ -239,7 +230,7 @@ def dispatch_event_schema(schema: ResolvedNode, message: Mapping[str, Any]) -> s
     event_name = message.get("eventName")
 
     for condition, then, _ in message_node.conditionals:
-        if condition is not None and then is not None and _quiet_valid(message, condition):
+        if then is not None and _quiet_valid(message, condition):
             gate = then.child_map().get("eventName")
             if gate is not None and gate.enum_values:
                 if not any(json_equal(event_name, v) for v in gate.enum_values):

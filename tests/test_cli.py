@@ -234,6 +234,21 @@ def _manifest_with(**slots):
     return {"schemas": {"lei": {"corpus": "corpora/lei", "metric_entry": "m.json", "events": {}}}, **slots}
 
 
+def _metrics_with_criterion(tmp_path, criteria_file=None, **slots):
+    criteria = criteria_file or {"criteria": [{"id": 1, "metric": "nbrCol", **slots}]}
+    return ["metrics", "--criteria", _write(tmp_path / "c.json", criteria)]
+
+
+def _validate_recursive(tmp_path, instance):
+    # a.json references itself through "n"; validation does not follow it.
+    (tmp_path / "r").mkdir()
+    schema = {"type": "object", "properties": {"n": {"$ref": "a.json"}, "x": {"type": "string"}}}
+    _write(tmp_path / "r" / "a.json", schema)
+    entry = {"corpus": "r", "metric_entry": "a.json", "envelope": "a.json", "events": {}}
+    _write(tmp_path / "manifest.json", {"schemas": {"r": entry}})
+    return ["validate", "--corpus", str(tmp_path), "--schema", "r", _write(tmp_path / "i.json", instance)]
+
+
 @pytest.mark.parametrize(
     "make_argv, expected",
     [
@@ -263,6 +278,20 @@ def _manifest_with(**slots):
         (lambda tmp: _metrics_on_manifest(tmp, {"schemas": {"lei": {"corpus": "c", "metric_entry": "m.json", "events": {}, "title": [1]}}}), "'title'"),
         (lambda tmp: _metrics_on_manifest(tmp, _manifest_with(case_study_events=[1])), "'label'"),
         (lambda tmp: _metrics_on_manifest(tmp, _manifest_with(case_study_events=[{"label": "a"}])), "'event'"),
+        (lambda tmp: _metrics_with_criterion(tmp, type=[1]), "'type'"),
+        (lambda tmp: _metrics_with_criterion(tmp, collection=[1]), "'collection'"),
+        (lambda tmp: _metrics_with_criterion(tmp, label={}), "'label'"),
+        (lambda tmp: _metrics_with_criterion(tmp, direction="sideways"), "'direction'"),
+        (lambda tmp: _metrics_with_criterion(tmp, direction=[1]), "'direction'"),
+        (lambda tmp: _metrics_with_criterion(tmp, {"collection": [1], "criteria": []}), "'collection'"),
+        (
+            lambda tmp: _metrics_with_criterion(
+                tmp, {"criteria": [{"id": 1, "metric": "nbrCol"}, {"id": "1", "metric": "colDepth"}]}
+            ),
+            "'id'",
+        ),
+        (lambda tmp: ["evaluate", "--weights", _write(tmp / "w.json", {"cases": []})], "'cases'"),
+        (lambda tmp: _validate_recursive(tmp, {"n": 5}), "/n: "),
     ],
     ids=[
         "criteria", "criterion-metric", "cases", "case-name", "schemas",
@@ -270,6 +299,9 @@ def _manifest_with(**slots):
         "criterion-id-type", "weight-value-type", "deep-instance",
         "scenarios-type", "scenario-files-type", "scenario-file-type", "collection-type", "title-type",
         "case-study-row-type", "case-study-event",
+        "criterion-type-type", "criterion-collection-type", "criterion-label-type",
+        "criterion-direction", "criterion-direction-type", "criteria-collection-type",
+        "criterion-id-repeated", "cases-empty", "cycle-stub",
     ],
 )
 def test_malformed_inputs_exit_2_with_one_line(capsys, tmp_path, make_argv, expected):

@@ -9,8 +9,9 @@ from schemalens import loader
 from schemalens.cli import main
 from schemalens.errors import CorpusError, MergeConflict, ParseError, UnknownRef
 from schemalens.loader import CYCLE, ResolvedNode, load_corpus, parse_schema, resolve
+from schemalens.validator import validate
 
-from harness import make_corpus, random_cyclic_corpus, random_ref_corpus
+from harness import make_corpus, random_cyclic_corpus, random_ref_corpus, reference_validator
 
 # sha256 over the canonical walk of every resolve() output named in
 # test_resolve_output_matches_golden_digest. Any change to a resolved field
@@ -190,6 +191,32 @@ def test_allof_closed_participant_holding_every_merged_property_is_fine():
     resolved = resolve(corpus, "e.json")
     assert sorted(resolved.child_map()) == ["a", "b"]
     assert resolved.additional_allowed is False
+
+
+@pytest.mark.parametrize(
+    "schema, instance",
+    [
+        ({"type": "string", "allOf": [{"type": "integer"}]}, "x"),
+        ({"allOf": [{"enum": [1, 2]}]}, 1),
+        ({"type": "string", "allOf": [{"format": "date-time"}]}, "nope"),
+        ({"type": "array", "allOf": [{"items": {"type": "integer"}}]}, ["a"]),
+        ({"enum": [1, 2], "allOf": [{"enum": [2, 3]}]}, 1),
+        ({"type": "number", "allOf": [{"type": "integer"}]}, 1.5),
+        ({"enum": [1, True], "allOf": [{"enum": [True, 3]}, {"enum": [1.0]}]}, 1),
+        ({"type": "array", "items": {"type": "integer"}, "allOf": [{"items": {"type": "string"}}]}, [1]),
+    ],
+    ids=["type", "branch-enum", "format", "items", "enum-intersection", "integer-number",
+         "enum-empty-intersection", "items-conflict"],
+)
+def test_allof_merges_exactly_or_refuses(tmp_path, schema, instance):
+    document = {"$schema": "https://json-schema.org/draft/2019-09/schema", **schema}
+    (tmp_path / "s.json").write_text(json.dumps(document))
+    try:
+        resolved = resolve(make_corpus({"s.json": document}), "s.json")
+    except MergeConflict:
+        return
+    oracle = reference_validator(tmp_path, "s.json")
+    assert validate(instance, resolved).valid is oracle.is_valid(instance)
 
 
 def test_resolution_is_deterministic(lei_corpus):

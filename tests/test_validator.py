@@ -6,7 +6,7 @@ import random
 import pytest
 
 from schemalens import validator
-from schemalens.errors import AmbiguousBranch, NoBranch, SchemaUnresolved
+from schemalens.errors import AmbiguousBranch, CycleReached, NoBranch, SchemaUnresolved
 from schemalens.loader import resolve
 from schemalens.validator import (
     dispatch_event_schema,
@@ -241,6 +241,70 @@ def test_branch_without_required_falls_back(tmp_path):
 def test_duplicated_enum_value_falls_back(tmp_path):
     overlapping = _branch(["a", "b"], {"y": {"type": "integer"}})
     _assert_agrees_with_oracle(tmp_path, [_A, overlapping], None)
+
+
+# ------------------------------------------- keywords checked against oracle
+
+def _oracle_and_schema(tmp_path, schema):
+    document = {"$schema": "https://json-schema.org/draft/2019-09/schema", **schema}
+    (tmp_path / "a.json").write_text(json.dumps(document))
+    return reference_validator(tmp_path, "a.json"), resolve(make_corpus({"a.json": document}), "a.json")
+
+
+@pytest.mark.parametrize(
+    "schema, instances",
+    [
+        ({"type": "array", "items": {"type": "integer"}}, [[], [1, 2], [1, "a"], ["a"], "x", {}]),
+        (
+            {"if": {"properties": {"k": {"enum": ["a"]}}}, "then": {"required": ["x"]}, "else": {"required": ["y"]}},
+            [{"k": "a", "x": 1}, {"k": "a"}, {"k": "b", "y": 1}, {"k": "b"}, {}, 5],
+        ),
+        ({"type": "null"}, [None, 0, "", False, []]),
+        ({"type": "array"}, [[], {}, "a", None]),
+    ],
+    ids=["items", "else", "null", "array"],
+)
+def test_keywords_agree_with_oracle(tmp_path, schema, instances):
+    oracle, resolved = _oracle_and_schema(tmp_path, schema)
+    for instance in instances:
+        assert validate(instance, resolved).valid is oracle.is_valid(instance), instance
+
+
+# ------------------------------------------------------------- cycle stubs
+
+_RECURSIVE = {"type": "object", "properties": {"n": {"$ref": "a.json"}, "x": {"type": "string"}}}
+
+
+@pytest.mark.parametrize("instance", [{"n": 5}, {"n": {"x": 1}}, {"x": 1, "n": None}])
+def test_reaching_a_cycle_stub_is_refused(instance):
+    schema = resolve(make_corpus({"a.json": _RECURSIVE}), "a.json")
+    with pytest.raises(CycleReached, match="^/n: .*'a.json'"):
+        validate(instance, schema)
+
+
+@pytest.mark.parametrize(
+    "document, instance, where",
+    [
+        ({"properties": {"n": {"oneOf": [{"$ref": "a.json"}]}}}, {"n": {}}, "/n"),
+        ({"properties": {"n": {"if": {"$ref": "a.json"}}}}, {"n": {}}, "/n"),
+        (
+            {"properties": {"a": {"oneOf": [{"properties": {"b": {"if": {"properties": {"c": {"$ref": "a.json"}}}}}}]}}},
+            {"a": {"b": {"c": 1}}},
+            "/a/b/c",
+        ),
+    ],
+    ids=["oneOf", "if", "nested"],
+)
+def test_reaching_a_cycle_stub_in_a_quiet_check_is_refused(document, instance, where):
+    schema = resolve(make_corpus({"a.json": document}), "a.json")
+    with pytest.raises(CycleReached, match=f"^{where}: "):
+        validate(instance, schema)
+
+
+@pytest.mark.parametrize("instance", [{"x": "ok"}, {"x": 1}, {}, 5])
+def test_instances_that_reach_no_cycle_stub_agree_with_oracle(tmp_path, instance):
+    oracle, schema = _oracle_and_schema(tmp_path, _RECURSIVE)
+    assert validate(instance, schema).valid is oracle.is_valid(instance)
 
 
 # -------------------------------------------------------------------- batch
