@@ -57,7 +57,6 @@ ARRAY = "array"
 ATOMIC = "atomic"
 ENUM = "enum"
 ONEOF = "oneOf"
-ALLOF = "allOf"
 CONDITIONAL = "conditional"
 ANY = "any"
 CYCLE = "cycle"
@@ -67,9 +66,9 @@ CYCLE = "cycle"
 class RawNode:
     """One schema object as parsed, before reference resolution.
 
-    ``kind`` is a primary classification (reference > allOf > oneOf >
-    conditional > object > array > enum > atomic > any); the remaining facets
-    coexist the way JSON Schema keywords do.
+    ``kind`` is a primary classification (reference > oneOf > conditional >
+    object > array > enum > atomic > any) of the node without its ``allOf``;
+    the remaining facets coexist the way JSON Schema keywords do.
     """
 
     kind: str
@@ -309,9 +308,7 @@ def parse_schema(value: Any, where: str = "<inline>") -> RawNode:
 
     format_tag = value.get("format") if isinstance(value.get("format"), str) else None
 
-    if all_of:
-        kind = ALLOF
-    elif one_of:
+    if one_of:
         kind = ONEOF
     elif condition is not None:
         kind = CONDITIONAL
@@ -653,7 +650,7 @@ class _Resolver:
         type_tag = host.type_tag
         format_tag = host.format_tag
         item = host.item
-        enum_values = host.enum_values if host.kind == ENUM or host.enum_values else None
+        enum_values = host.enum_values if raw.kind == ENUM or host.enum_values else None
         kind = host.kind
 
         for i, branch_raw in enumerate(raw.all_of):

@@ -234,9 +234,12 @@ def _manifest_with(**slots):
     return {"schemas": {"lei": {"corpus": "corpora/lei", "metric_entry": "m.json", "events": {}}}, **slots}
 
 
-def _metrics_with_criterion(tmp_path, criteria_file=None, **slots):
-    criteria = criteria_file or {"criteria": [{"id": 1, "metric": "nbrCol", **slots}]}
+def _metrics_with_criteria(tmp_path, criteria):
     return ["metrics", "--criteria", _write(tmp_path / "c.json", criteria)]
+
+
+def _metrics_with_criterion(tmp_path, **slots):
+    return _metrics_with_criteria(tmp_path, {"criteria": [{"id": 1, "metric": "nbrCol", **slots}]})
 
 
 def _validate_recursive(tmp_path, instance):
@@ -283,9 +286,9 @@ def _validate_recursive(tmp_path, instance):
         (lambda tmp: _metrics_with_criterion(tmp, label={}), "'label'"),
         (lambda tmp: _metrics_with_criterion(tmp, direction="sideways"), "'direction'"),
         (lambda tmp: _metrics_with_criterion(tmp, direction=[1]), "'direction'"),
-        (lambda tmp: _metrics_with_criterion(tmp, {"collection": [1], "criteria": []}), "'collection'"),
+        (lambda tmp: _metrics_with_criteria(tmp, {"collection": [1], "criteria": []}), "'collection'"),
         (
-            lambda tmp: _metrics_with_criterion(
+            lambda tmp: _metrics_with_criteria(
                 tmp, {"criteria": [{"id": 1, "metric": "nbrCol"}, {"id": "1", "metric": "colDepth"}]}
             ),
             "'id'",
@@ -309,6 +312,12 @@ def test_malformed_inputs_exit_2_with_one_line(capsys, tmp_path, make_argv, expe
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("schemalens: error:")
     assert expected in err
+
+
+@pytest.mark.parametrize("instance, expected", [({"x": "ok"}, 0), ({"x": 1}, 1)])
+def test_validate_on_a_recursive_schema_away_from_the_cycle(capsys, tmp_path, instance, expected):
+    code, _, err = run_cli(capsys, *_validate_recursive(tmp_path, instance))
+    assert (code, err) == (expected, "")
 
 
 # sha256 over (argv, exit code, stdout) of every subcommand in each of its

@@ -204,9 +204,10 @@ def test_allof_closed_participant_holding_every_merged_property_is_fine():
         ({"type": "number", "allOf": [{"type": "integer"}]}, 1.5),
         ({"enum": [1, True], "allOf": [{"enum": [True, 3]}, {"enum": [1.0]}]}, 1),
         ({"type": "array", "items": {"type": "integer"}, "allOf": [{"items": {"type": "string"}}]}, [1]),
+        ({"enum": [], "allOf": [{"enum": [1]}]}, 1),
     ],
     ids=["type", "branch-enum", "format", "items", "enum-intersection", "integer-number",
-         "enum-empty-intersection", "items-conflict"],
+         "enum-empty-intersection", "items-conflict", "host-empty-enum"],
 )
 def test_allof_merges_exactly_or_refuses(tmp_path, schema, instance):
     document = {"$schema": "https://json-schema.org/draft/2019-09/schema", **schema}
