@@ -21,6 +21,18 @@ class CorpusError(SchemaLensError):
     """The corpus as a whole is unusable (e.g. no schema files found)."""
 
 
+class GraphTooLarge(CorpusError):
+    """A metric graph's tree view would hold more nodes than the budget
+    allows. Metrics still answer: they run on the shared DAG."""
+
+    def __init__(self, collection: str, nodes: int, budget: int):
+        super().__init__(
+            f"collection {collection!r}: the metric graph unfolds to {nodes} nodes,"
+            f" more than the {budget} a tree view may build"
+        )
+        self.collection, self.nodes = collection, nodes
+
+
 class ParseError(SchemaLensError):
     """A schema file is malformed. Carries the offending file id."""
 

@@ -13,21 +13,28 @@ structurally richer branch subtree replaces an empty placeholder; first
 occurrence wins on collisions). Nodes remember the $ref chain that produced
 them (``ref_names``) so referencing metrics can count inlined references.
 
-The graph is a tree: a resolved node shared by several $ref sites is
-expanded once per site. ``build_graph`` places nodes with one explicit stack
-and ``MetricGraph.walk`` reads them with another, so neither recurses per
-embedding level and a ref chain of any length builds and measures.
+The graph is defined as a tree: a resolved node shared by several $ref sites
+is a separate subtree at each site, and node ids number that tree in
+preorder. It is stored as the DAG ``resolve`` returns: one :class:`Spec` per
+member of each distinct resolved node, the members of a node shared by every
+spec that embeds it. Metrics are dynamic programs over that DAG
+(:meth:`MetricGraph.fold`), so a ref diamond costs its depth, not 2^depth. The tree
+(``nodes``, ``children``, ``cardinalities``) is built on first use, and
+refused with GraphTooLarge above TREE_NODE_BUDGET nodes; ``len(graph.nodes)``
+is counted on the DAG and never builds it. Building, folding and unfolding
+all run on explicit stacks, so a ref chain of any length builds and measures.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any
 
 from . import loader
-from .errors import UnknownCollection
+from .errors import GraphTooLarge, UnknownCollection
 from .loader import ResolvedNode
 
 ROOT = "Root"
@@ -40,6 +47,10 @@ ATOMIC = "atomic"
 DOCUMENT = "document"
 ARRAY_ATOMIC = "arrayAtomic"
 ARRAY_DOCUMENT = "arrayDocument"
+
+# Largest tree the tree view builds: a depth-17 ref diamond (655,359 nodes)
+# fits; a depth-30 one (5.4e9) is refused before any node is made.
+TREE_NODE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -54,6 +65,62 @@ class GraphNode:
 
     def matches(self, type_name: str) -> bool:
         return self.type_name == type_name or type_name in self.ref_names
+
+
+@dataclass(slots=True, eq=False, repr=False)
+class Spec:
+    """One node of the graph's DAG: a GraphNode without its id, plus its
+    children and the cardinality of the edge into it (None when no
+    annotation set it; it then counts as 1).
+
+    ``kids`` tuples are shared: every spec whose members are those of one
+    resolved node holds the same tuple, so a spec stands for all the tree
+    nodes it unfolds to. Treat specs as immutable once ``build_graph``
+    returns; an annotation copies the specs along its path instead of
+    changing them. Equality and hashing are by identity, because comparing
+    fields would unfold the DAG.
+    """
+
+    kind: str
+    type_name: str
+    attr_class: str | None = None
+    ref_names: tuple[str, ...] = ()
+    required: bool = False
+    flagged: bool = False
+    kids: tuple["Spec", ...] = ()
+    card: int | None = None
+
+    def matches(self, type_name: str) -> bool:
+        return self.type_name == type_name or type_name in self.ref_names
+
+    def node(self, node_id: int) -> GraphNode:
+        return GraphNode(node_id, self.kind, self.type_name, self.attr_class,
+                         self.ref_names, self.required, self.flagged)
+
+
+def _postorder(top: Spec) -> tuple[list[Spec], list[Spec]]:
+    """The distinct specs reachable from ``top``: those without kids, and
+    those with kids, each after all of its kids. Iterative, so a chain of
+    any length orders."""
+    leaves: list[Spec] = []
+    inner: list[Spec] = []
+    seen = {top}
+    stack = [(top, iter(top.kids))]
+    while stack:
+        spec, kids = stack[-1]
+        for kid in kids:
+            if kid not in seen:
+                seen.add(kid)
+                stack.append((kid, iter(kid.kids)))
+                break
+        else:
+            stack.pop()
+            (inner if spec.kids else leaves).append(spec)
+    return leaves, inner
+
+
+def _subtree_size(spec: Spec, sizes: list[int]) -> int:
+    return 1 + sum(sizes)
 
 
 @dataclass(frozen=True)
@@ -93,21 +160,117 @@ def load_cardinality_annotations(path: str | Path) -> list[CardinalityAnnotation
     ]
 
 
-@dataclass
+_Tree = tuple[dict[int, GraphNode], dict[int, tuple[int, ...]], dict[tuple[int, int], int]]
+
+
+class _NodeView(Mapping):
+    """``graph.nodes`` of a graph whose tree is not built yet: its length is
+    counted on the DAG, and any other read builds the tree."""
+
+    def __init__(self, graph: "MetricGraph"):
+        self._graph = graph
+
+    def __len__(self) -> int:
+        return self._graph.node_count()
+
+    def __getitem__(self, node_id: int) -> GraphNode:
+        return self._graph.tree()[0][node_id]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._graph.tree()[0])
+
+    def values(self):
+        return self._graph.tree()[0].values()
+
+    def items(self):
+        return self._graph.tree()[0].items()
+
+
 class MetricGraph:
-    root: int
-    nodes: dict[int, GraphNode] = field(default_factory=dict)
-    children: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    cardinalities: dict[tuple[int, int], int] = field(default_factory=dict)
+    """A metric graph: the DAG of :class:`Spec` that metrics fold over, and
+    the tree it unfolds to, with preorder node ids.
 
-    def node(self, node_id: int) -> GraphNode:
-        return self.nodes[node_id]
+    ``build_graph`` makes the DAG and builds the tree on first use. A graph
+    made by hand, ``MetricGraph(root)`` with ``nodes``/``children``/
+    ``cardinalities`` filled in before its first read, is that tree, and is
+    read as a DAG without sharing.
+    """
 
-    def child_ids(self, node_id: int) -> tuple[int, ...]:
-        return self.children.get(node_id, ())
+    def __init__(
+        self,
+        root: int,
+        nodes: dict[int, GraphNode] | None = None,
+        children: dict[int, tuple[int, ...]] | None = None,
+        cardinalities: dict[tuple[int, int], int] | None = None,
+    ):
+        self.root = root
+        self._dag: Spec | None = None
+        self._tree: _Tree | None = (
+            {} if nodes is None else nodes,
+            {} if children is None else children,
+            {} if cardinalities is None else cardinalities,
+        )
+        self._orders: dict[Spec, tuple[list[Spec], list[Spec]]] = {}
+
+    @classmethod
+    def unfolding(cls, dag: Spec) -> "MetricGraph":
+        """The graph whose tree is the preorder unfolding of ``dag``."""
+        graph = cls(root=0)
+        graph._dag, graph._tree = dag, None
+        return graph
+
+    # ------------------------------------------------------------ the DAG
+
+    def dag(self) -> Spec:
+        """The root of the graph's DAG. A hand-made graph's DAG is read off
+        its tree on first use, one spec per node."""
+        if self._dag is None:
+            nodes, children, cardinalities = self._tree
+            specs = {
+                nid: Spec(n.kind, n.type_name, n.attr_class, n.ref_names, n.required, n.flagged)
+                for nid, n in nodes.items()
+            }
+            for nid, kids in children.items():
+                specs[nid].kids = tuple(specs[k] for k in kids)
+            for (_, kid), card in cardinalities.items():
+                specs[kid].card = card
+            self._dag = specs.get(self.root) or Spec(ROOT, "root")
+        return self._dag
+
+    def postorder(self, start: Spec | None = None) -> tuple[list[Spec], list[Spec]]:
+        """The distinct specs reachable from ``start`` (default: the root):
+        those without kids, and those with kids, each after all of its
+        kids."""
+        start = start or self.dag()
+        if start not in self._orders:
+            self._orders[start] = _postorder(start)
+        return self._orders[start]
+
+    def fold(self, combine: Callable[[Spec, list], Any], leaf: Any, start: Spec | None = None) -> dict[Spec, Any]:
+        """A dynamic program over the DAG below ``start`` (default: the
+        root): the value of every spec. A spec without kids has value
+        ``leaf``; for any other, ``combine(spec, values)`` receives the
+        values of ``spec.kids`` in order, once per distinct spec."""
+        leaves, inner = self.postorder(start)
+        values: dict[Spec, Any] = dict.fromkeys(leaves, leaf)
+        for spec in inner:
+            values[spec] = combine(spec, [values[kid] for kid in spec.kids])
+        return values
+
+    def node_count(self) -> int:
+        """Number of nodes of the tree, counted without building it."""
+        return self.fold(_subtree_size, 1)[self.dag()]
 
     def collections(self) -> list[GraphNode]:
-        return [self.nodes[c] for c in self.child_ids(self.root)]
+        """The level-0 collection nodes, with their tree ids (worked out
+        from subtree sizes while the tree is not built)."""
+        if self._tree is not None:
+            nodes, children, _ = self._tree
+            return [nodes[c] for c in children.get(self.root, ())]
+        top = self.dag()
+        sizes = self.fold(_subtree_size, 1)
+        ids = [1 + sum(sizes[spec] for spec in top.kids[:i]) for i in range(len(top.kids))]
+        return [spec.node(nid) for nid, spec in zip(ids, top.kids)]
 
     def collection_node(self, name: str) -> GraphNode:
         for node in self.collections():
@@ -115,29 +278,76 @@ class MetricGraph:
                 return node
         raise UnknownCollection(f"no level-0 collection named {name!r}")
 
-    def edge_cardinality(self, parent: int, child: int) -> int:
-        return self.cardinalities.get((parent, child), 1)
-
-    def walk(self, start: int) -> Iterator[tuple[GraphNode, int, int]]:
-        """``(node, level, copies)`` for every node strictly below ``start``,
-        in preorder. ``level`` is 1 for direct members plus one per Embedded
-        node strictly between; ``copies`` is the product of edge
-        cardinalities from ``start`` down to the node."""
-        nodes, children, cards = self.nodes, self.children, self.cardinalities
-        stack = [(start, 1, 1)]
-        push = stack.append
-        while stack:
-            node_id, level, copies = stack.pop()
-            if node_id != start:
-                node = nodes[node_id]
-                yield node, level, copies
-                if node.kind == EMBEDDED:
-                    level += 1
-            for kid in reversed(children.get(node_id, ())):
-                push((kid, level, copies * cards.get((node_id, kid), 1) if cards else copies))
+    def collection_spec(self, name: str) -> Spec:
+        """The DAG node of the first level-0 collection named ``name``."""
+        return _collection_spec(self.dag(), name)
 
     def knows_name(self, name: str) -> bool:
-        return any(n.matches(name) for n in self.nodes.values())
+        return any(spec.matches(name) for specs in self.postorder() for spec in specs)
+
+    # ----------------------------------------------------------- the tree
+
+    def tree(self) -> _Tree:
+        """``(nodes, children, cardinalities)`` of the tree, built on first
+        use. Raises GraphTooLarge, before building anything, when the tree
+        has more than TREE_NODE_BUDGET nodes."""
+        if self._tree is None:
+            count = self.node_count()
+            if count > TREE_NODE_BUDGET:
+                sizes = self.fold(_subtree_size, 1)
+                largest = max(self._dag.kids, key=sizes.__getitem__)
+                raise GraphTooLarge(largest.type_name, count, TREE_NODE_BUDGET)
+            self._tree = _unfold(self._dag)
+        return self._tree
+
+    @property
+    def nodes(self) -> Mapping[int, GraphNode]:
+        return _NodeView(self) if self._tree is None else self._tree[0]
+
+    @property
+    def children(self) -> dict[int, tuple[int, ...]]:
+        return self.tree()[1]
+
+    @property
+    def cardinalities(self) -> dict[tuple[int, int], int]:
+        return self.tree()[2]
+
+    def node(self, node_id: int) -> GraphNode:
+        return (self._tree or self.tree())[0][node_id]
+
+    def child_ids(self, node_id: int) -> tuple[int, ...]:
+        return (self._tree or self.tree())[1].get(node_id, ())
+
+    def edge_cardinality(self, parent: int, child: int) -> int:
+        return (self._tree or self.tree())[2].get((parent, child), 1)
+
+
+def _collection_spec(top: Spec, name: str) -> Spec:
+    for spec in top.kids:
+        if spec.type_name == name:
+            return spec
+    raise UnknownCollection(f"no level-0 collection named {name!r}")
+
+
+def _unfold(top: Spec) -> _Tree:
+    """The tree ``top`` unfolds to, numbered in preorder."""
+    nodes: dict[int, GraphNode] = {}
+    children: dict[int, Any] = {}  # a list while building, a tuple when done
+    cardinalities: dict[tuple[int, int], int] = {}
+    stack: list[tuple[int, Spec]] = [(-1, top)]
+    while stack:
+        parent, spec = stack.pop()
+        nid = len(nodes)
+        nodes[nid] = spec.node(nid)
+        if parent >= 0:
+            children[parent].append(nid)
+            if spec.card is not None:
+                cardinalities[parent, nid] = spec.card
+        children[nid] = [] if spec.kids else ()
+        stack.extend([(nid, kid) for kid in reversed(spec.kids)])
+    for nid, ids in children.items():
+        children[nid] = tuple(ids)
+    return nodes, children, cardinalities
 
 
 def classify_attribute(node: ResolvedNode) -> str:
@@ -216,35 +426,37 @@ def effective_children(node: ResolvedNode) -> list[tuple[str, ResolvedNode]]:
     return [(name, merged[name]) for name in order]
 
 
-def _member_specs(node: ResolvedNode) -> list[tuple[tuple, object]]:
-    """What each effective property of ``node`` becomes, as ``(fields,
-    below)``: ``fields`` are the GraphNode fields after ``id``; ``below`` is
-    the ResolvedNode whose members go under the new node, or a tuple of
-    ready specs. A cycle stub becomes a Reference, a document an Embedded
-    node with its members below, anything else an Attribute, with the item's
-    Embedded node (or Reference) below an array of documents."""
+def _member_specs(node: ResolvedNode, below: list[tuple[Spec, ResolvedNode]]) -> tuple[Spec, ...]:
+    """What each effective property of ``node`` becomes. A cycle stub becomes
+    a Reference, a document an Embedded node, anything else an Attribute,
+    with the item's Embedded node (or Reference) below an array of
+    documents. Each spec whose members are those of a resolved node is
+    appended to ``below`` with that node; its ``kids`` are filled in later."""
     required = set(node.required)
-    specs: list[tuple[tuple, object]] = []
+    specs: list[Spec] = []
     for name, sub in effective_children(node):
         req = name in required
         if sub.kind == loader.CYCLE:
             type_name = sub.ref_names[0] if sub.ref_names else name
-            specs.append(((REFERENCE, type_name, None, sub.ref_names, req, False), ()))
+            specs.append(Spec(REFERENCE, type_name, None, sub.ref_names, req))
             continue
         attr_class = classify_attribute(sub)
         if attr_class == DOCUMENT:
-            specs.append(((EMBEDDED, name, None, sub.ref_names, req, _is_mixed_one_of(sub)), sub))
+            spec = Spec(EMBEDDED, name, None, sub.ref_names, req, _is_mixed_one_of(sub))
+            below.append((spec, sub))
+            specs.append(spec)
             continue
-        below: tuple = ()
+        spec = Spec(ATTRIBUTE, name, attr_class, sub.ref_names, req)
         item = sub.item
         if attr_class == ARRAY_DOCUMENT and item is not None:
             item_name = item.ref_names[0] if item.ref_names else f"{name}Item"
             if item.kind == loader.CYCLE:
-                below = (((REFERENCE, item_name, None, item.ref_names, False, False), ()),)
+                spec.kids = (Spec(REFERENCE, item_name, None, item.ref_names),)
             else:
-                below = (((EMBEDDED, item_name, None, item.ref_names, False, False), item),)
-        specs.append(((ATTRIBUTE, name, attr_class, sub.ref_names, req, False), below))
-    return specs
+                spec.kids = (Spec(EMBEDDED, item_name, None, item.ref_names),)
+                below.append((spec.kids[0], item))
+        specs.append(spec)
+    return tuple(specs)
 
 
 def build_graph(
@@ -255,53 +467,49 @@ def build_graph(
 
     ``collections`` maps collection names to their resolved entry schemas.
     Cardinality annotations override the default edge cardinality of 1.
-    Node ids are assigned in preorder. A resolved node shared by several
-    sites is expanded at each site, its member specs computed once.
+    The members of each distinct resolved node are computed once and shared
+    by every spec that embeds it; the tree is not built here.
     """
     items = list(collections.items()) if isinstance(collections, Mapping) else list(collections)
     if not items:
         raise UnknownCollection("at least one collection name is required")
-    graph = MetricGraph(root=0)
-    nodes, children = graph.nodes, graph.children
-    nodes[0] = GraphNode(id=0, kind=ROOT, type_name="root")
-    children[0] = []  # a list while building, a tuple when done
-    memo: dict[int, list[tuple[tuple, object]]] = {}
-    stack = [
-        (0, ((COLLECTION, name, None, entry.ref_names, False, False), entry))
-        for name, entry in reversed(items)
-    ]
-    while stack:
-        parent, (node_fields, below) = stack.pop()
-        nid = len(nodes)
-        nodes[nid] = GraphNode(nid, *node_fields)
-        children[parent].append(nid)
-        if isinstance(below, ResolvedNode):
-            specs = memo.get(id(below))
-            if specs is None:
-                specs = memo[id(below)] = _member_specs(below)
-            below = specs
-        children[nid] = [] if below else ()
-        stack.extend([(nid, spec) for spec in reversed(below)])
-    for nid, ids in children.items():
-        children[nid] = tuple(ids)
+    below = [(Spec(COLLECTION, name, None, entry.ref_names), entry) for name, entry in items]
+    top = Spec(ROOT, "root", kids=tuple(spec for spec, _ in below))
+    members: dict[int, tuple[Spec, ...]] = {}
+    todo = [entry for _, entry in items]
+    while todo:
+        node = todo.pop()
+        if id(node) not in members:
+            start = len(below)
+            members[id(node)] = _member_specs(node, below)
+            todo.extend(sub for _, sub in below[start:])
+    for spec, node in below:
+        spec.kids = members[id(node)]
     for ann in annotations:
-        _apply_annotation(graph, ann)
-    return graph
+        top = _annotate(top, ann)
+    return MetricGraph.unfolding(top)
 
 
-def _apply_annotation(graph: MetricGraph, ann: CardinalityAnnotation):
-    node = graph.collection_node(ann.collection)
-    current = node.id
+def _annotate(top: Spec, ann: CardinalityAnnotation) -> Spec:
+    """``top`` with the annotated edge set: the specs along the annotation's
+    path are copied (copy-on-write) and the last copy takes the cardinality,
+    so every other tree position keeps its own."""
+    collection = _collection_spec(top, ann.collection)
+    trail, indices = [top, collection], [top.kids.index(collection)]
     for step in ann.path.split("/"):
-        for child_id in graph.child_ids(current):
-            if graph.node(child_id).type_name == step:
-                parent, current = current, child_id
+        for i, kid in enumerate(trail[-1].kids):
+            if kid.type_name == step:
+                trail.append(kid)
+                indices.append(i)
                 break
         else:
             raise UnknownCollection(
                 f"annotation path {ann.path!r} has no member {step!r} under {ann.collection!r}"
             )
-    graph.cardinalities[(parent, current)] = ann.cardinality
+    spec = replace(trail.pop(), card=ann.cardinality)
+    for parent, i in zip(reversed(trail), reversed(indices)):
+        spec = replace(parent, kids=parent.kids[:i] + (spec,) + parent.kids[i + 1:])
+    return spec
 
 
 def enumerate_paths(graph: MetricGraph, collection: str) -> list[PathDescriptor]:
@@ -328,15 +536,16 @@ def enumerate_paths(graph: MetricGraph, collection: str) -> list[PathDescriptor]
 
 def to_dot(graph: MetricGraph, title: str = "schema") -> str:
     """Render the graph as DOT text; node labels are ``kind:typeName``."""
+    nodes, children, cardinalities = graph.tree()
     lines = [f'digraph "{title}" {{', "  rankdir=LR;"]
-    for node in graph.nodes.values():
+    for node in nodes.values():
         label = f"{node.kind}:{node.type_name}" if node.type_name else node.kind
         if node.attr_class:
             label += f" [{node.attr_class}]"
         lines.append(f'  n{node.id} [label="{label}"];')
-    for parent, kids in graph.children.items():
+    for parent, kids in children.items():
         for kid in kids:
-            card = graph.edge_cardinality(parent, kid)
+            card = cardinalities.get((parent, kid), 1)
             attr = f' [label="{card}"]' if card != 1 else ""
             lines.append(f"  n{parent} -> n{kid}{attr};")
     lines.append("}")

@@ -11,9 +11,13 @@ diamond of depth d costs d resolutions rather than 2^d, and a ref chain of
 any length resolves without deep recursion. Nodes are immutable, which
 makes the sharing safe.
 
-Supported dialect subset: type, properties, items, required,
-additionalProperties, enum, format, $ref, oneOf, allOf, if/then/else,
-description. Unknown keywords are ignored.
+Supported dialect subset: type (one type name), properties, items,
+required, additionalProperties, enum, format, $ref, oneOf, allOf,
+if/then/else. Every other Draft 2019-09 assertion keyword (anyOf, not,
+const, minLength, ...), a list of types and an empty enum beside other
+constraints are refused with ParseError, because ignoring them would accept
+instances the schema rejects. Annotations and unknown keys ($schema, $id,
+$defs, description, x-...) are ignored.
 
 All reference targets are file-local, resolved relative to the referencing
 document's directory; absolute URLs and paths escaping the corpus root are
@@ -24,9 +28,9 @@ Across the participants (the host schema and its branches), a property
 declared twice and ``items`` set twice must have one shape; ``type`` and
 ``format`` set twice must be equal, except that ``integer`` with ``number``
 gives ``integer``; ``enum`` becomes the values every enum admits (JSON
-equality, host order) and must not be empty; a participant with
-``additionalProperties: false`` must declare every merged property; and no
-branch may be a cyclic reference. ``required``, oneOf groups and
+equality, host order) and must not be empty, the host's own enum included;
+a participant with ``additionalProperties: false`` must declare every merged
+property; and no branch may be a cyclic reference. ``required``, oneOf groups and
 if/then/else conditionals are collected from every participant.
 """
 
@@ -46,6 +50,16 @@ from .errors import CorpusError, IoError, MergeConflict, ParseError, UnknownRef
 _CONSTRAINT_KEYWORDS = frozenset(
     ["type", "properties", "items", "required", "additionalProperties",
      "enum", "format", "oneOf", "allOf", "if", "then", "else"]
+)
+
+# The Draft 2019-09 assertion keywords (jsonschema's Draft201909Validator
+# VALIDATORS) that lie outside the subset.
+_REFUSED_KEYWORDS = frozenset(
+    ["$recursiveRef", "additionalItems", "anyOf", "const", "contains", "dependentRequired",
+     "dependentSchemas", "exclusiveMaximum", "exclusiveMinimum", "maxItems", "maxLength",
+     "maxProperties", "maximum", "minItems", "minLength", "minProperties", "minimum",
+     "multipleOf", "not", "pattern", "patternProperties", "propertyNames",
+     "unevaluatedItems", "unevaluatedProperties", "uniqueItems"]
 )
 
 _SCALAR_TYPES = frozenset(["string", "number", "integer", "boolean", "null"])
@@ -235,10 +249,16 @@ class CorpusHandle:
     errors: list[ParseError] = field(default_factory=list)
 
     def get(self, doc_id: str) -> SchemaDocument:
+        """The document ``doc_id``; the ParseError that kept it out of the
+        corpus if it was refused; else UnknownRef."""
         try:
             return self.documents[doc_id]
         except KeyError:
-            raise UnknownRef(f"no document {doc_id!r} in corpus {self.root_dir}") from None
+            pass
+        for error in self.errors:
+            if error.file_id == doc_id:
+                raise error
+        raise UnknownRef(f"no document {doc_id!r} in corpus {self.root_dir}")
 
 
 def parse_schema(value: Any, where: str = "<inline>") -> RawNode:
@@ -250,6 +270,9 @@ def parse_schema(value: Any, where: str = "<inline>") -> RawNode:
         return RawNode(kind=ENUM, enum_values=())
     if not isinstance(value, dict):
         raise ParseError(where, f"schema must be an object, got {type(value).__name__}")
+    refused = _REFUSED_KEYWORDS.intersection(value)
+    if refused:
+        raise ParseError(where, f"keywords {sorted(refused)} are outside the supported subset")
 
     if "$ref" in value:
         ref = value["$ref"]
@@ -262,7 +285,9 @@ def parse_schema(value: Any, where: str = "<inline>") -> RawNode:
             )
         return RawNode(kind=REFERENCE, ref_target=ref)
 
-    type_tag = value.get("type") if isinstance(value.get("type"), str) else None
+    type_tag = value.get("type")
+    if type_tag is not None and not isinstance(type_tag, str):
+        raise ParseError(where, "type must be one type name; a list of types is outside the supported subset")
     children: list[tuple[str, RawNode]] = []
     props = value.get("properties")
     if props is not None:
@@ -322,6 +347,9 @@ def parse_schema(value: Any, where: str = "<inline>") -> RawNode:
         kind = ATOMIC
     else:
         kind = ANY
+    if "enum" in value and not enum_values and kind != ENUM:
+        # A node tells an empty enum from none only by its ENUM kind.
+        raise ParseError(where, "an empty enum beside other constraints is outside the supported subset")
 
     return RawNode(
         kind=kind,
@@ -695,6 +723,8 @@ class _Resolver:
             if kind in (ANY, ATOMIC) and branch.kind in (OBJECT, ARRAY, ENUM):
                 kind = branch.kind
 
+        if enum_values == ():
+            raise MergeConflict(f"{doc_id}{path}: the host schema's empty enum admits no value")
         for label, participant in participants:
             if participant.additional_allowed:
                 continue

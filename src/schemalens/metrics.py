@@ -14,7 +14,10 @@ A type "occurs" at a node when the node's name equals the type name or the
 node was inlined from a $ref to that type; atomic named members match too
 (an existence question about a string-typed member must answer yes).
 
-All functions are pure reads of an immutable graph.
+Every metric is defined on the graph's tree and computed as one dynamic
+program over its DAG (``MetricGraph.fold``): each distinct spec is combined
+once from the values of its children, so no metric builds the tree or pays
+for the number of paths. All functions are pure reads of an immutable graph.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TypeAbsent, UnknownCollection
-from .graph import ATTRIBUTE, ARRAY_ATOMIC, ARRAY_DOCUMENT, ATOMIC, EMBEDDED, REFERENCE, GraphNode, MetricGraph
+from .graph import ATTRIBUTE, ARRAY_ATOMIC, ARRAY_DOCUMENT, ATOMIC, EMBEDDED, REFERENCE, MetricGraph, Spec
 
 
 class Absent:
@@ -86,56 +89,76 @@ class AttributeCounts:
 
 def col_existence(graph: MetricGraph, type_name: str) -> int:
     """1 iff a level-0 collection named ``type_name`` exists."""
-    return int(any(c.type_name == type_name for c in graph.collections()))
+    return int(any(c.type_name == type_name for c in graph.dag().kids))
 
 
-def _occurrences(graph: MetricGraph, collection: str, type_name: str) -> list[tuple[GraphNode, int, int]]:
-    """(node, level, copies) for every node strictly below the collection
-    that matches the type. ``level`` is 1 for direct members; ``copies`` is
-    the product of edge cardinalities from the collection down to the node."""
-    start = graph.collection_node(collection)
-    return [found for found in graph.walk(start.id) if found[0].matches(type_name)]
+def _holds(graph: MetricGraph, start: Spec, type_name: str) -> dict[Spec, bool]:
+    """Per spec below ``start``: whether the type occurs strictly below it."""
+    return graph.fold(
+        lambda spec, below: any(kid.matches(type_name) or found for kid, found in zip(spec.kids, below)),
+        False,
+        start,
+    )
 
 
 def doc_existence(graph: MetricGraph, collection: str, type_name: str) -> int:
     """1 iff a node of the given type occurs on some child path of the
     collection."""
-    return int(bool(_occurrences(graph, collection, type_name)))
+    start = graph.collection_spec(collection)
+    return int(_holds(graph, start, type_name)[start])
 
 
 def nbr_col(graph: MetricGraph) -> int:
-    return len(graph.collections())
+    return len(graph.dag().kids)
+
+
+def _depth_below(spec: Spec, below: list[int]) -> int:
+    return max(depth + (kid.kind == EMBEDDED) for kid, depth in zip(spec.kids, below))
 
 
 def col_depth(graph: MetricGraph, collection: str) -> int:
     """Maximum embedded-node count over the collection's child paths
     (0 for a childless collection)."""
-    start = graph.collection_node(collection)
-    return max((level - (node.kind != EMBEDDED) for node, level, _ in graph.walk(start.id)), default=0)
+    start = graph.collection_spec(collection)
+    return graph.fold(_depth_below, 0, start)[start]
 
 
 def global_depth(graph: MetricGraph) -> int:
-    collections = graph.collections()
-    if not collections:
-        return 0
-    return max(col_depth(graph, c.type_name) for c in collections)
+    return max((col_depth(graph, c.type_name) for c in graph.dag().kids), default=0)
+
+
+def _deepest_level(graph: MetricGraph, start: Spec, type_name: str) -> int:
+    """The deepest level at which the type occurs below ``start``, 0 when
+    it does not. A kid sits at level 1; a level below an Embedded kid is one
+    more than below the kid itself."""
+
+    def combine(spec: Spec, below: list[int]) -> int:
+        deepest = 0
+        for kid, level in zip(spec.kids, below):
+            if level:
+                deepest = max(deepest, level + (kid.kind == EMBEDDED))
+            elif kid.matches(type_name):
+                deepest = max(deepest, 1)
+        return deepest
+
+    return graph.fold(combine, 0, start)[start]
 
 
 def doc_depth_in_col(graph: MetricGraph, collection: str, type_name: str) -> int:
     """Deepest level at which the type occurs below the collection."""
-    occurrences = _occurrences(graph, collection, type_name)
-    if not occurrences:
+    level = _deepest_level(graph, graph.collection_spec(collection), type_name)
+    if not level:
         raise TypeAbsent(f"type {type_name!r} does not occur in collection {collection!r}")
-    return max(level for _, level, _ in occurrences)
+    return level
 
 
 def _doc_depths(graph: MetricGraph, type_name: str) -> list[int]:
     """docDepthInCol of the type in every collection that holds it."""
     depths = []
-    for c in graph.collections():
-        levels = [level for _, level, _ in _occurrences(graph, c.type_name, type_name)]
-        if levels:
-            depths.append(max(levels))
+    for c in graph.dag().kids:
+        level = _deepest_level(graph, graph.collection_spec(c.type_name), type_name)
+        if level:
+            depths.append(level)
     if not depths:
         raise TypeAbsent(f"type {type_name!r} occurs in no collection")
     return depths
@@ -149,23 +172,29 @@ def min_doc_depth(graph: MetricGraph, type_name: str) -> int:
     return min(_doc_depths(graph, type_name))
 
 
-def _node_for_type(graph: MetricGraph, type_name: str, collection: str) -> GraphNode:
-    start = graph.collection_node(collection)
-    if start.matches(type_name) or type_name == collection:
-        return start
-    occurrences = _occurrences(graph, collection, type_name)
-    if not occurrences:
+def _spec_for_type(graph: MetricGraph, type_name: str, collection: str) -> Spec:
+    """The type's first occurrence in preorder: the collection itself, or
+    the first kid that is an occurrence or holds one, descended into."""
+    spec = graph.collection_spec(collection)
+    if spec.matches(type_name) or type_name == collection:
+        return spec
+    holds = _holds(graph, spec, type_name)
+    if not holds[spec]:
         raise TypeAbsent(f"type {type_name!r} does not occur in collection {collection!r}")
-    return occurrences[0][0]
+    while True:
+        for kid in spec.kids:
+            if kid.matches(type_name):
+                return kid
+            if holds[kid]:
+                spec = kid
+                break
 
 
 def attribute_counts(graph: MetricGraph, type_name: str, collection: str) -> AttributeCounts:
     """Counts of the four attribute classes among the direct members of the
     type's node. Embedded and Reference children are document attributes."""
-    node = _node_for_type(graph, type_name, collection)
     atomic = document = array_atomic = array_document = 0
-    for kid in graph.child_ids(node.id):
-        child = graph.node(kid)
+    for child in _spec_for_type(graph, type_name, collection).kids:
         if child.kind in (EMBEDDED, REFERENCE):
             document += 1
         elif child.kind == ATTRIBUTE:
@@ -206,14 +235,19 @@ def ref_load(graph: MetricGraph, name: str, direction: str = "incoming") -> int:
     if direction not in ("incoming", "outgoing"):
         raise ValueError("direction must be 'incoming' or 'outgoing'")
     if direction == "outgoing":
-        start = graph.collection_node(name)
-        return sum(_reference_count(node, None) for node, _, _ in graph.walk(start.id))
-    if not graph.knows_name(name):
+        start, counted = graph.collection_spec(name), None
+    elif not graph.knows_name(name):
         raise UnknownCollection(f"name {name!r} appears nowhere in the graph")
-    return sum(_reference_count(n, name) for n in graph.nodes.values())
+    else:
+        start, counted = graph.dag(), name
+    below = graph.fold(
+        lambda spec, counts: sum(_reference_count(kid, counted) + n for kid, n in zip(spec.kids, counts)), 0, start
+    )[start]
+    # incoming counts the whole graph, the root included
+    return below if counted is None else _reference_count(start, counted) + below
 
 
-def _reference_count(node: GraphNode, name: str | None) -> int:
+def _reference_count(node: Spec, name: str | None) -> int:
     if name is None:
         return len(node.ref_names) if node.kind != REFERENCE else max(len(node.ref_names), 1)
     count = node.ref_names.count(name)
@@ -226,9 +260,16 @@ def doc_copies_in_col(graph: MetricGraph, type_name: str, collection: str) -> in
     """Estimated copies of the type inside the collection: 0 when absent,
     otherwise the cardinality product along each embedding chain, summed
     over occurrence sites (1 per site when nothing is annotated)."""
-    return sum(copies for _, _, copies in _occurrences(graph, collection, type_name))
+    start = graph.collection_spec(collection)
+    return graph.fold(
+        lambda spec, below: sum(
+            (kid.card or 1) * (kid.matches(type_name) + copies) for kid, copies in zip(spec.kids, below)
+        ),
+        0,
+        start,
+    )[start]
 
 
 def doc_type_copies(graph: MetricGraph, type_name: str) -> int:
     """Number of collections whose paths contain the type."""
-    return sum(doc_existence(graph, c.type_name, type_name) for c in graph.collections())
+    return sum(doc_existence(graph, c.type_name, type_name) for c in graph.dag().kids)

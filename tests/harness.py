@@ -254,7 +254,16 @@ def random_graph(rng: random.Random, max_nodes: int = 50) -> tuple[MetricGraph, 
     corpus = make_corpus(docs)
     entries = {name: resolve(corpus, f"{name}.json") for name in collection_names}
 
-    bare = build_graph(entries)
+    graph = build_graph(entries, random_annotations(rng, build_graph(entries), collection_names))
+    return graph, collection_names
+
+
+def random_annotations(
+    rng: random.Random, bare: MetricGraph, collection_names: list[str], stop: float = 0.4
+) -> list[CardinalityAnnotation]:
+    """For about half of the collections, a cardinality annotation on a random
+    walk down the tree from the collection, ended at each step with
+    probability ``stop``."""
     annotations = []
     for name in collection_names:
         if rng.random() < 0.5:
@@ -263,7 +272,7 @@ def random_graph(rng: random.Random, max_nodes: int = 50) -> tuple[MetricGraph, 
             current = node.id
             while True:
                 kids = bare.child_ids(current)
-                if not kids or rng.random() < 0.4:
+                if not kids or rng.random() < stop:
                     break
                 pick = rng.choice(kids)
                 steps.append(bare.node(pick).type_name)
@@ -276,8 +285,48 @@ def random_graph(rng: random.Random, max_nodes: int = 50) -> tuple[MetricGraph, 
                         cardinality=rng.randint(1, 4),
                     )
                 )
-    graph = build_graph(entries, annotations)
-    return graph, collection_names
+    return annotations
+
+
+def diamond_docs(depth: int, fragments: bool, arrays: bool = False) -> tuple[dict, str]:
+    """A ref diamond whose entry is its level 0: level k < depth refs level
+    k+1 twice (``leftPart``/``rightPart``) beside an atomic ``tag``, and the
+    last level holds ``value0`` and ``value1``. Levels are documents
+    ``t<k>.json``, or with ``fragments`` the ``$defs`` of the entry
+    document, which is a bare ``$ref`` to its level 0. Its tree has
+    5 * 2^depth - 1 nodes and holds level k 2^k times. With ``arrays``,
+    ``rightPart`` is an array of objects whose ``cell`` is level k+1, so the
+    right side is twice as deep as the left."""
+    def level(k: int) -> dict:
+        if k == depth:
+            return {"type": "object", "properties": {"value0": {"type": "string"}, "value1": {"type": "number"}}}
+        target = {"$ref": f"#/$defs/t{k + 1}" if fragments else f"t{k + 1}.json"}
+        right = {"type": "array", "items": {"type": "object", "properties": {"cell": target}}} if arrays else dict(target)
+        return {
+            "type": "object",
+            "properties": {"leftPart": target, "rightPart": right, "tag": {"type": "string"}},
+        }
+
+    if fragments:
+        return {"entry.json": {"$ref": "#/$defs/t0", "$defs": {f"t{k}": level(k) for k in range(depth + 1)}}}, "entry.json"
+    return {f"t{k}.json": level(k) for k in range(depth + 1)}, "t0.json"
+
+
+def tree_walk(graph: MetricGraph, start: int):
+    """``(node, level, copies)`` for every node strictly below ``start`` of
+    the built tree, in preorder: ``level`` is 1 for direct members plus one
+    per Embedded node strictly between, ``copies`` the product of the edge
+    cardinalities from ``start`` down to the node."""
+    stack = [(start, 1, 1)]
+    while stack:
+        node_id, level, copies = stack.pop()
+        if node_id != start:
+            node = graph.node(node_id)
+            yield node, level, copies
+            if node.kind == EMBEDDED:
+                level += 1
+        for kid in reversed(graph.child_ids(node_id)):
+            stack.append((kid, level, copies * graph.edge_cardinality(node_id, kid)))
 
 
 def _path_edge_product(graph: MetricGraph, nodes: tuple[int, ...], upto: int) -> int:

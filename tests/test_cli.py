@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import time
 
 import pytest
 
@@ -10,7 +11,7 @@ from schemalens.corpus import capability_grid, capability_matrix
 from schemalens.evaluation import run_comparison
 from schemalens.report import breakdown_grid, parse_metric_records, score_matrix_grid
 
-from harness import envelope_mutants
+from harness import diamond_docs, envelope_mutants
 
 
 def run_cli(capsys, *argv):
@@ -360,3 +361,32 @@ def test_cli_output_matches_golden_digest(capsys, tmp_path, manifest, scenario_d
     assert rows[-1][1] == 1
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == GOLDEN_CLI_SHA256
+
+
+# ------------------------------------------------ graphs too large to unfold
+
+@pytest.fixture(scope="module")
+def diamond_30_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("diamond")
+    docs, entry = diamond_docs(30, fragments=False)
+    (root / "d").mkdir()
+    for doc_id, doc in docs.items():
+        (root / "d" / doc_id).write_text(json.dumps(doc))
+    manifest = {"schemas": {"d": {"corpus": "d", "metric_entry": entry, "events": {}}}}
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    return str(root)
+
+
+def test_graph_of_a_depth_30_diamond_exits_2_with_one_line(capsys, diamond_30_dir):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "graph", "--corpus", diamond_30_dir, "--schema", "d")
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "'weight'" in err and str(5 * 2**30 - 1) in err
+
+
+def test_metrics_of_a_depth_30_diamond_exit_0(capsys, diamond_30_dir):
+    code, out, err = run_cli(capsys, "metrics", "--corpus", diamond_30_dir, "--format", "records")
+    assert (code, err) == (0, "")
+    width = next(r for r in json.loads(out) if r["target"] == "docWidth(weight, weight)")
+    assert width["value"] == 1 + 2 * 2  # one atomic tag, two embedded parts

@@ -5,8 +5,9 @@ from dataclasses import astuple
 
 import pytest
 
+from schemalens import graph as graph_module
 from schemalens import metrics
-from schemalens.errors import SchemaLensError, UnknownCollection
+from schemalens.errors import GraphTooLarge, SchemaLensError, UnknownCollection
 from schemalens.graph import (
     ARRAY_DOCUMENT,
     ATOMIC,
@@ -15,6 +16,8 @@ from schemalens.graph import (
     DOCUMENT,
     EMBEDDED,
     CardinalityAnnotation,
+    GraphNode,
+    MetricGraph,
     build_graph,
     classify_attribute,
     enumerate_paths,
@@ -22,7 +25,7 @@ from schemalens.graph import (
 )
 from schemalens.loader import ResolvedNode, resolve
 
-from harness import make_corpus, random_cyclic_corpus, random_graph, random_ref_corpus
+from harness import diamond_docs, make_corpus, random_cyclic_corpus, random_graph, random_ref_corpus
 
 # sha256 over every node, edge and cardinality of the graphs named in
 # test_graph_and_metrics_match_golden_digest, plus the type-scoped metrics of
@@ -321,3 +324,71 @@ def test_graph_and_metrics_match_golden_digest(manifest):
     assert any(row["cardinalities"] for row in rows[-N_RANDOM_GRAPHS:])  # annotated graphs
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == GOLDEN_GRAPH_SHA256
+
+
+# ------------------------------------------ the DAG, and the tree on demand
+
+def _diamond_graph(depth, annotations=()):
+    docs, entry = diamond_docs(depth, fragments=False)
+    return build_graph({"c": resolve(make_corpus(docs), entry)}, annotations)
+
+
+def test_node_count_of_a_depth_30_diamond_builds_no_node(monkeypatch):
+    made = []
+    monkeypatch.setattr(graph_module, "GraphNode", lambda *args: made.append(args))
+    graph = _diamond_graph(30)
+    assert len(graph.nodes) == 5 * 2**30 - 1
+    assert made == []
+
+
+def test_a_tree_over_the_budget_is_refused_and_metrics_still_answer():
+    graph = _diamond_graph(30)
+    with pytest.raises(GraphTooLarge, match=f"'c'.*{5 * 2**30 - 1}"):
+        graph.children
+    assert metrics.col_depth(graph, "c") == 30
+    assert metrics.doc_copies_in_col(graph, "t17", "c") == 2**17
+    assert metrics.ref_load(graph, "t30") == 2**30
+    assert metrics.max_doc_depth(graph, "value1") == 31
+    assert metrics.doc_width(graph, "t29", "c") == 1 + 2 * 2
+
+
+def test_an_annotation_unshares_only_its_path():
+    # leftPart -> 3: every level below it occurs three times on the left.
+    graph = _diamond_graph(30, [CardinalityAnnotation("c", "leftPart", 3)])
+    assert len(graph.nodes) == 5 * 2**30 - 1
+    for k in (1, 2, 30):
+        assert metrics.doc_copies_in_col(graph, f"t{k}", "c") == 3 * 2 ** (k - 1) + 2 ** (k - 1)
+        assert metrics.ref_load(graph, f"t{k}") == 2**k
+    deep = _diamond_graph(30, [CardinalityAnnotation("c", "rightPart/leftPart/leftPart", 5)])
+    assert metrics.doc_copies_in_col(deep, "t3", "c") == 2**3 + 4
+    assert metrics.doc_copies_in_col(deep, "t2", "c") == 2**2
+
+
+def test_a_depth_16_diamond_still_builds_its_tree():
+    graph = _diamond_graph(16)
+    assert len(graph.children) == len(graph.nodes) == 5 * 2**16 - 1
+    assert [graph.node(k).type_name for k in graph.child_ids(1)] == ["leftPart", "rightPart", "tag"]
+    # preorder: each half below the collection holds 5 * 2^15 - 2 nodes
+    assert graph.child_ids(1) == (2, 5 * 2**15, 5 * 2**16 - 2)
+
+
+def test_a_hand_made_graph_is_read_as_a_dag():
+    nodes = [
+        GraphNode(0, "Root", "root"),
+        GraphNode(1, COLLECTION, "c"),
+        GraphNode(2, EMBEDDED, "a", ref_names=("shared",)),
+        GraphNode(3, ATTRIBUTE, "x", ATOMIC),
+        GraphNode(4, EMBEDDED, "b", ref_names=("shared",)),
+    ]
+    graph = MetricGraph(
+        root=0,
+        nodes={n.id: n for n in nodes},
+        children={0: (1,), 1: (2, 4), 2: (3,)},
+        cardinalities={(1, 2): 2, (2, 3): 3},
+    )
+    assert graph.collections() == [nodes[1]]
+    assert metrics.col_depth(graph, "c") == 1
+    assert metrics.doc_copies_in_col(graph, "x", "c") == 6
+    assert metrics.doc_copies_in_col(graph, "shared", "c") == 3
+    assert metrics.ref_load(graph, "shared") == 2
+    assert metrics.doc_width(graph, "c", "c") == 4

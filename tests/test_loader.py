@@ -1,8 +1,10 @@
 import hashlib
 import json
 import random
+import re
 from dataclasses import fields
 
+import jsonschema
 import pytest
 
 from schemalens import loader
@@ -479,3 +481,53 @@ def test_ten_thousand_document_chain_metrics_exit_0(capsys, chain_manifest_dir):
     assert code == 0
     width = next(r for r in records if r["target"] == "docWidth(weight, weight)")
     assert width["value"] == 3  # one atomic tag plus one embedded next
+
+
+# --------------------------------------------------- the edge of the subset
+
+_SUBSET = {"type", "properties", "items", "required", "additionalProperties", "enum", "format", "$ref", "oneOf", "allOf", "if"}
+_REFUSED = sorted(set(jsonschema.Draft201909Validator.VALIDATORS) - _SUBSET)
+
+
+def test_the_refused_keywords_are_the_draft_assertions_outside_the_subset():
+    assert len(_REFUSED) == 25
+    assert _SUBSET <= set(jsonschema.Draft201909Validator.VALIDATORS)
+
+
+@pytest.mark.parametrize("keyword", _REFUSED)
+def test_assertion_keywords_outside_the_subset_are_refused(keyword):
+    with pytest.raises(ParseError, match=re.escape(f"k.json: keywords ['{keyword}']")):
+        parse_schema({keyword: 1}, "k.json")
+    with pytest.raises(ParseError, match=re.escape(f"k.json/properties/a: keywords ['{keyword}']")):
+        parse_schema({"type": "object", "properties": {"a": {"type": "string", keyword: 1}}}, "k.json")
+
+
+def test_a_list_of_types_is_refused():
+    with pytest.raises(ParseError, match="list of types"):
+        parse_schema({"type": ["string", "null"]}, "k.json")
+
+
+def test_annotations_and_unknown_keys_are_ignored():
+    annotated = {
+        "$schema": "https://json-schema.org/draft/2019-09/schema",
+        "$id": "k.json",
+        "$defs": {"unused": {"anyOf": [{"type": "string"}]}},
+        "description": "a string",
+        "x-origin": {"not": "a schema"},
+        "type": "string",
+    }
+    assert parse_schema(annotated, "k.json") == parse_schema({"type": "string"}, "k.json")
+
+
+def test_a_refused_document_is_reported_where_it_is_referenced(tmp_path):
+    (tmp_path / "a.json").write_text(json.dumps({"type": "object", "properties": {"b": {"$ref": "b.json"}}}))
+    (tmp_path / "b.json").write_text(json.dumps({"anyOf": [{"type": "string"}]}))
+    handle = load_corpus(tmp_path)
+    assert [e.file_id for e in handle.errors] == ["b.json"]
+    with pytest.raises(ParseError, match="b.json: keywords \\['anyOf'\\]"):
+        resolve(handle, "a.json")
+
+
+def test_the_bundled_corpora_hold_only_subset_keywords(manifest):
+    for name in manifest.schema_names():
+        assert manifest.schema_set(name).corpus().errors == []

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from schemalens import metrics
@@ -6,7 +8,7 @@ from schemalens.graph import CardinalityAnnotation, MetricGraph, GraphNode, buil
 from schemalens.loader import resolve
 from schemalens.metrics import AttributeCounts, WidthCoefficients
 
-from harness import make_corpus
+from harness import diamond_docs, make_corpus, random_annotations, tree_walk
 
 
 def _resolve_single(schema_dict):
@@ -317,3 +319,112 @@ def test_doc_copies_zero_iff_doc_existence_zero(graphs):
             copies = metrics.doc_copies_in_col(graph, type_name, "weight")
             existence = metrics.doc_existence(graph, "weight", type_name)
             assert (copies == 0) == (existence == 0)
+
+
+# ------------------------------------------- the DAG programs against the tree
+
+def _tree_oracle(graph, collection, names):
+    """Every metric of the graph's collection recomputed on its built tree:
+    the occurrences come from a plain preorder walk, colDepth from
+    enumerate_paths."""
+    start = graph.collection_node(collection)
+    walked = list(tree_walk(graph, start.id))
+    values = {
+        "col_depth": max((p.emb_count for p in enumerate_paths(graph, collection)), default=0),
+        "global_depth": max((p.emb_count for p in enumerate_paths(graph, collection)), default=0),
+        "nbr_col": len(graph.child_ids(graph.root)),
+        "ref_out": sum(
+            len(node.ref_names) if node.kind != "Reference" else max(len(node.ref_names), 1)
+            for node, _, _ in walked
+        ),
+    }
+    for name in names:
+        found = [(node, level, copies) for node, level, copies in walked if node.matches(name)]
+        target = start if start.matches(name) or name == collection else (found[0][0] if found else None)
+        kids = [graph.node(k) for k in graph.child_ids(target.id)] if target else []
+        values[name] = {
+            "exists": int(bool(found)),
+            "copies": sum(copies for _, _, copies in found),
+            "depth": max((level for _, level, _ in found), default="TypeAbsent"),
+            "ref_in": (
+                sum(
+                    node.ref_names.count(name)
+                    + (node.kind == "Reference" and node.type_name == name and name not in node.ref_names)
+                    for node in graph.nodes.values()
+                )
+                if any(node.matches(name) for node in graph.nodes.values())
+                else "UnknownCollection"
+            ),
+            "counts": (
+                AttributeCounts(
+                    sum(k.kind == "Attribute" and k.attr_class == "atomic" for k in kids),
+                    sum(k.kind in ("Embedded", "Reference") for k in kids),
+                    sum(k.kind == "Attribute" and k.attr_class == "arrayAtomic" for k in kids),
+                    sum(k.kind == "Attribute" and k.attr_class == "arrayDocument" for k in kids),
+                )
+                if target
+                else "TypeAbsent"
+            ),
+        }
+    return values
+
+
+def _dag_values(graph, collection, names):
+    def value(call, *args):
+        try:
+            return call(*args)
+        except (TypeAbsent, UnknownCollection) as exc:
+            return type(exc).__name__
+
+    values = {
+        "col_depth": metrics.col_depth(graph, collection),
+        "global_depth": metrics.global_depth(graph),
+        "nbr_col": metrics.nbr_col(graph),
+        "ref_out": metrics.ref_load(graph, collection, "outgoing"),
+    }
+    for name in names:
+        depths = {value(metrics.doc_depth_in_col, graph, collection, name)}
+        depths |= {value(metrics.max_doc_depth, graph, name), value(metrics.min_doc_depth, graph, name)}
+        assert len(depths) == 1, (name, depths)
+        assert metrics.doc_type_copies(graph, name) == metrics.doc_existence(graph, collection, name)
+        values[name] = {
+            "exists": metrics.doc_existence(graph, collection, name),
+            "copies": metrics.doc_copies_in_col(graph, name, collection),
+            "depth": depths.pop(),
+            "ref_in": value(metrics.ref_load, graph, name),
+            "counts": value(metrics.attribute_counts, graph, name, collection),
+        }
+    return values
+
+
+@pytest.mark.parametrize(
+    "fragments, arrays", [(False, False), (True, False), (False, True)], ids=["documents", "fragments", "arrays"]
+)
+@pytest.mark.parametrize("depth", range(1, 11))
+def test_dag_metrics_match_the_tree_on_diamonds(depth, fragments, arrays):
+    docs, entry = diamond_docs(depth, fragments, arrays)
+    resolved = resolve(make_corpus(docs), entry)
+    bare = build_graph({"c": resolved})
+    rng = random.Random(depth)
+    annotations = []
+    while len(annotations) < 3:
+        annotations += random_annotations(rng, bare, ["c"], stop=0.2)
+    annotated = build_graph({"c": resolved}, annotations)
+    for graph in (build_graph({"c": resolved}), annotated):
+        specs = [spec for group in graph.postorder() for spec in group]
+        names = sorted({r for spec in specs for r in (spec.type_name, *spec.ref_names)} | {"ghost"})
+        count = len(graph.nodes)
+        dag = _dag_values(graph, "c", names)  # before the tree is built
+        assert dag == _tree_oracle(graph, "c", names)
+        assert count == len(graph.nodes) == len(graph.children)
+        assert count == 5 * 2**depth - 1 or arrays
+    # The annotations set exactly the edges their paths name in the bare
+    # tree, and change nothing else.
+    edges = {}
+    for ann in annotations:
+        current = bare.collection_node("c").id
+        for step in ann.path.split("/"):
+            parent, current = current, next(k for k in bare.child_ids(current) if bare.node(k).type_name == step)
+        edges[parent, current] = ann.cardinality
+    assert annotated.cardinalities == edges
+    assert annotated.nodes == bare.nodes and annotated.children == bare.children

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from schemalens import validator
-from schemalens.errors import AmbiguousBranch, CycleReached, NoBranch, SchemaUnresolved
+from schemalens.errors import AmbiguousBranch, CycleReached, MergeConflict, NoBranch, ParseError, SchemaUnresolved
 from schemalens.loader import resolve
 from schemalens.validator import (
     dispatch_event_schema,
@@ -268,6 +268,30 @@ def test_keywords_agree_with_oracle(tmp_path, schema, instances):
     oracle, resolved = _oracle_and_schema(tmp_path, schema)
     for instance in instances:
         assert validate(instance, resolved).valid is oracle.is_valid(instance), instance
+
+
+@pytest.mark.parametrize(
+    "schema, instance",
+    [
+        ({"type": "object", "enum": []}, {}),
+        ({"properties": {"a": {}}, "enum": []}, {}),
+        ({"enum": [], "allOf": [{"type": "string"}]}, "x"),
+        ({"type": "string", "enum": []}, "x"),
+        ({"type": ["string", "null"]}, 5),
+        ({"not": {"type": "string"}}, "x"),
+        ({"type": "object", "minProperties": 1}, {}),
+        ({"const": 3}, 4),
+        ({"anyOf": [{"type": "string"}]}, 1),
+    ],
+    ids=["object-empty-enum", "properties-empty-enum", "allof-host-empty-enum", "string-empty-enum",
+         "type-list", "not", "minProperties", "const", "anyOf"],
+)
+def test_schemas_at_the_subset_edge_are_refused_or_agree_with_oracle(tmp_path, schema, instance):
+    try:
+        oracle, resolved = _oracle_and_schema(tmp_path, schema)
+    except (ParseError, MergeConflict):
+        return
+    assert validate(instance, resolved).valid is oracle.is_valid(instance)
 
 
 # ------------------------------------------------------------- cycle stubs
