@@ -179,12 +179,6 @@ class _NodeView(Mapping):
     def __iter__(self) -> Iterator[int]:
         return iter(self._graph.tree()[0])
 
-    def values(self):
-        return self._graph.tree()[0].values()
-
-    def items(self):
-        return self._graph.tree()[0].items()
-
 
 class MetricGraph:
     """A metric graph: the DAG of :class:`Spec` that metrics fold over, and
@@ -262,15 +256,8 @@ class MetricGraph:
         return self.fold(_subtree_size, 1)[self.dag()]
 
     def collections(self) -> list[GraphNode]:
-        """The level-0 collection nodes, with their tree ids (worked out
-        from subtree sizes while the tree is not built)."""
-        if self._tree is not None:
-            nodes, children, _ = self._tree
-            return [nodes[c] for c in children.get(self.root, ())]
-        top = self.dag()
-        sizes = self.fold(_subtree_size, 1)
-        ids = [1 + sum(sizes[spec] for spec in top.kids[:i]) for i in range(len(top.kids))]
-        return [spec.node(nid) for nid, spec in zip(ids, top.kids)]
+        """The level-0 collection nodes of the tree."""
+        return [self.node(c) for c in self.child_ids(self.root)]
 
     def collection_node(self, name: str) -> GraphNode:
         for node in self.collections():
