@@ -270,7 +270,11 @@ class MetricGraph:
         return _collection_spec(self.dag(), name)
 
     def knows_name(self, name: str) -> bool:
-        return any(spec.matches(name) for specs in self.postorder() for spec in specs)
+        """Whether a node other than the synthetic root bears ``name``."""
+        root = self.dag()
+        return any(
+            spec.matches(name) and spec is not root for specs in self.postorder() for spec in specs
+        )
 
     # ----------------------------------------------------------- the tree
 

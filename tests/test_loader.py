@@ -66,6 +66,67 @@ def test_non_object_document_is_a_parse_error(tmp_path):
     assert any(e.file_id == "list.json" for e in handle.errors)
 
 
+def test_the_walk_finds_what_rglob_finds(tmp_path):
+    root = tmp_path / "corpus"
+    for rel in ["a-b.json", "a/b.json", "a/c/d.json", "a/c/.hidden.json", ".hidden.json", "X.JSON",
+                "notes.txt", "d.json/inner.json", ".dot/e.json", "locked/away.json"]:
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text('{"type": "object"}')
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "o.json").write_text('{"type": "string"}')
+    (root / "linked-file.json").symlink_to(outside / "o.json")
+    (root / "linked-dir").symlink_to(outside, target_is_directory=True)
+    (root / "linked-dir.json").symlink_to(outside, target_is_directory=True)
+    (root / "broken.json").symlink_to(tmp_path / "missing.json")
+    (root / "loop.json").symlink_to(root / "loop.json")
+    (root / "locked").chmod(0)  # unreadable unless the tests run as root; both walks agree either way
+    try:
+        expected = [p.relative_to(root).as_posix() for p in sorted(p for p in root.rglob("*.json") if p.is_file())]
+        handle = load_corpus(root)
+    finally:
+        (root / "locked").chmod(0o755)
+    assert list(handle.documents) == expected
+    assert not handle.errors
+    # the tree exercises each rule
+    assert {"a/b.json", ".hidden.json", "d.json/inner.json", "linked-file.json"} <= set(expected)
+    assert not {"X.JSON", "broken.json", "loop.json", "linked-dir.json", "linked-dir/o.json"} & set(expected)
+    assert expected.index("a/b.json") < expected.index("a-b.json")
+
+
+def test_a_crlf_syntax_error_reports_the_offset_read_text_reports(tmp_path):
+    (tmp_path / "crlf.json").write_bytes(b'{\r\n  "type": "object",\r\n  "required": ["a",,]\r\n}\r\n')
+    (tmp_path / "cr.json").write_bytes(b'{\r"type":\r\r"object" "x"}')
+    (tmp_path / "ok.json").write_bytes(b'{\r\n  "type": "object"\r\n}\r\n')
+    handle = load_corpus(tmp_path)
+    assert list(handle.documents) == ["ok.json"]
+    assert [e.file_id for e in handle.errors] == ["cr.json", "crlf.json"]
+    # untranslated, the CRLF file's error sits two characters later
+    assert "invalid JSON at offset 41:" in str(handle.errors[1])
+    with pytest.raises(json.JSONDecodeError, match=r"\(char 43\)"):
+        json.loads((tmp_path / "crlf.json").read_bytes().decode("utf-8"))
+    for error in handle.errors:
+        path = tmp_path / error.file_id
+        with pytest.raises(json.JSONDecodeError) as read_text:
+            json.loads(path.read_text(encoding="utf-8"))
+        assert str(error) == f"{error.file_id}: invalid JSON at offset {read_text.value.pos}: {read_text.value.msg}"
+
+
+def test_a_file_that_is_not_utf8_is_recorded_and_the_rest_load(tmp_path):
+    prefix = '{"title": "caf'
+    (tmp_path / "latin1.json").write_bytes(f'{prefix}é"}}'.encode("latin-1"))
+    (tmp_path / "ok.json").write_text('{"type": "object", "properties": {"x": {"$ref": "latin1.json"}}}')
+    (tmp_path / "other.json").write_text('{"type": "string"}')
+    handle = load_corpus(tmp_path)
+    assert list(handle.documents) == ["ok.json", "other.json"]
+    [error] = handle.errors
+    assert error.file_id == "latin1.json"
+    assert str(error).endswith(f"at byte offset {len(prefix)}")
+    resolve(handle, "other.json")
+    with pytest.raises(ParseError, match="^latin1.json: not UTF-8"):
+        resolve(handle, "ok.json")
+
+
 def test_event_core_required_set(lei_corpus):
     resolved = resolve(lei_corpus, "eventCore.json")
     assert set(resolved.required) == {"source", "owner", "eventDateTime", "message"}
@@ -405,6 +466,42 @@ def test_depth_30_diamond_shares_each_level(monkeypatch, fragments):
         assert members["leftPart"].ref_names == (f"t{k + 1}",)
         node = members["leftPart"]
     assert list(node.child_map()) == ["value"]
+
+
+def test_a_wide_one_of_copies_no_node_and_joins_each_directory_ref_once(monkeypatch):
+    # The shape of the benchmark's wide oneOf: a root whose property is a
+    # oneOf over branch files, each with a discriminator and a ref to one
+    # shared type.
+    branches = 200
+    docs = {
+        "shared/Code.json": {"type": "string"},
+        "root.json": {
+            "type": "object",
+            "required": ["id", "event"],
+            "properties": {
+                "id": {"type": "string"},
+                "event": {"oneOf": [{"$ref": f"branches/b{i}.json"} for i in range(branches)]},
+            },
+        },
+    }
+    for i in range(branches):
+        docs[f"branches/b{i}.json"] = {
+            "type": "object",
+            "required": ["kind"],
+            "properties": {"kind": {"enum": [f"kind{i}"]}, f"p{i}": {"$ref": "../shared/Code.json"}},
+        }
+    corpus = make_corpus(docs)
+    copies, joins = [], []
+    original_replace, original_join = loader.replace, loader._resolve_target_id
+    monkeypatch.setattr(loader, "replace", lambda *a, **k: copies.append(a) or original_replace(*a, **k))
+    monkeypatch.setattr(loader, "_resolve_target_id", lambda *a: joins.append(a) or original_join(*a))
+    event = resolve(corpus, "root.json").child_map()["event"]
+    assert copies == []
+    # one join per distinct (directory, ref): the root's 200 and the branches' one
+    assert len(joins) == branches + 1
+    [group] = event.one_of_groups
+    assert [b.ref_names for b in group] == [(f"b{i}",) for i in range(branches)]
+    assert len({id(b.child_map()[f"p{i}"]) for i, b in enumerate(group)}) == 1
 
 
 def test_allof_merge_of_shared_diamonds_compares_each_node_once(monkeypatch):

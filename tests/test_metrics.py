@@ -254,6 +254,14 @@ def test_ref_load_unknown_name_raises(graphs):
         metrics.ref_load(graphs["LEI"], "neverHeardOfIt")
 
 
+def test_ref_load_of_the_root_name_raises():
+    # "root" names only the synthetic Root node, which is no type of the graph.
+    graph = build_graph({"lonely": resolve(make_corpus({"a.json": {"type": "object"}}), "a.json")})
+    with pytest.raises(UnknownCollection):
+        metrics.ref_load(graph, "root")
+    assert metrics.ref_load(graph, "lonely") == 0
+
+
 def test_ref_load_counts_each_referencing_site():
     corpus = make_corpus(
         {
@@ -352,7 +360,7 @@ def _tree_oracle(graph, collection, names):
                     + (node.kind == "Reference" and node.type_name == name and name not in node.ref_names)
                     for node in graph.nodes.values()
                 )
-                if any(node.matches(name) for node in graph.nodes.values())
+                if any(node.matches(name) for node in graph.nodes.values() if node.id != graph.root)
                 else "UnknownCollection"
             ),
             "counts": (
