@@ -273,7 +273,7 @@ class MetricGraph:
         """Whether a node other than the synthetic root bears ``name``."""
         root = self.dag()
         return any(
-            spec.matches(name) and spec is not root for specs in self.postorder() for spec in specs
+            spec is not root and spec.matches(name) for specs in self.postorder() for spec in specs
         )
 
     # ----------------------------------------------------------- the tree
