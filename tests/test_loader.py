@@ -599,6 +599,98 @@ def test_assertion_keywords_outside_the_subset_are_refused(keyword):
         parse_schema({"type": "object", "properties": {"a": {"type": "string", keyword: 1}}}, "k.json")
 
 
+# Each malformed schema with the (file_id, message) of the ParseError it
+# raises. The rows with two faults pin the order in which the parser finds
+# them: refused keywords, $ref, type, properties (children in order), items,
+# required, additionalProperties, oneOf, allOf, if/then/else, enum.
+_MALFORMED = [
+    (5, "k.json", "schema must be an object, got int"),
+    (["a"], "k.json", "schema must be an object, got list"),
+    ({"type": "string", "minLength": 1}, "k.json", "keywords ['minLength'] are outside the supported subset"),
+    ({"not": {}, "anyOf": []}, "k.json", "keywords ['anyOf', 'not'] are outside the supported subset"),
+    ({"$ref": 5}, "k.json", "$ref must be a string"),
+    (
+        {"$ref": "a.json", "type": "object", "description": "x"},
+        "k.json",
+        "$ref with constraint siblings ['type'] is outside the supported subset",
+    ),
+    (
+        {"$ref": "a.json", "then": {}, "allOf": []},
+        "k.json",
+        "$ref with constraint siblings ['allOf', 'then'] is outside the supported subset",
+    ),
+    (
+        {"type": ["string", "null"]},
+        "k.json",
+        "type must be one type name; a list of types is outside the supported subset",
+    ),
+    ({"properties": []}, "k.json", "properties must be an object"),
+    ({"items": [{"type": "string"}]}, "k.json", "tuple-form items is outside the supported subset"),
+    ({"required": "a"}, "k.json", "required must be a list of names"),
+    ({"required": ["a", 1]}, "k.json", "required must be a list of names"),
+    (
+        {"additionalProperties": {"type": "string"}},
+        "k.json",
+        "schema-valued additionalProperties is outside the supported subset",
+    ),
+    ({"enum": "a"}, "k.json", "enum must be a list"),
+    (
+        {"type": "object", "enum": []},
+        "k.json",
+        "an empty enum beside other constraints is outside the supported subset",
+    ),
+    (
+        {"properties": {"a": {}}, "enum": []},
+        "k.json",
+        "an empty enum beside other constraints is outside the supported subset",
+    ),
+    (
+        {"properties": {"a": {"properties": {"b": 1}}}},
+        "k.json/properties/a/properties/b",
+        "schema must be an object, got int",
+    ),
+    ({"oneOf": [{}, 3]}, "k.json/oneOf/1", "schema must be an object, got int"),
+    ({"if": {"maxItems": 1}, "then": 5}, "k.json/if", "keywords ['maxItems'] are outside the supported subset"),
+    ({"if": {}, "then": {}, "else": {"$ref": 1}}, "k.json/else", "$ref must be a string"),
+    # two faults: the first one found is reported
+    ({"minimum": 1, "$ref": 1}, "k.json", "keywords ['minimum'] are outside the supported subset"),
+    ({"$ref": 1, "type": "object"}, "k.json", "$ref must be a string"),
+    (
+        {"type": [1], "properties": 1},
+        "k.json",
+        "type must be one type name; a list of types is outside the supported subset",
+    ),
+    (
+        {"properties": {"a": {"const": 1}}, "allOf": [{"type": 1}]},
+        "k.json/properties/a",
+        "keywords ['const'] are outside the supported subset",
+    ),
+    (
+        {"properties": {"a": {}, "b": {"$ref": 1}, "c": 1}},
+        "k.json/properties/b",
+        "$ref must be a string",
+    ),
+    ({"items": {"items": [1]}, "required": 1}, "k.json/items", "tuple-form items is outside the supported subset"),
+    ({"required": 1, "enum": 1}, "k.json", "required must be a list of names"),
+    (
+        {"additionalProperties": 1, "oneOf": [1]},
+        "k.json",
+        "schema-valued additionalProperties is outside the supported subset",
+    ),
+    ({"allOf": [{"type": 1}], "oneOf": [{"$ref": 1}]}, "k.json/oneOf/0", "$ref must be a string"),
+    ({"if": {"$ref": 1}, "allOf": [5]}, "k.json/allOf/0", "schema must be an object, got int"),
+    ({"enum": 1, "if": {"type": [1]}}, "k.json/if", "type must be one type name; a list of types is outside the supported subset"),
+    ({"type": "array", "enum": [], "items": {"enum": 1}}, "k.json/items", "enum must be a list"),
+]
+
+
+@pytest.mark.parametrize("schema, file_id, message", _MALFORMED)
+def test_each_malformed_schema_raises_its_exact_parse_error(schema, file_id, message):
+    with pytest.raises(ParseError) as caught:
+        parse_schema(schema, "k.json")
+    assert (caught.value.file_id, str(caught.value)) == (file_id, f"{file_id}: {message}")
+
+
 def test_a_list_of_types_is_refused():
     with pytest.raises(ParseError, match="list of types"):
         parse_schema({"type": ["string", "null"]}, "k.json")
