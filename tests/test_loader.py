@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 import re
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import jsonschema
 import pytest
@@ -313,6 +313,23 @@ def test_refs_escaping_the_corpus_root_are_rejected():
         resolve(corpus, "e.json")
 
 
+def test_a_document_named_with_two_leading_dots_can_be_referenced():
+    docs = {
+        "e.json": {"type": "object", "properties": {"x": {"$ref": "..a.json"}, "y": {"$ref": "sub/f.json"}}},
+        "..a.json": {"type": "string"},
+        "sub/f.json": {"$ref": "../..a.json"},
+    }
+    tree = resolve(make_corpus(docs), "e.json")
+    assert [(name, child.type_tag, child.ref_docs) for name, child in tree.children] == [
+        ("x", "string", ("..a.json",)),
+        ("y", "string", ("sub/f.json", "..a.json")),
+    ]
+    for escaping in ("../x.json", "..", "sub/../../x.json"):
+        corpus = make_corpus({"e.json": {"$ref": escaping}, "x.json": {}})
+        with pytest.raises(UnknownRef, match="reference escapes the corpus root"):
+            resolve(corpus, "e.json")
+
+
 def test_ref_with_constraint_siblings_is_a_parse_error():
     with pytest.raises(ParseError):
         parse_schema({"$ref": "x.json", "type": "object"}, "inline")
@@ -358,6 +375,39 @@ def test_ref_chain_records_every_hop():
     x = resolve(corpus, "a.json").child_map()["x"]
     assert x.ref_names == ("b", "c")
     assert x.ref_docs == ("b.json", "c.json")
+
+
+def _distinct_nodes(root: ResolvedNode) -> list[ResolvedNode]:
+    seen: dict[int, ResolvedNode] = {}
+    pending = [root]
+    while pending:
+        node = pending.pop()
+        if id(node) in seen:
+            continue
+        seen[id(node)] = node
+        pending.extend(child for _, child in node.children)
+        pending.extend(b for group in node.one_of_groups for b in group)
+        pending.extend(p for cond in node.conditionals for p in cond if p is not None)
+        if node.item is not None:
+            pending.append(node.item)
+    return list(seen.values())
+
+
+def test_resolved_nodes_are_the_frozen_dataclass_the_constructor_builds(lei_envelope):
+    nodes = _distinct_nodes(lei_envelope)
+    assert len(nodes) > 100
+    for node in nodes:
+        rebuilt = ResolvedNode(**{f.name: getattr(node, f.name) for f in fields(node)})
+        assert rebuilt == node and hash(rebuilt) == hash(node)
+        moved = replace(node, path="x")
+        assert moved.path == "x" and replace(moved, path=node.path) == node
+        with pytest.raises(FrozenInstanceError):
+            node.path = "x"
+        with pytest.raises(FrozenInstanceError):
+            node.kind = "x"
+        assert node.one_of_tags is node.one_of_tags
+        assert node.structural_key() is node.structural_key()
+        assert node.structural_key() == rebuilt.structural_key()
 
 
 def test_relative_refs_resolve_against_the_referencing_document(lei_corpus):
