@@ -131,14 +131,16 @@ def load_manifest(root: str | Path | None = None) -> CorpusManifest:
     schemas = require(data, "schemas", manifest_path, dict)
     for name in schemas:
         entry = require(schemas, name, manifest_path, dict)
-        schema_sets[name] = SchemaSet(
-            name=name,
-            title=optional(entry, "title", manifest_path, str, name.upper()),
-            corpus_dir=root_dir / require(entry, "corpus", manifest_path, str),
-            metric_entry=require(entry, "metric_entry", manifest_path, str),
-            envelope=entry.get("envelope"),
-            events=dict(require(entry, "events", manifest_path, dict)),
-        )
+        title = optional(entry, "title", manifest_path, str, name.upper())
+        corpus_dir = root_dir / require(entry, "corpus", manifest_path, str)
+        metric_entry = require(entry, "metric_entry", manifest_path, str)
+        envelope = entry.get("envelope")  # null: no envelope
+        if envelope is not None:
+            require(entry, "envelope", manifest_path, str)
+        events = require(entry, "events", manifest_path, dict)
+        for event in events:
+            require(events, event, manifest_path, str)
+        schema_sets[name] = SchemaSet(name, title, corpus_dir, metric_entry, envelope, dict(events))
     scenarios = {}
     scenario_files = optional(data, "scenarios", manifest_path, dict, {})
     for sid in scenario_files:

@@ -17,20 +17,20 @@ The graph is defined as a tree: a resolved node shared by several $ref sites
 is a separate subtree at each site, and node ids number that tree in
 preorder. It is stored as the DAG ``resolve`` returns: one :class:`Spec` per
 member of each distinct resolved node, the members of a node shared by every
-spec that embeds it. Metrics are dynamic programs over that DAG
-(:meth:`MetricGraph.fold`), so a ref diamond costs its depth, not 2^depth. The tree
-(``nodes``, ``children``, ``cardinalities``) is built on first use, and
-refused with GraphTooLarge above TREE_NODE_BUDGET nodes; ``len(graph.nodes)``
-is counted on the DAG and never builds it. Building, folding and unfolding
-all run on explicit stacks, so a ref chain of any length builds and measures.
+spec that embeds it. ``build_graph`` makes that DAG, and ``MetricGraph(dag)``
+is the one way to make a graph. Metrics are dynamic programs over the DAG
+(:meth:`MetricGraph.fold`), so a ref diamond costs its depth, not 2^depth.
+The tree (``nodes``, ``children``, ``cardinalities``) is built on first use,
+and refused with GraphTooLarge above TREE_NODE_BUDGET nodes;
+``len(graph.nodes)`` is counted on the DAG and never builds it. Building,
+folding and unfolding all run on explicit stacks, so a ref chain of any
+length builds and measures.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Any
 
 from . import loader
@@ -148,18 +148,6 @@ class CardinalityAnnotation:
             raise ValueError("cardinality must be >= 1")
 
 
-def load_cardinality_annotations(path: str | Path) -> list[CardinalityAnnotation]:
-    """Read an annotation file: a JSON list of {collection, path, cardinality}
-    records."""
-    records = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [
-        CardinalityAnnotation(
-            collection=r["collection"], path=r["path"], cardinality=int(r["cardinality"])
-        )
-        for r in records
-    ]
-
-
 _Tree = tuple[dict[int, GraphNode], dict[int, tuple[int, ...]], dict[tuple[int, int], int]]
 
 
@@ -184,51 +172,21 @@ class MetricGraph:
     """A metric graph: the DAG of :class:`Spec` that metrics fold over, and
     the tree it unfolds to, with preorder node ids.
 
-    ``build_graph`` makes the DAG and builds the tree on first use. A graph
-    made by hand, ``MetricGraph(root)`` with ``nodes``/``children``/
-    ``cardinalities`` filled in before its first read, is that tree, and is
-    read as a DAG without sharing.
+    ``MetricGraph(dag)`` takes the root spec of the DAG (``build_graph``
+    makes it); the tree is built on first use, and its root is node 0.
     """
 
-    def __init__(
-        self,
-        root: int,
-        nodes: dict[int, GraphNode] | None = None,
-        children: dict[int, tuple[int, ...]] | None = None,
-        cardinalities: dict[tuple[int, int], int] | None = None,
-    ):
-        self.root = root
-        self._dag: Spec | None = None
-        self._tree: _Tree | None = (
-            {} if nodes is None else nodes,
-            {} if children is None else children,
-            {} if cardinalities is None else cardinalities,
-        )
-        self._orders: dict[Spec, tuple[list[Spec], list[Spec]]] = {}
+    root = 0
 
-    @classmethod
-    def unfolding(cls, dag: Spec) -> "MetricGraph":
-        """The graph whose tree is the preorder unfolding of ``dag``."""
-        graph = cls(root=0)
-        graph._dag, graph._tree = dag, None
-        return graph
+    def __init__(self, dag: Spec):
+        self._dag = dag
+        self._tree: _Tree | None = None
+        self._orders: dict[Spec, tuple[list[Spec], list[Spec]]] = {}
 
     # ------------------------------------------------------------ the DAG
 
     def dag(self) -> Spec:
-        """The root of the graph's DAG. A hand-made graph's DAG is read off
-        its tree on first use, one spec per node."""
-        if self._dag is None:
-            nodes, children, cardinalities = self._tree
-            specs = {
-                nid: Spec(n.kind, n.type_name, n.attr_class, n.ref_names, n.required, n.flagged)
-                for nid, n in nodes.items()
-            }
-            for nid, kids in children.items():
-                specs[nid].kids = tuple(specs[k] for k in kids)
-            for (_, kid), card in cardinalities.items():
-                specs[kid].card = card
-            self._dag = specs.get(self.root) or Spec(ROOT, "root")
+        """The root of the graph's DAG."""
         return self._dag
 
     def postorder(self, start: Spec | None = None) -> tuple[list[Spec], list[Spec]]:
@@ -283,11 +241,10 @@ class MetricGraph:
         use. Raises GraphTooLarge, before building anything, when the tree
         has more than TREE_NODE_BUDGET nodes."""
         if self._tree is None:
-            count = self.node_count()
-            if count > TREE_NODE_BUDGET:
-                sizes = self.fold(_subtree_size, 1)
+            sizes = self.fold(_subtree_size, 1)
+            if sizes[self._dag] > TREE_NODE_BUDGET:
                 largest = max(self._dag.kids, key=sizes.__getitem__)
-                raise GraphTooLarge(largest.type_name, count, TREE_NODE_BUDGET)
+                raise GraphTooLarge(largest.type_name, sizes[self._dag], TREE_NODE_BUDGET)
             self._tree = _unfold(self._dag)
         return self._tree
 
@@ -478,7 +435,7 @@ def build_graph(
         spec.kids = members[id(node)]
     for ann in annotations:
         top = _annotate(top, ann)
-    return MetricGraph.unfolding(top)
+    return MetricGraph(top)
 
 
 def _annotate(top: Spec, ann: CardinalityAnnotation) -> Spec:

@@ -346,11 +346,15 @@ def parse_schema(value: Any, where: str = "<inline>") -> RawNode:
     one_of = get("oneOf", _MISSING)
     if one_of is _MISSING:
         one_of = ()
+    elif not isinstance(one_of, list):
+        raise ParseError(where, "oneOf must be a list")
     else:
         one_of = tuple([parse_schema(b, f"{where}/oneOf/{i}") for i, b in enumerate(one_of)])
     all_of = get("allOf", _MISSING)
     if all_of is _MISSING:
         all_of = ()
+    elif not isinstance(all_of, list):
+        raise ParseError(where, "allOf must be a list")
     else:
         all_of = tuple([parse_schema(b, f"{where}/allOf/{i}") for i, b in enumerate(all_of)])
 

@@ -2,10 +2,15 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import schemalens
 from schemalens.cli import main
 from schemalens.corpus import capability_grid, capability_matrix
 from schemalens.evaluation import run_comparison
@@ -220,9 +225,13 @@ def _write(path, document):
     return str(path)
 
 
-def _metrics_on_manifest(tmp_path, manifest):
+def _on_manifest(tmp_path, manifest, *argv):
     _write(tmp_path / "manifest.json", manifest)
-    return ["metrics", "--corpus", str(tmp_path)]
+    return [*argv, "--corpus", str(tmp_path)]
+
+
+def _metrics_on_manifest(tmp_path, manifest):
+    return _on_manifest(tmp_path, manifest, "metrics")
 
 
 def _manifest_without(key):
@@ -233,6 +242,16 @@ def _manifest_without(key):
 
 def _manifest_with(**slots):
     return {"schemas": {"lei": {"corpus": "corpora/lei", "metric_entry": "m.json", "events": {}}}, **slots}
+
+
+def _manifest_with_entry(**slots):
+    return {"schemas": {"lei": {"corpus": "corpora/lei", "metric_entry": "m.json", "events": {}, **slots}}}
+
+
+def _metrics_on_schema(tmp_path, schema):
+    (tmp_path / "k").mkdir()
+    _write(tmp_path / "k" / "k.json", schema)
+    return _metrics_on_manifest(tmp_path, {"schemas": {"k": {"corpus": "k", "metric_entry": "k.json", "events": {}}}})
 
 
 def _metrics_with_criteria(tmp_path, criteria):
@@ -296,6 +315,19 @@ def _validate_recursive(tmp_path, instance):
         ),
         (lambda tmp: ["evaluate", "--weights", _write(tmp / "w.json", {"cases": []})], "'cases'"),
         (lambda tmp: _validate_recursive(tmp, {"n": 5}), "/n: "),
+        (lambda tmp: _metrics_on_schema(tmp, {"oneOf": 1}), "k.json: oneOf must be a list"),
+        (
+            lambda tmp: _on_manifest(tmp, _manifest_with_entry(envelope=[]), "validate", _write(tmp / "i.json", {})),
+            "'envelope'",
+        ),
+        (
+            lambda tmp: _on_manifest(
+                tmp,
+                {**_manifest_with_entry(events={"birth": ["b.json"]}), "case_study_events": [{"label": "Birth", "event": "birth"}]},
+                "capability",
+            ),
+            "'birth'",
+        ),
     ],
     ids=[
         "criteria", "criterion-metric", "cases", "case-name", "schemas",
@@ -305,7 +337,7 @@ def _validate_recursive(tmp_path, instance):
         "case-study-row-type", "case-study-event",
         "criterion-type-type", "criterion-collection-type", "criterion-label-type",
         "criterion-direction", "criterion-direction-type", "criteria-collection-type",
-        "criterion-id-repeated", "cases-empty", "cycle-stub",
+        "criterion-id-repeated", "cases-empty", "cycle-stub", "oneOf-type", "envelope-type", "event-file-type",
     ],
 )
 def test_malformed_inputs_exit_2_with_one_line(capsys, tmp_path, make_argv, expected):
@@ -390,3 +422,24 @@ def test_metrics_of_a_depth_30_diamond_exit_0(capsys, diamond_30_dir):
     assert (code, err) == (0, "")
     width = next(r for r in json.loads(out) if r["target"] == "docWidth(weight, weight)")
     assert width["value"] == 1 + 2 * 2  # one atomic tag, two embedded parts
+
+
+_NEW_TOP_LEVEL_MODULES = """
+import json, sys
+before = set(sys.modules)
+import schemalens, schemalens.cli
+print(json.dumps(sorted({name.partition(".")[0] for name in set(sys.modules) - before})))
+"""
+
+
+def test_the_runtime_imports_only_the_stdlib():
+    # a fresh interpreter, so modules the test run already imported count too
+    src = str(Path(schemalens.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NEW_TOP_LEVEL_MODULES], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    new = json.loads(proc.stdout)
+    assert "schemalens" in new
+    assert [m for m in new if m != "schemalens" and m not in sys.stdlib_module_names] == []

@@ -16,8 +16,6 @@ from schemalens.graph import (
     DOCUMENT,
     EMBEDDED,
     CardinalityAnnotation,
-    GraphNode,
-    MetricGraph,
     build_graph,
     classify_attribute,
     enumerate_paths,
@@ -195,26 +193,6 @@ def test_cardinality_annotation_is_applied():
     assert graph.edge_cardinality(col.id, herd_id) == 7
 
 
-def test_cardinality_annotations_load_from_file(tmp_path):
-    import json
-
-    from schemalens.graph import load_cardinality_annotations
-
-    records = [{"collection": "c", "path": "herd", "cardinality": 5}]
-    path = tmp_path / "cards.json"
-    path.write_text(json.dumps(records))
-    annotations = load_cardinality_annotations(path)
-    assert annotations == [CardinalityAnnotation("c", "herd", 5)]
-
-    entry = _resolve_single(
-        {"type": "object", "properties": {"herd": {"type": "object", "properties": {"tag": {"type": "string"}}}}}
-    )
-    graph = build_graph({"c": entry}, annotations)
-    col = graph.collection_node("c")
-    (herd_id,) = graph.child_ids(col.id)
-    assert graph.edge_cardinality(col.id, herd_id) == 5
-
-
 def test_cardinality_annotation_bad_path_raises():
     entry = _resolve_single({"type": "object", "properties": {"a": {"type": "string"}}})
     with pytest.raises(UnknownCollection):
@@ -370,25 +348,3 @@ def test_a_depth_16_diamond_still_builds_its_tree():
     assert [graph.node(k).type_name for k in graph.child_ids(1)] == ["leftPart", "rightPart", "tag"]
     # preorder: each half below the collection holds 5 * 2^15 - 2 nodes
     assert graph.child_ids(1) == (2, 5 * 2**15, 5 * 2**16 - 2)
-
-
-def test_a_hand_made_graph_is_read_as_a_dag():
-    nodes = [
-        GraphNode(0, "Root", "root"),
-        GraphNode(1, COLLECTION, "c"),
-        GraphNode(2, EMBEDDED, "a", ref_names=("shared",)),
-        GraphNode(3, ATTRIBUTE, "x", ATOMIC),
-        GraphNode(4, EMBEDDED, "b", ref_names=("shared",)),
-    ]
-    graph = MetricGraph(
-        root=0,
-        nodes={n.id: n for n in nodes},
-        children={0: (1,), 1: (2, 4), 2: (3,)},
-        cardinalities={(1, 2): 2, (2, 3): 3},
-    )
-    assert graph.collections() == [nodes[1]]
-    assert metrics.col_depth(graph, "c") == 1
-    assert metrics.doc_copies_in_col(graph, "x", "c") == 6
-    assert metrics.doc_copies_in_col(graph, "shared", "c") == 3
-    assert metrics.ref_load(graph, "shared") == 2
-    assert metrics.doc_width(graph, "c", "c") == 4

@@ -731,6 +731,16 @@ _MALFORMED = [
     ({"if": {"$ref": 1}, "allOf": [5]}, "k.json/allOf/0", "schema must be an object, got int"),
     ({"enum": 1, "if": {"type": [1]}}, "k.json/if", "type must be one type name; a list of types is outside the supported subset"),
     ({"type": "array", "enum": [], "items": {"enum": 1}}, "k.json/items", "enum must be a list"),
+    # oneOf and allOf must be lists; each is checked where it is read
+    ({"oneOf": 1}, "k.json", "oneOf must be a list"),
+    ({"oneOf": {"a": {}}}, "k.json", "oneOf must be a list"),
+    ({"oneOf": "ab"}, "k.json", "oneOf must be a list"),
+    ({"allOf": 1}, "k.json", "allOf must be a list"),
+    ({"allOf": {"a": {}}}, "k.json", "allOf must be a list"),
+    ({"allOf": "ab"}, "k.json", "allOf must be a list"),
+    ({"oneOf": {}, "allOf": [5]}, "k.json", "oneOf must be a list"),
+    ({"oneOf": [{"$ref": 1}], "allOf": 1}, "k.json/oneOf/0", "$ref must be a string"),
+    ({"allOf": 1, "if": {"$ref": 1}}, "k.json", "allOf must be a list"),
 ]
 
 

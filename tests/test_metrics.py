@@ -4,7 +4,7 @@ import pytest
 
 from schemalens import metrics
 from schemalens.errors import TypeAbsent, UnknownCollection
-from schemalens.graph import CardinalityAnnotation, MetricGraph, GraphNode, build_graph, enumerate_paths
+from schemalens.graph import ROOT, CardinalityAnnotation, MetricGraph, Spec, build_graph, enumerate_paths
 from schemalens.loader import resolve
 from schemalens.metrics import AttributeCounts, WidthCoefficients
 
@@ -16,10 +16,7 @@ def _resolve_single(schema_dict):
 
 
 def _empty_graph():
-    graph = MetricGraph(root=0)
-    graph.nodes[0] = GraphNode(id=0, kind="Root", type_name="root")
-    graph.children[0] = ()
-    return graph
+    return MetricGraph(Spec(ROOT, "root"))
 
 
 # ----------------------------- reference values for the bundled fixtures
