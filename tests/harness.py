@@ -312,6 +312,37 @@ def diamond_docs(depth: int, fragments: bool, arrays: bool = False) -> tuple[dic
     return {f"t{k}.json": level(k) for k in range(depth + 1)}, "t0.json"
 
 
+def ring_docs(n: int) -> dict:
+    """A reference cycle through ``n`` documents: ``ring<k>.json`` holds an
+    atomic ``tag`` and ``next``, a ref to ``ring<k+1>.json``; the last
+    refers back to ``ring0.json``. Resolved from ``ring0.json``, it is a
+    chain of n nodes whose last ``next`` is a cycle stub."""
+    return {
+        f"ring{k}.json": {
+            "type": "object",
+            "properties": {"tag": {"type": "string"}, "next": {"$ref": f"ring{(k + 1) % n}.json"}},
+        }
+        for k in range(n)
+    }
+
+
+def clique_docs(k: int) -> dict:
+    """``k`` documents that each reference all the others: ``node<i>.json``
+    holds an atomic ``tag`` and ``to<j>``, a ref to ``node<j>.json``, for
+    every j != i. Resolving ``node0.json`` expands (k-1) * 2^(k-2)
+    (document, cycle stack) states."""
+    return {
+        f"node{i}.json": {
+            "type": "object",
+            "properties": {
+                "tag": {"type": "string"},
+                **{f"to{j}": {"$ref": f"node{j}.json"} for j in range(k) if j != i},
+            },
+        }
+        for i in range(k)
+    }
+
+
 def tree_walk(graph: MetricGraph, start: int):
     """``(node, level, copies)`` for every node strictly below ``start`` of
     the built tree, in preorder: ``level`` is 1 for direct members plus one

@@ -13,7 +13,14 @@ from schemalens.errors import CorpusError, MergeConflict, ParseError, UnknownRef
 from schemalens.loader import CYCLE, ResolvedNode, load_corpus, parse_schema, resolve
 from schemalens.validator import validate
 
-from harness import make_corpus, random_cyclic_corpus, random_ref_corpus, reference_validator
+from harness import (
+    clique_docs,
+    make_corpus,
+    random_cyclic_corpus,
+    random_ref_corpus,
+    reference_validator,
+    ring_docs,
+)
 
 # sha256 over the canonical walk of every resolve() output named in
 # test_resolve_output_matches_golden_digest. Any change to a resolved field
@@ -466,6 +473,35 @@ def test_resolve_output_matches_golden_digest(manifest):
         rows.append([f"cyclic-{seed}", _resolve_digests(corpus, sorted(corpus.documents))])
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == GOLDEN_RESOLVE_SHA256
+
+
+def _key_digest(key, memo: dict) -> str:
+    """Merkle digest of a structural key. Each node's key tuple is one
+    shared object, so a DAG digests at its own size, not its unfolding's."""
+    if not isinstance(key, tuple):
+        return repr(key)
+    if id(key) not in memo:
+        parts = [_key_digest(part, memo) for part in key]
+        memo[id(key)] = (key, hashlib.sha256(repr(parts).encode()).hexdigest())
+    return memo[id(key)][1]
+
+
+# sha256 over the structural keys of every ring and clique resolved in
+# test_rings_and_cliques_resolve_to_their_golden_shapes.
+GOLDEN_CYCLES_SHA256 = "c72a0ea01a6f5b9d832b14cb1c80acbb2bf6bbc6fc867319e1f4c8859159e8ca"
+
+
+def test_rings_and_cliques_resolve_to_their_golden_shapes():
+    rows = [
+        [f"ring-{n}", _key_digest(resolve(make_corpus(ring_docs(n)), "ring0.json").structural_key(), {})]
+        for n in range(2, 151)
+    ]
+    rows += [
+        [f"clique-{k}", _key_digest(resolve(make_corpus(clique_docs(k)), "node0.json").structural_key(), {})]
+        for k in range(3, 11)
+    ]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == GOLDEN_CYCLES_SHA256
 
 
 # --------------------------------------------------------------------------
