@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
-from .errors import ConfigError, CorpusError, UnknownSchema, UnknownScenario, as_number, optional, require
+from .errors import ConfigError, CorpusError, UnknownSchema, UnknownScenario, as_number, optional, read_config, require
 from .graph import MetricGraph, build_graph, effective_children
 from .loader import CorpusHandle, load_corpus, resolve
 
@@ -125,7 +125,7 @@ def load_manifest(root: str | Path | None = None) -> CorpusManifest:
     manifest_path = root_dir / "manifest.json"
     if not manifest_path.is_file():
         raise CorpusError(f"no manifest.json under {root_dir}")
-    data = json.loads(manifest_path.read_text(encoding="utf-8"))
+    data = read_config(manifest_path)
 
     schema_sets = {}
     schemas = require(data, "schemas", manifest_path, dict)

@@ -6,6 +6,8 @@ callers (and the CLI) can catch one base type and map it to exit code 2.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from typing import Any
 
 
@@ -31,6 +33,19 @@ class GraphTooLarge(CorpusError):
             f" more than the {budget} a tree view may build"
         )
         self.collection, self.nodes = collection, nodes
+
+
+class ResolutionTooLarge(CorpusError):
+    """Resolving an entry would expand more documents under non-empty
+    reference-cycle stacks than the budget allows. Their number can grow
+    exponentially with the density of a reference cycle."""
+
+    def __init__(self, entry: str, budget: int):
+        super().__init__(
+            f"{entry}: resolution needs more than {budget} expansions of documents"
+            f" inside reference cycles, the most one resolve may build"
+        )
+        self.entry, self.budget = entry, budget
 
 
 class ParseError(SchemaLensError):
@@ -102,6 +117,20 @@ _JSON_TYPE_NAMES = {
     dict: "an object", list: "an array", str: "a string", int: "a number",
     float: "a number", bool: "a boolean", type(None): "null",
 }
+
+
+def read_config(path: str | Path) -> Any:
+    """The JSON document in the file ``path``: a criteria, weights or
+    manifest file. A ConfigError naming the path when the file is not UTF-8,
+    not JSON, or nested too deeply to decode."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8: {exc.reason} at byte offset {exc.start}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: nested too deeply") from None
 
 
 def require(data: Any, key: str, source: object, expected: type = object) -> Any:

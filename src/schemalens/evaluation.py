@@ -19,14 +19,15 @@ reciprocal "potential value"):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import metrics
-from .errors import ConfigError, TypeAbsent, UnknownCollection, UnknownCriterionMetric, as_number, optional, require
+from .errors import (
+    ConfigError, TypeAbsent, UnknownCollection, UnknownCriterionMetric, as_number, optional, read_config, require,
+)
 from .graph import MetricGraph
 from .metrics import ABSENT, Absent, MetricValue, WidthCoefficients
 
@@ -216,7 +217,7 @@ def run_comparison(
 def load_criteria(path: str | Path) -> tuple[list[CriterionSpec], str]:
     """Read a criteria config document; returns the specs and the default
     collection name the targets refer to."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = read_config(path)
     entries = require(data, "criteria", path, list)
     collection = optional(data, "collection", path, str, "")
     criteria: list[CriterionSpec] = []
@@ -238,7 +239,7 @@ def load_criteria(path: str | Path) -> tuple[list[CriterionSpec], str]:
 
 
 def load_weight_cases(path: str | Path) -> list[WeightCase]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = read_config(path)
     entries = require(data, "cases", path, list)
     if not entries:
         raise ConfigError(f"{path}: key 'cases' must hold at least one weight case")

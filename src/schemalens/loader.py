@@ -7,9 +7,13 @@ document into a self-contained, reference-free :class:`ResolvedNode` graph:
 markers so resolution always terminates, and each ``$ref`` target is
 resolved once per call, its one node shared by every site that references
 it. The result is a DAG whose unfolding is the fully inlined tree, so a ref
-diamond of depth d costs d resolutions rather than 2^d, and a ref chain of
-any length resolves without deep recursion. Nodes are immutable, which
-makes the sharing safe.
+diamond of depth d costs d resolutions rather than 2^d. Targets are built
+in one pass over an explicit work stack, each after the targets it
+references, so a ref chain or cycle of any length resolves without deep
+recursion. Inside a reference cycle a target is expanded once per cycle
+stack that reaches it, which can be exponentially many; above
+``STATE_BUDGET`` such expansions, ``resolve`` raises ResolutionTooLarge.
+Nodes are immutable, which makes the sharing safe.
 
 Supported dialect subset: type (one type name), properties, items,
 required, additionalProperties, enum, format, $ref, oneOf, allOf,
@@ -44,7 +48,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterator, Mapping, NamedTuple
 
-from .errors import CorpusError, IoError, MergeConflict, ParseError, UnknownRef
+from .errors import CorpusError, IoError, MergeConflict, ParseError, ResolutionTooLarge, UnknownRef
 
 # Keywords that make a $ref sibling constraint-bearing (and therefore illegal
 # in this subset -- the loader inlines refs wholesale).
@@ -121,6 +125,14 @@ class OneOfTags:
 
     gates: dict[str, dict[str, tuple["ResolvedNode", ...]]]
     discriminator: str | None
+
+    def branches(self, name: str, value: Any) -> tuple["ResolvedNode", ...]:
+        """The branches that a string ``value`` of the gated property
+        ``name`` admits, in group order; () for any other value or name."""
+        table = self.gates.get(name)
+        if table is None or not isinstance(value, str):
+            return ()
+        return table.get(value, ())
 
 
 def _is_gate(node: "ResolvedNode") -> bool:
@@ -439,9 +451,10 @@ def load_corpus(directory: str | Path) -> CorpusHandle:
     The files are those ``Path.rglob`` finds (see :func:`_schema_files`),
     in sorted path order, each with its relative POSIX path as id and read
     as ``Path.read_text`` would: UTF-8 with universal newlines. Malformed
-    files -- not UTF-8, not JSON, not an object, or outside the subset --
-    are recorded per file in ``handle.errors`` (as ParseError entries naming
-    the file); the remaining documents stay loadable. Raises CorpusError
+    files -- not UTF-8, not JSON, not an object, nested too deeply for the
+    recursion limit, or outside the subset -- are recorded per file in
+    ``handle.errors`` (as ParseError entries naming the file); the
+    remaining documents stay loadable. Raises CorpusError
     when the directory holds no schema files at all and IoError when it or
     a file cannot be read.
     """
@@ -472,6 +485,9 @@ def load_corpus(directory: str | Path) -> CorpusHandle:
         except json.JSONDecodeError as exc:
             errors.append(ParseError(doc_id, f"invalid JSON at offset {exc.pos}: {exc.msg}"))
             continue
+        except RecursionError:
+            errors.append(ParseError(doc_id, "nested too deeply"))
+            continue
         if not isinstance(raw, dict):
             errors.append(ParseError(doc_id, "top level must be an object document"))
             continue
@@ -479,6 +495,9 @@ def load_corpus(directory: str | Path) -> CorpusHandle:
             node = parse_schema(raw, doc_id)
         except ParseError as exc:
             errors.append(exc)
+            continue
+        except RecursionError:
+            errors.append(ParseError(doc_id, "nested too deeply"))
             continue
         draft = raw.get("$schema", "")
         documents[doc_id] = SchemaDocument(doc_id, raw, node, draft)
@@ -535,7 +554,11 @@ def _type_name_for_target(doc_id: str, fragment: str) -> str:
 # A reference target: (document id, JSON-pointer fragment).
 _Key = tuple[str, str]
 
-_NO_STACK: frozenset = frozenset()
+# The most expansion states under a non-empty cycle stack that one
+# ``resolve`` call builds before it raises ResolutionTooLarge. A k-clique
+# needs (k-1) * 2^(k-2) of them: the 12-clique's 11,264 resolve, the
+# 13-clique's 24,576 are refused. A ring of n documents needs n - 1.
+STATE_BUDGET = 20_000
 
 
 def _ref_sites(raw: RawNode, sites: list[RawNode]) -> list[RawNode]:
@@ -566,17 +589,23 @@ def _ref_sites(raw: RawNode, sites: list[RawNode]) -> list[RawNode]:
 class _Resolver:
     """Resolve over the ref graph of one entry, sharing every target.
 
-    The nodes of the ref graph are keys ``(target_id, fragment)``. A target's
-    expansion depends on the resolution stack only through the stack keys it
-    can reach, and every stack key reaches the key being expanded, so only
-    keys in its strongly connected component matter. The stack therefore
-    holds keys of the current component alone, and each expansion is
-    memoised under ``(key, stack)``: a key entered from another component is
-    resolved once, under the empty stack, and that one node is reused at
-    every site that references it. Such keys are resolved in reverse
-    topological order of the components, so each of their references into
-    another component is a memo hit and recursion depth is bounded by the
-    nesting inside one document and the size of one component.
+    The nodes of the ref graph are keys ``(target_id, fragment)``. A
+    reference whose key is on the resolution stack becomes a cycle stub;
+    any other stands for the expansion of its key under that stack. The
+    expansion depends on the stack only through the stack keys it can
+    reach, and every stack key reaches the key being expanded, so only keys
+    in its strongly connected component matter. A stack is therefore
+    ``(component, mask)``: the component's id and an int bitmask over the
+    component-local indices of its keys. An expansion state is ``(key,
+    mask)``; a key entered from another component is expanded once, under
+    the empty mask, and its one node is shared by every site that
+    references it.
+
+    ``resolve`` builds every state in one postorder pass over an explicit
+    work stack: a state is built only after every state its non-cycle
+    references need, so each reference is a memo hit, and the only
+    recursion is the nesting inside one document. States with a non-empty
+    mask are counted; above STATE_BUDGET, resolution is refused.
     """
 
     def __init__(self, corpus: CorpusHandle):
@@ -585,41 +614,60 @@ class _Resolver:
         self._targets: dict[_Key, list[_Key]] = {}
         self._site_keys: dict[tuple[str, str], _Key] = {}
         self._target_ids: dict[tuple[str, str], str] = {}
-        self._component: dict[_Key, int] = {}
-        self._memo: dict[tuple[_Key, frozenset], ResolvedNode] = {}
+        self._place: dict[_Key, tuple[int, int]] = {}  # (component, bit)
+        self._memo: dict[tuple[_Key, int], ResolvedNode] = {}
 
     def resolve(self, entry_id: str) -> ResolvedNode:
         entry = (entry_id, "")
-        components = self._components(entry)
-        entered = {
-            target
-            for key, targets in self._targets.items()
-            for target in targets
-            if self._component[target] != self._component[key]
-        }
-        for component in components:
-            for key in component:
-                if key in entered:
-                    self._expand(key, _NO_STACK)
-        return self._node(self._raw[entry], entry_id, "", frozenset({entry}))
+        self._components(entry)
+        place, memo = self._place, self._memo
+        entry_stack = place[entry]  # the entry's bit is its whole stack
+        # (state, None) asks for a state's expansion; (state, stack) builds it
+        # once every state it needs is built.
+        work = [(state, None) for state in reversed(self._needs(entry, entry_stack))]
+        cyclic = 0
+        while work:
+            state, stack = work.pop()
+            key, mask = state
+            if stack is None:
+                if state in memo:
+                    continue
+                component, bit = place[key]
+                stack = (component, mask | bit)
+                needs = self._needs(key, stack)
+                if needs:
+                    work.append((state, stack))
+                    for need in reversed(needs):
+                        work.append((need, None))
+                    continue
+            if mask:
+                cyclic += 1
+                if cyclic > STATE_BUDGET:
+                    raise ResolutionTooLarge(entry_id, STATE_BUDGET)
+            target_id, fragment = key
+            memo[state] = self._node(
+                self._raw[key], target_id, fragment, stack,
+                (_type_name_for_target(target_id, fragment),), (target_id,),
+            )
+        return self._node(self._raw[entry], entry_id, "", entry_stack)
 
-    def _components(self, entry: _Key) -> list[list[_Key]]:
-        """Tarjan's strongly connected components of the ref graph reachable
-        from ``entry``, in reverse topological order (a component comes after
-        every component it references). Iterative, so chain length does not
+    def _components(self, entry: _Key) -> None:
+        """Place every key of the ref graph reachable from ``entry`` in its
+        strongly connected component (Tarjan's algorithm): ``_place[key]``
+        is the component's id and the key's bit, ``1 << i`` for the i-th
+        member in discovery order. Iterative, so chain length does not
         touch the recursion limit. Targets are discovered depth-first in
         site order, so of several broken references the one a depth-first
         resolution reaches first is reported."""
         index: dict[_Key, int] = {}
         low: dict[_Key, int] = {}
         path: list[_Key] = []
-        on_path: set[_Key] = set()
-        components: list[list[_Key]] = []
+        on_path: dict[_Key, int] = {}  # key -> its position in path
 
         def visit(key: _Key) -> tuple[_Key, Iterator[_Key]]:
             index[key] = low[key] = len(index)
+            on_path[key] = len(path)
             path.append(key)
-            on_path.add(key)
             return key, self._discover(key)
 
         work = [visit(entry)]
@@ -637,14 +685,11 @@ class _Resolver:
                     parent = work[-1][0]
                     low[parent] = min(low[parent], low[key])
                 if low[key] == index[key]:
-                    component = []
-                    while not component or component[-1] != key:
-                        member = path.pop()
-                        on_path.discard(member)
-                        self._component[member] = len(components)
-                        component.append(member)
-                    components.append(component)
-        return components
+                    start = on_path[key]
+                    for i, member in enumerate(path[start:]):
+                        del on_path[member]
+                        self._place[member] = (index[key], 1 << i)
+                    del path[start:]
 
     def _discover(self, key: _Key) -> Iterator[_Key]:
         """Parse the target of ``key`` and yield the key of each of its
@@ -678,22 +723,28 @@ class _Resolver:
             targets.append(target)
             yield target
 
-    def _expand(self, key: _Key, stack: frozenset) -> ResolvedNode:
-        """The expansion of ``key`` under ``stack`` (keys of its component
-        only), with the ref prefix added, as every reference to it sees it.
-        Memoised: the same node object is returned for the same arguments."""
-        memo_key = (key, stack)
-        resolved = self._memo.get(memo_key)
-        if resolved is None:
-            target_id, fragment = key
-            resolved = self._memo[memo_key] = self._node(
-                self._raw[key], target_id, fragment, stack | {key},
-                (_type_name_for_target(target_id, fragment),), (target_id,),
-            )
-        return resolved
+    def _state(self, target: _Key, stack: tuple[int, int]) -> tuple[_Key, int] | None:
+        """The expansion state a reference to ``target`` under ``stack``
+        stands for, or None when ``target`` is on the stack (a cycle)."""
+        component, mask = stack
+        target_component, bit = self._place[target]
+        if target_component != component:
+            return target, 0
+        if mask & bit:
+            return None
+        return target, mask
+
+    def _needs(self, key: _Key, stack: tuple[int, int]) -> list[tuple[_Key, int]]:
+        """The states not built yet that the non-cycle references of ``key``
+        under ``stack`` stand for, in site order."""
+        memo = self._memo
+        return [
+            state for target in self._targets[key]
+            if (state := self._state(target, stack)) is not None and state not in memo
+        ]
 
     def _node(
-        self, raw: RawNode, doc_id: str, path: str, stack: frozenset,
+        self, raw: RawNode, doc_id: str, path: str, stack: tuple[int, int],
         ref_names: tuple[str, ...] = (), ref_docs: tuple[str, ...] = (),
     ) -> ResolvedNode:
         """The node of ``raw``, its ref chain prefixed by ``ref_names`` /
@@ -732,23 +783,20 @@ class _Resolver:
             one_of_groups, conditionals, raw.enum_values, raw.format_tag, ref_names, ref_docs, None,
         )
 
-    def _reference(self, raw: RawNode, doc_id: str, path: str, stack: frozenset) -> ResolvedNode:
+    def _reference(self, raw: RawNode, doc_id: str, path: str, stack: tuple[int, int]) -> ResolvedNode:
         assert raw.ref_target is not None
         key = self._site_keys[doc_id, raw.ref_target]
-        if key in stack:
+        state = self._state(key, stack)
+        if state is None:
             target_id, fragment = key
             return _resolved_node(
                 CYCLE, doc_id, path, None, (), None, (), True, (), (), (), None,
                 (_type_name_for_target(target_id, fragment),), (target_id,), target_id,
             )
-        # Every stack key lies in one component; outside it, the stack is
-        # irrelevant to the expansion of ``key``.
-        if self._component[key] != self._component[next(iter(stack))]:
-            stack = _NO_STACK
-        return self._expand(key, stack)
+        return self._memo[state]
 
     def _merge_all_of(
-        self, raw: RawNode, doc_id: str, path: str, stack: frozenset,
+        self, raw: RawNode, doc_id: str, path: str, stack: tuple[int, int],
         ref_names: tuple[str, ...], ref_docs: tuple[str, ...],
     ) -> ResolvedNode:
         host_kind = OBJECT if (raw.children or raw.type_tag == "object") else ANY
@@ -835,8 +883,11 @@ def resolve(corpus: CorpusHandle, entry_id: str) -> ResolvedNode:
     immutable nodes (see :class:`ResolvedNode`).
 
     Cycles are stubbed (kind "cycle"), never expanded, so this terminates on
-    any corpus. Resolution is deterministic: equal corpora yield structurally
-    identical results, and the result unfolds to the tree a per-site
-    inlining of every reference would build.
+    any corpus. It refuses a corpus whose reference cycles need more than
+    ``STATE_BUDGET`` expansions under a non-empty cycle stack, raising
+    ResolutionTooLarge (a CorpusError) rather than building an output
+    exponential in the size of a cycle. Resolution is deterministic: equal
+    corpora yield structurally identical results, and the result unfolds to
+    the tree a per-site inlining of every reference would build.
     """
     return _Resolver(corpus).resolve(entry_id)

@@ -198,8 +198,7 @@ def _count_matches(value: Any, group: tuple[ResolvedNode, ...], tags: loader.One
         # Every branch requires the tag and lists the strings it admits, so
         # an absent or non-string tag fails them all, and a string tag all
         # but the branch it selects.
-        tag = value.get(tags.discriminator)
-        group = tags.gates[tags.discriminator].get(tag, ()) if isinstance(tag, str) else ()
+        group = tags.branches(tags.discriminator, value.get(tags.discriminator))
     return sum(1 for branch in group if _quiet_valid(value, branch))
 
 
@@ -216,9 +215,9 @@ def dispatch_event_schema(schema: ResolvedNode, message: Mapping[str, Any]) -> s
     """Pick the event sub-schema a message dispatches to.
 
     Uses the message node's conditional (itemType gates which event names are
-    admissible) and the branch index of its oneOf groups, the one the
-    validator dispatches on (``ResolvedNode.one_of_tags``): the matches are
-    the branches whose string enum on eventName admits the message's
+    admissible) and the branch lookup the validator dispatches through
+    (``OneOfTags.branches`` of ``ResolvedNode.one_of_tags``): the matches
+    are the branches whose string enum on eventName admits the message's
     eventName. Returns the event schema's document id. Raises NoBranch when
     nothing matches and AmbiguousBranch when more than one branch does.
     """
@@ -238,13 +237,7 @@ def dispatch_event_schema(schema: ResolvedNode, message: Mapping[str, Any]) -> s
                         f"eventName {event_name!r} is not admissible for this item type"
                     )
 
-    matches: list[ResolvedNode] = []
-    if isinstance(event_name, str):
-        matches = [
-            branch
-            for tags in message_node.one_of_tags
-            for branch in tags.gates.get("eventName", {}).get(event_name, ())
-        ]
+    matches = [branch for tags in message_node.one_of_tags for branch in tags.branches("eventName", event_name)]
     if not matches:
         raise NoBranch(f"no event branch accepts eventName {event_name!r}")
     if len(matches) > 1:

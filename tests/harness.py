@@ -312,6 +312,18 @@ def diamond_docs(depth: int, fragments: bool, arrays: bool = False) -> tuple[dic
     return {f"t{k}.json": level(k) for k in range(depth + 1)}, "t0.json"
 
 
+def chain_docs(length: int) -> dict:
+    """A ref chain of ``length`` documents: ``link<k>.json`` holds an atomic
+    ``tag`` and, but for the last, ``next``, a ref to ``link<k+1>.json``."""
+    docs = {}
+    for k in range(length):
+        properties = {"tag": {"type": "string"}}
+        if k + 1 < length:
+            properties["next"] = {"$ref": f"link{k + 1}.json"}
+        docs[f"link{k}.json"] = {"type": "object", "properties": properties}
+    return docs
+
+
 def ring_docs(n: int) -> dict:
     """A reference cycle through ``n`` documents: ``ring<k>.json`` holds an
     atomic ``tag`` and ``next``, a ref to ``ring<k+1>.json``; the last
@@ -341,6 +353,18 @@ def clique_docs(k: int) -> dict:
         }
         for i in range(k)
     }
+
+
+def write_manifest_dir(root: Path, docs: dict, entry: str) -> str:
+    """Write ``docs`` as the corpus ``c`` of a manifest under ``root`` whose
+    one schema set, ``lei`` (the CLI's default), has ``entry`` as its metric
+    entry; the path to pass as ``--corpus``."""
+    (root / "c").mkdir()
+    for doc_id, doc in docs.items():
+        (root / "c" / doc_id).write_text(json.dumps(doc))
+    manifest = {"schemas": {"lei": {"corpus": "c", "metric_entry": entry, "events": {}}}}
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    return str(root)
 
 
 def tree_walk(graph: MetricGraph, start: int):

@@ -14,9 +14,10 @@ import schemalens
 from schemalens.cli import main
 from schemalens.corpus import capability_grid, capability_matrix
 from schemalens.evaluation import run_comparison
+from schemalens.loader import STATE_BUDGET
 from schemalens.report import breakdown_grid, parse_metric_records, score_matrix_grid
 
-from harness import diamond_docs, envelope_mutants
+from harness import clique_docs, diamond_docs, envelope_mutants, write_manifest_dir
 
 
 def run_cli(capsys, *argv):
@@ -234,6 +235,11 @@ def _metrics_on_manifest(tmp_path, manifest):
     return _on_manifest(tmp_path, manifest, "metrics")
 
 
+def _metrics_on_manifest_bytes(tmp_path, data):
+    (tmp_path / "manifest.json").write_bytes(data)
+    return ["metrics", "--corpus", str(tmp_path)]
+
+
 def _manifest_without(key):
     entry = {"corpus": "corpora/lei", "metric_entry": "m.json", "events": {}}
     del entry[key]
@@ -328,6 +334,10 @@ def _validate_recursive(tmp_path, instance):
             ),
             "'birth'",
         ),
+        (lambda tmp: _metrics_on_manifest(tmp, "{nope"), "manifest.json: not valid JSON"),
+        (lambda tmp: _metrics_with_criteria(tmp, "{nope"), "c.json: not valid JSON"),
+        (lambda tmp: ["evaluate", "--weights", _write(tmp / "w.json", "{nope")], "w.json: not valid JSON"),
+        (lambda tmp: _metrics_on_manifest_bytes(tmp, b'{"title": "caf\xe9"}'), "manifest.json: not UTF-8"),
     ],
     ids=[
         "criteria", "criterion-metric", "cases", "case-name", "schemas",
@@ -338,6 +348,7 @@ def _validate_recursive(tmp_path, instance):
         "criterion-type-type", "criterion-collection-type", "criterion-label-type",
         "criterion-direction", "criterion-direction-type", "criteria-collection-type",
         "criterion-id-repeated", "cases-empty", "cycle-stub", "oneOf-type", "envelope-type", "event-file-type",
+        "manifest-not-json", "criteria-not-json", "weights-not-json", "manifest-not-utf8",
     ],
 )
 def test_malformed_inputs_exit_2_with_one_line(capsys, tmp_path, make_argv, expected):
@@ -345,6 +356,22 @@ def test_malformed_inputs_exit_2_with_one_line(capsys, tmp_path, make_argv, expe
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("schemalens: error:")
     assert expected in err
+
+
+@pytest.mark.parametrize("referenced", [False, True], ids=["unreferenced", "referenced"])
+def test_a_corpus_file_too_deep_to_parse_fails_only_where_it_is_referenced(capsys, tmp_path, referenced):
+    entry = {"type": "object", "properties": {"tag": {"type": "string"}}}
+    if referenced:
+        entry["properties"]["deep"] = {"$ref": "deep.json"}
+    argv = _metrics_on_schema(tmp_path, entry)
+    levels = 600
+    _write(tmp_path / "k" / "deep.json", '{"properties": {"a": ' * levels + "{}" + "}}" * levels)
+    code, _, err = run_cli(capsys, *argv)
+    if referenced:
+        assert code == 2
+        assert err == "schemalens: error: deep.json: nested too deeply\n"
+    else:
+        assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("instance, expected", [({"x": "ok"}, 0), ({"x": 1}, 1)])
@@ -422,6 +449,22 @@ def test_metrics_of_a_depth_30_diamond_exit_0(capsys, diamond_30_dir):
     assert (code, err) == (0, "")
     width = next(r for r in json.loads(out) if r["target"] == "docWidth(weight, weight)")
     assert width["value"] == 1 + 2 * 2  # one atomic tag, two embedded parts
+
+
+# ------------------------------------------ corpora too cyclic to resolve
+
+@pytest.fixture(scope="module")
+def clique_16_dir(tmp_path_factory):
+    return write_manifest_dir(tmp_path_factory.mktemp("clique"), clique_docs(16), "node0.json")
+
+
+@pytest.mark.parametrize("command", ["graph", "metrics"])
+def test_a_sixteen_document_clique_exits_2_with_one_line(capsys, clique_16_dir, command):
+    # 15 * 2^14 states under a cycle stack; resolution stops past the budget
+    code, out, err = run_cli(capsys, command, "--corpus", clique_16_dir)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("schemalens: error: node0.json: ")
+    assert f"more than {STATE_BUDGET} " in err
 
 
 _NEW_TOP_LEVEL_MODULES = """

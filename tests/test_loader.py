@@ -9,17 +9,19 @@ import pytest
 
 from schemalens import loader
 from schemalens.cli import main
-from schemalens.errors import CorpusError, MergeConflict, ParseError, UnknownRef
+from schemalens.errors import CorpusError, MergeConflict, ParseError, ResolutionTooLarge, UnknownRef
 from schemalens.loader import CYCLE, ResolvedNode, load_corpus, parse_schema, resolve
 from schemalens.validator import validate
 
 from harness import (
+    chain_docs as _chain_docs,
     clique_docs,
     make_corpus,
     random_cyclic_corpus,
     random_ref_corpus,
     reference_validator,
     ring_docs,
+    write_manifest_dir,
 )
 
 # sha256 over the canonical walk of every resolve() output named in
@@ -616,16 +618,6 @@ def test_allof_merge_of_shared_diamonds_compares_each_node_once(monkeypatch):
     assert len(calls) <= 4 * 3 * (depth + 2)
 
 
-def _chain_docs(length: int) -> dict:
-    docs = {}
-    for k in range(length):
-        properties = {"tag": {"type": "string"}}
-        if k + 1 < length:
-            properties["next"] = {"$ref": f"link{k + 1}.json"}
-        docs[f"link{k}.json"] = {"type": "object", "properties": properties}
-    return docs
-
-
 CHAIN_LENGTH = 10_000
 
 
@@ -664,6 +656,69 @@ def test_ten_thousand_document_chain_metrics_exit_0(capsys, chain_manifest_dir):
     assert code == 0
     width = next(r for r in records if r["target"] == "docWidth(weight, weight)")
     assert width["value"] == 3  # one atomic tag plus one embedded next
+
+
+# --------------------------------------------------------- rings and cliques
+
+RING_LENGTH = 10_000
+
+
+def test_ten_thousand_document_ring_resolves():
+    node = resolve(make_corpus(ring_docs(RING_LENGTH)), "ring0.json")
+    hops = 0
+    while node.kind != CYCLE:
+        node = node.child_map()["next"]
+        hops += 1
+        assert node.ref_names == (f"ring{hops % RING_LENGTH}",)
+    assert (hops, node.cycle_target) == (RING_LENGTH, "ring0.json")
+
+
+@pytest.fixture(scope="module")
+def ring_manifest_dir(tmp_path_factory):
+    return write_manifest_dir(tmp_path_factory.mktemp("ring"), ring_docs(RING_LENGTH), "ring0.json")
+
+
+def test_ten_thousand_document_ring_graph_exits_0(capsys, ring_manifest_dir):
+    code = main(["graph", "--corpus", ring_manifest_dir])
+    dot = capsys.readouterr().out
+    assert code == 0
+    # root, collection, then one tag and one next per document
+    assert sum(1 for line in dot.splitlines() if "[label=" in line and "->" not in line) == 2 * RING_LENGTH + 2
+
+
+def test_ten_thousand_document_ring_metrics_exit_0(capsys, ring_manifest_dir):
+    code = main(["metrics", "--corpus", ring_manifest_dir, "--format", "records"])
+    records = json.loads(capsys.readouterr().out)
+    assert code == 0
+    width = next(r for r in records if r["target"] == "docWidth(weight, weight)")
+    assert width["value"] == 3  # one atomic tag plus one embedded next
+
+
+@pytest.mark.parametrize("docs, entry, states", [
+    (ring_docs(50), "ring0.json", 49),
+    (clique_docs(8), "node0.json", 7 * 2**6),
+], ids=["ring", "clique"])
+def test_the_budget_counts_the_states_under_a_cycle_stack(monkeypatch, docs, entry, states):
+    corpus = make_corpus(docs)
+    monkeypatch.setattr(loader, "STATE_BUDGET", states)
+    resolve(corpus, entry)
+    monkeypatch.setattr(loader, "STATE_BUDGET", states - 1)
+    with pytest.raises(ResolutionTooLarge, match=f"^{entry}: .* more than {states - 1} "):
+        resolve(corpus, entry)
+
+
+def test_a_chain_needs_no_state_under_a_cycle_stack(monkeypatch):
+    monkeypatch.setattr(loader, "STATE_BUDGET", 0)
+    resolve(make_corpus(_chain_docs(100)), "link0.json")
+
+
+def test_a_twelve_document_clique_resolves():
+    node = resolve(make_corpus(clique_docs(12)), "node0.json")
+    assert list(node.child_map()) == ["tag", *(f"to{j}" for j in range(1, 12))]
+    for j in range(1, 12):
+        path = node.child_map()[f"to{j}"]
+        assert path.child_map()["to0"].kind == CYCLE
+        assert all(path.child_map()[f"to{i}"].kind != CYCLE for i in range(1, 12) if i != j)
 
 
 # --------------------------------------------------- the edge of the subset
