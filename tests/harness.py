@@ -13,12 +13,12 @@ import copy
 import json
 import posixpath
 import random
-from datetime import datetime
 from pathlib import Path
 
 import jsonschema
 from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT201909
+from rfc3339_validator import validate_rfc3339
 
 from schemalens.graph import (
     ARRAY_ATOMIC,
@@ -54,36 +54,62 @@ def make_corpus(docs: dict[str, dict]) -> CorpusHandle:
 
 
 def _oracle_date_time(value) -> bool:
-    # fromisoformat-based: an implementation route distinct from the shipped
-    # regex/bounds checker. RFC 3339 needs the T separator and an offset.
+    # RFC 3339 section 5.6 through rfc3339_validator: an implementation route
+    # distinct from the shipped regex/bounds checker. The RFC's ABNF is
+    # case-insensitive, the library's regex upper-case only.
     if not isinstance(value, str):
         return True
-    try:
-        parsed = datetime.fromisoformat(value.replace("Z", "+00:00").replace("z", "+00:00"))
-    except ValueError:
-        return False
-    return parsed.tzinfo is not None and "T" in value.upper()
+    return validate_rfc3339(value.upper())
+
+
+def oracle_format_checker() -> jsonschema.FormatChecker:
+    checker = jsonschema.FormatChecker()
+    checker.checks("date-time")(_oracle_date_time)
+    return checker
+
+
+def _oracle(resources, entry_uri: str) -> jsonschema.Draft201909Validator:
+    registry = Registry().with_resources(
+        (uri, Resource.from_contents(contents, default_specification=DRAFT201909))
+        for uri, contents in resources
+    ).crawl()
+    return jsonschema.Draft201909Validator(
+        {"$ref": entry_uri}, registry=registry, format_checker=oracle_format_checker()
+    )
 
 
 def reference_validator(corpus_dir: Path, entry: str) -> jsonschema.Draft201909Validator:
     # Every corpus file is registered under its file URI and the registry is
     # crawled once up front, so no is_valid call re-reads or re-crawls files.
-    registry = Registry().with_resources(
+    return _oracle(
         (
-            path.resolve().as_uri(),
-            Resource.from_contents(
-                json.loads(path.read_text(encoding="utf-8")),
-                default_specification=DRAFT201909,
-            ),
-        )
-        for path in sorted(corpus_dir.rglob("*.json"))
-    ).crawl()
-    checker = jsonschema.FormatChecker()
-    checker.checks("date-time")(_oracle_date_time)
-    entry_uri = (corpus_dir / entry).resolve().as_uri()
-    return jsonschema.Draft201909Validator(
-        {"$ref": entry_uri}, registry=registry, format_checker=checker
+            (path.resolve().as_uri(), json.loads(path.read_text(encoding="utf-8")))
+            for path in sorted(corpus_dir.rglob("*.json"))
+        ),
+        (corpus_dir / entry).resolve().as_uri(),
     )
+
+
+def _pointer_root_as_hash(value):
+    """``value`` with every ``$ref`` ending in ``#/`` written ending in ``#``.
+    The loader reads the pointer ``/`` as the document root; jsonschema,
+    following RFC 6901, as the member named ''."""
+    if isinstance(value, list):
+        return [_pointer_root_as_hash(v) for v in value]
+    if not isinstance(value, dict):
+        return value
+    copied = {k: _pointer_root_as_hash(v) for k, v in value.items()}
+    ref = copied.get("$ref")
+    if isinstance(ref, str) and ref.endswith("#/"):
+        copied["$ref"] = ref[:-1]
+    return copied
+
+
+def oracle_for_docs(docs: dict[str, dict], entry: str) -> jsonschema.Draft201909Validator:
+    """The reference validator over in-memory documents, each registered
+    under a file URI built from its corpus-relative id."""
+    root = "file:///corpus/"
+    return _oracle(((root + doc_id, _pointer_root_as_hash(doc)) for doc_id, doc in docs.items()), root + entry)
 
 
 # --------------------------------------------------------------------------
@@ -556,3 +582,197 @@ def random_ref_corpus(rng: random.Random) -> CorpusHandle:
             doc["allOf"] = branches
         docs[ids[i]] = doc
     return make_corpus(docs)
+
+
+# --------------------------------------------------------------------------
+# Oracle fuzz: random subset schemas and schema-directed instances
+
+PROPERTY_POOL = ["a", "b", "c", "d"]
+
+_TYPES = ["string", "number", "integer", "boolean", "null", "object", "array"]
+
+_ENUM_POOL = ["x", "y", "", "2020-01-01T00:00:00Z", 0, 1, 1.0, 2.5, -3, True, False, None, [], [1], {}, {"a": 1}]
+
+# The forms of RFC 3339 section 5.6 that Python's fromisoformat also accepts.
+NON_RFC3339_DATE_TIMES = [
+    "2020-01-01T00:00Z",
+    "2020-01-01T00:00:00,5Z",
+    "20200101T000000Z",
+    "2020-01-01T00:00:00.Z",
+    "2020-01-01T00:00:00+0100",
+]
+
+_DATE_TIMES = [
+    "2020-01-01T00:00:00Z",
+    "2021-12-31T23:59:59+11:00",
+    "2024-02-29T12:30:00.25-05:30",
+    "2020-01-01t00:00:00z",
+    "2023-02-29T00:00:00Z",
+    *NON_RFC3339_DATE_TIMES,
+    *BAD_TIMESTAMPS,
+]
+
+_IPS = ["10.20.30.41", "0.0.0.0", "255.255.255.255", *BAD_IPS]
+
+_STRINGS = ["x", "y", "", "a", "10.0.0.1", "2020-01-01T00:00:00Z"]
+_NUMBERS = [0, 1, -3, 2.5, 1.0, 7, 1e3]
+
+
+def random_subset_schema(
+    rng: random.Random, depth: int = 0, refs: tuple[str, ...] = (), member: bool = False
+) -> dict | bool:
+    """A random schema over the keywords of the loader's subset, at most
+    three levels deep: type, properties, required, additionalProperties,
+    items, enum, format, oneOf, allOf, if/then/else and boolean schemas.
+    When ``refs`` is given, a property or items schema (a ``member``) may
+    be a ``$ref`` to one of them; so every reference cycle descends into
+    the instance, and jsonschema, which follows every reference it meets,
+    terminates. Keywords are drawn independently, so some schemas fall
+    outside the subset or merge conflicting ``allOf`` branches."""
+    if depth > 0:
+        if member and refs and rng.random() < 0.2:
+            return {"$ref": rng.choice(refs)}
+        if rng.random() < 0.06:
+            return rng.random() < 0.7
+    schema: dict = {}
+    deeper = depth < 3
+    if rng.random() < 0.6:
+        schema["type"] = rng.choice(_TYPES)
+    if deeper and rng.random() < 0.45:
+        names = rng.sample(PROPERTY_POOL, rng.randint(1, 3))
+        schema["properties"] = {name: random_subset_schema(rng, depth + 1, refs, True) for name in names}
+    if rng.random() < 0.3:
+        schema["required"] = rng.sample(PROPERTY_POOL, rng.randint(1, 2))
+    if rng.random() < 0.2:
+        schema["additionalProperties"] = rng.random() < 0.3
+    if deeper and rng.random() < 0.2:
+        schema["items"] = random_subset_schema(rng, depth + 1, refs, True)
+    if rng.random() < 0.15:
+        schema["enum"] = rng.sample(_ENUM_POOL, rng.randint(1, 4))
+    if rng.random() < 0.15:
+        schema["format"] = rng.choice(["date-time", "ipv4", "x-unchecked"])
+    if deeper and rng.random() < 0.15:
+        schema["oneOf"] = [random_subset_schema(rng, depth + 1, refs) for _ in range(rng.randint(1, 3))]
+    if deeper and rng.random() < 0.15:
+        schema["allOf"] = [random_subset_schema(rng, depth + 1, refs) for _ in range(rng.randint(1, 2))]
+    if deeper and rng.random() < 0.15:
+        schema["if"] = random_subset_schema(rng, depth + 1, refs)
+        if rng.random() < 0.7:
+            schema["then"] = random_subset_schema(rng, depth + 1, refs)
+        if rng.random() < 0.5:
+            schema["else"] = random_subset_schema(rng, depth + 1, refs)
+    return schema
+
+
+def _random_value(rng: random.Random, depth: int = 0):
+    roll = rng.randrange(8 if depth < 2 else 6)
+    if roll == 0:
+        return rng.choice(_STRINGS)
+    if roll == 1:
+        return rng.choice(_NUMBERS)
+    if roll == 2:
+        return rng.choice([True, False])
+    if roll == 3:
+        return None
+    if roll == 4:
+        return rng.choice(_DATE_TIMES + _IPS)
+    if roll == 5:
+        return copy.deepcopy(rng.choice(_ENUM_POOL))
+    if roll == 6:
+        return [_random_value(rng, depth + 1) for _ in range(rng.randint(0, 2))]
+    return {rng.choice(PROPERTY_POOL): _random_value(rng, depth + 1) for _ in range(rng.randint(0, 2))}
+
+
+def _follow_ref(docs: dict[str, dict], doc_id: str, ref: str):
+    """``(schema, doc_id)`` a reference from ``doc_id`` points at, reading
+    ``#`` and ``#/`` as the document root; None when it points nowhere."""
+    path_part, _, fragment = ref.partition("#")
+    if path_part:
+        doc_id = posixpath.normpath(posixpath.join(posixpath.dirname(doc_id), path_part))
+    target = docs.get(doc_id)
+    for token in [t for t in fragment.split("/") if t]:
+        if not isinstance(target, dict) or token not in target:
+            return None
+        target = target[token]
+    return target, doc_id
+
+
+def random_instance(
+    rng: random.Random, schema, docs: dict[str, dict] | None = None, doc_id: str = "", depth: int = 0
+):
+    """A random instance shaped by ``schema``: an enum value, or a value of
+    its type with its required and some declared properties, array items,
+    one chosen ``oneOf`` branch, every ``allOf`` branch and one arm of
+    ``if``, each drawn the same way and merged into an object. References
+    are followed through ``docs`` (the corpus, keyed by document id) from
+    ``doc_id``. Now and then a value is drawn at random instead, so both
+    verdicts are common."""
+    if depth > 6 or not isinstance(schema, dict) or rng.random() < 0.08:
+        return _random_value(rng)
+    ref = schema.get("$ref")
+    if isinstance(ref, str):
+        target = _follow_ref(docs or {}, doc_id, ref)
+        if target is None:
+            return _random_value(rng)
+        return random_instance(rng, target[0], docs, target[1], depth + 1)
+    if schema.get("enum") and rng.random() < 0.8:
+        return copy.deepcopy(rng.choice(schema["enum"]))
+
+    def draw(sub):
+        return random_instance(rng, sub, docs, doc_id, depth + 1)
+
+    properties = schema.get("properties") or {}
+    kind = schema.get("type") or ("object" if properties else "array" if "items" in schema else None)
+    if kind == "object" or (kind is None and rng.random() < 0.5):
+        names = [n for n in schema.get("required", []) if rng.random() < 0.9]
+        names += [n for n in properties if n not in names and rng.random() < 0.7]
+        if rng.random() < 0.15:
+            names.append(rng.choice(PROPERTY_POOL + ["extra"]))
+        value = {name: draw(properties[name]) if name in properties else _random_value(rng, 1) for name in names}
+    elif kind == "array":
+        value = [draw(schema.get("items", True)) for _ in range(rng.randint(0, 3))]
+    elif kind == "string" or (kind is None and "format" in schema):
+        pool = {"date-time": _DATE_TIMES, "ipv4": _IPS}.get(schema.get("format"), _STRINGS)
+        value = rng.choice(pool)
+    elif kind in ("number", "integer"):
+        value = rng.choice(_NUMBERS)
+    elif kind == "boolean":
+        value = rng.choice([True, False])
+    elif kind == "null":
+        value = None
+    else:
+        value = _random_value(rng)
+
+    parts = list(schema.get("allOf", []))
+    if schema.get("oneOf"):
+        parts.append(rng.choice(schema["oneOf"]))
+    if "if" in schema:
+        parts.append(schema["if"])
+        arm = rng.choice(["then", "else"])
+        if arm in schema:
+            parts.append(schema[arm])
+    for part in parts:
+        drawn = draw(part)
+        if isinstance(value, dict) and isinstance(drawn, dict):
+            value.update(drawn)
+        elif rng.random() < 0.3:
+            value = drawn
+    return value
+
+
+def random_multi_file_corpus(rng: random.Random) -> tuple[dict[str, dict], list[str]]:
+    """The documents of a random multi-file corpus and the ids to resolve:
+    a ``random_ref_corpus``, a ``random_cyclic_corpus``, or a few
+    ``random_subset_schema`` documents that reference one another."""
+    roll = rng.random()
+    if roll < 0.4:
+        corpus = random_ref_corpus(rng)
+    elif roll < 0.7:
+        corpus, _ = random_cyclic_corpus(rng)
+    else:
+        ids = [f"doc{i}.json" for i in range(rng.randint(2, 4))]
+        refs = tuple(ids) + ("#", "#/")
+        docs = {doc_id: random_subset_schema(rng, 0, refs) for doc_id in ids}
+        return docs, ids
+    docs = {doc_id: doc.raw for doc_id, doc in corpus.documents.items()}
+    return docs, sorted(docs)

@@ -7,9 +7,22 @@ import random
 
 import pytest
 
-from schemalens.validator import validate
+from schemalens.errors import CycleReached, MergeConflict, ParseError
+from schemalens.loader import resolve
+from schemalens.validator import is_date_time, validate
 
-from harness import envelope_mutants, random_variant, reference_validator
+from harness import (
+    NON_RFC3339_DATE_TIMES,
+    envelope_mutants,
+    make_corpus,
+    oracle_for_docs,
+    oracle_format_checker,
+    random_instance,
+    random_multi_file_corpus,
+    random_subset_schema,
+    random_variant,
+    reference_validator,
+)
 
 N_RANDOM_VARIANTS = 1000
 
@@ -68,3 +81,70 @@ def test_agreement_on_random_variants(scenario_documents, lei_envelope, oracle):
     # the stream must genuinely exercise both verdicts
     assert valid_seen >= 50
     assert invalid_seen >= 200
+
+
+# ------------------------------------------------- random subset schemas
+
+FUZZ_SEEDS = (1, 2, 3)
+N_FUZZ_SCHEMAS = 500
+N_FUZZ_INSTANCES = 30
+N_FUZZ_CORPORA = 120
+N_CORPUS_INSTANCES = 10
+
+
+def _verdicts(rng, docs, entry, instances):
+    """Native verdicts on ``instances`` drawn from ``docs[entry]``, checked
+    against the oracle: None when the loader refuses the schema, else
+    (checked, valid) counts. An instance that reaches a cycle stub is
+    refused and skipped."""
+    try:
+        schema = resolve(make_corpus(docs), entry)
+    except (ParseError, MergeConflict):
+        return None
+    oracle = oracle_for_docs(docs, entry)
+    checked = valid = 0
+    for _ in range(instances):
+        instance = random_instance(rng, docs[entry], docs, entry)
+        try:
+            native = validate(instance, schema).valid
+        except CycleReached:
+            continue
+        assert native is oracle.is_valid(instance), (docs, entry, instance)
+        checked += 1
+        valid += native
+    return checked, valid
+
+
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_random_subset_schemas_are_refused_or_agree_with_oracle(seed):
+    rng = random.Random(seed)
+    results = []
+    for _ in range(N_FUZZ_SCHEMAS):
+        schema = random_subset_schema(rng)
+        results.append(_verdicts(rng, {"s.json": schema}, "s.json", N_FUZZ_INSTANCES))
+    resolved = [r for r in results if r is not None]
+    assert len(resolved) >= N_FUZZ_SCHEMAS // 2
+    checked = sum(c for c, _ in resolved)
+    valid = sum(v for _, v in resolved)
+    assert valid >= checked // 5 and checked - valid >= checked // 5
+
+
+def test_random_multi_file_corpora_are_refused_or_agree_with_oracle():
+    rng = random.Random(20230101)
+    results = []
+    for _ in range(N_FUZZ_CORPORA):
+        docs, entries = random_multi_file_corpus(rng)
+        for entry in rng.sample(entries, min(2, len(entries))):
+            results.append(_verdicts(rng, docs, entry, N_CORPUS_INSTANCES))
+    resolved = [r for r in results if r is not None]
+    assert len(resolved) >= len(results) // 2
+    assert sum(c for c, _ in resolved) >= 1000
+
+
+def test_the_date_time_oracle_follows_rfc3339():
+    checker = oracle_format_checker()
+    for value in NON_RFC3339_DATE_TIMES:
+        assert not checker.conforms(value, "date-time"), value
+        assert not is_date_time(value), value
+    for value in ["2020-01-01T00:00:00Z", "2020-01-01t00:00:00.5z", "2020-02-29T23:59:59-01:30"]:
+        assert checker.conforms(value, "date-time"), value
