@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
@@ -20,6 +21,7 @@ from schemalens.validator import (
 from harness import (
     BAD_IPS,
     BAD_TIMESTAMPS,
+    chain_docs,
     envelope_mutants,
     make_corpus,
     random_variant,
@@ -329,6 +331,23 @@ def test_reaching_a_cycle_stub_in_a_quiet_check_is_refused(document, instance, w
 def test_instances_that_reach_no_cycle_stub_agree_with_oracle(tmp_path, instance):
     oracle, schema = _oracle_and_schema(tmp_path, _RECURSIVE)
     assert validate(instance, schema).valid is oracle.is_valid(instance)
+
+
+# ----------------------------------------------------------- deep instances
+
+def _chain_instance(levels, bottom):
+    instance = bottom
+    for _ in range(levels - 1):
+        instance = {"tag": "t", "next": instance}
+    return instance
+
+
+def test_a_900_level_instance_validates_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() == 1000
+    schema = resolve(make_corpus(chain_docs(1200)), "link0.json")
+    assert validate(_chain_instance(900, {"tag": "t"}), schema).valid
+    outcome = validate(_chain_instance(900, {"tag": 5}), schema)
+    assert [(v.instance_path, v.keyword) for v in outcome.violations] == [("/next" * 899 + "/tag", "type")]
 
 
 # -------------------------------------------------------------------- batch
