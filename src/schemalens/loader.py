@@ -213,6 +213,19 @@ class ResolvedNode:
         resolution does no extra work; not a field, so eq and hash ignore it."""
         return tuple(_one_of_tags(group) for group in self.one_of_groups)
 
+    @cached_property
+    def string_enum(self) -> frozenset[str] | None:
+        """The enum's values as a frozenset when every one is a string, else
+        None. Built on first use; not a field."""
+        if self.enum_values and all(type(v) is str for v in self.enum_values):
+            return frozenset(self.enum_values)
+        return None
+
+    @cached_property
+    def declared_names(self) -> frozenset[str]:
+        """The names of ``children``. Built on first use; not a field."""
+        return frozenset(name for name, _ in self.children)
+
     def one_of_branches(self) -> tuple["ResolvedNode", ...]:
         """All oneOf branches across groups, flattened (each group is an
         independent exactly-one constraint; this is for structural walks)."""

@@ -73,6 +73,15 @@ def is_ipv4(value: str) -> bool:
 _FORMAT_CHECKS = {"date-time": is_date_time, "ipv4": is_ipv4}
 
 
+# Exact types of JSON values that are no Mapping: the ABC check is skipped.
+_NOT_MAPPINGS = frozenset([str, int, float, bool, type(None), list])
+
+
+def _is_object(value: Any) -> bool:
+    kind = type(value)
+    return kind is dict or (kind not in _NOT_MAPPINGS and isinstance(value, Mapping))
+
+
 def _type_matches(value: Any, tag: str) -> bool:
     if tag == "string":
         return isinstance(value, str)
@@ -87,7 +96,7 @@ def _type_matches(value: Any, tag: str) -> bool:
     if tag == "null":
         return value is None
     if tag == "object":
-        return isinstance(value, Mapping)
+        return _is_object(value)
     if tag == "array":
         return isinstance(value, list)
     return True
@@ -110,40 +119,44 @@ class ValidationOutcome:
 def _check(value: Any, node: ResolvedNode, ipath: str, out: list[Violation] | _QuietSink) -> None:
     if node.kind == loader.CYCLE:
         raise CycleReached(ipath, node.cycle_target)
-    spath = f"{node.doc_id}#{node.path}"
 
     if node.type_tag and not _type_matches(value, node.type_tag):
         out.append(
-            Violation(ipath, spath, "type", f"expected {node.type_tag}, got {type(value).__name__}")
+            Violation(ipath, _spath(node), "type", f"expected {node.type_tag}, got {type(value).__name__}")
         )
 
     if node.kind == loader.ENUM or node.enum_values:
-        if not any(json_equal(value, allowed) for allowed in node.enum_values):
-            out.append(Violation(ipath, spath, "enum", f"{value!r} is not one of the allowed values"))
+        strings = node.string_enum
+        if strings is not None and type(value) is str:
+            admitted = value in strings
+        else:
+            admitted = any(json_equal(value, allowed) for allowed in node.enum_values)
+        if not admitted:
+            out.append(Violation(ipath, _spath(node), "enum", f"{value!r} is not one of the allowed values"))
 
     if node.format_tag in _FORMAT_CHECKS and isinstance(value, str):
         if not _FORMAT_CHECKS[node.format_tag](value):
             out.append(
-                Violation(ipath, spath, "format", f"{value!r} is not a valid {node.format_tag}")
+                Violation(ipath, _spath(node), "format", f"{value!r} is not a valid {node.format_tag}")
             )
 
-    if isinstance(value, Mapping):
+    if _is_object(value):
         for name in node.required:
             if name not in value:
-                out.append(Violation(ipath, spath, "required", f"missing required property {name!r}"))
+                out.append(Violation(ipath, _spath(node), "required", f"missing required property {name!r}"))
         for name, child in node.children:
             if name in value:
                 _check(value[name], child, f"{ipath}/{name}", out)
         if not node.additional_allowed:
-            declared = {name for name, _ in node.children}
+            declared = node.declared_names
             for key in value:
                 if key not in declared:
                     out.append(
-                        Violation(f"{ipath}/{key}", spath, "additionalProperties",
+                        Violation(f"{ipath}/{key}", _spath(node), "additionalProperties",
                                   f"property {key!r} is not allowed")
                     )
 
-    if isinstance(value, list) and node.item is not None:
+    if node.item is not None and isinstance(value, list):
         for i, element in enumerate(value):
             _check(element, node.item, f"{ipath}/{i}", out)
 
@@ -156,7 +169,7 @@ def _check(value: Any, node: ResolvedNode, ipath: str, out: list[Violation] | _Q
             raise
         if matched != 1:
             out.append(
-                Violation(ipath, spath, "oneOf",
+                Violation(ipath, _spath(node), "oneOf",
                           f"matched {matched} of {len(group)} alternatives, expected exactly 1")
             )
 
@@ -168,6 +181,10 @@ def _check(value: Any, node: ResolvedNode, ipath: str, out: list[Violation] | _Q
             raise
         if arm is not None:
             _check(value, arm, ipath, out)
+
+
+def _spath(node: ResolvedNode) -> str:
+    return f"{node.doc_id}#{node.path}"
 
 
 class _Invalid(Exception):
