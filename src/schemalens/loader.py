@@ -214,17 +214,13 @@ class ResolvedNode:
         return tuple(_one_of_tags(group) for group in self.one_of_groups)
 
     @cached_property
-    def string_enum(self) -> frozenset[str] | None:
-        """The enum's values as a frozenset when every one is a string, else
-        None. Built on first use; not a field."""
-        if self.enum_values and all(type(v) is str for v in self.enum_values):
-            return frozenset(self.enum_values)
-        return None
+    def checks(self) -> tuple:
+        """The validator's checks for this node (``validator.compile_checks``),
+        compiled on the node's first validation, never by ``resolve``. Not a
+        field, so eq, hash and :meth:`structural_key` ignore it."""
+        from .validator import compile_checks
 
-    @cached_property
-    def declared_names(self) -> frozenset[str]:
-        """The names of ``children``. Built on first use; not a field."""
-        return frozenset(name for name, _ in self.children)
+        return compile_checks(self)
 
     def one_of_branches(self) -> tuple["ResolvedNode", ...]:
         """All oneOf branches across groups, flattened (each group is an
@@ -234,29 +230,59 @@ class ResolvedNode:
     def structural_key(self) -> Any:
         """Provenance-free shape, used for merge-conflict checks and the
         determinism invariant. Computed once per node, so a shared subtree
-        costs one walk however many paths lead to it."""
-        return self._structural_key
+        costs one walk however many paths lead to it, and on an explicit
+        stack, so a ref chain of any length has a key."""
+        key = self.__dict__.get("_structural_key")
+        return _structural_key(self) if key is None else key
 
-    @cached_property
-    def _structural_key(self) -> Any:
-        return (
-            self.kind,
-            self.type_tag,
-            tuple((n, c.structural_key()) for n, c in self.children),
-            self.item.structural_key() if self.item else None,
-            tuple(sorted(self.required)),
-            self.additional_allowed,
-            tuple(
-                tuple(b.structural_key() for b in group) for group in self.one_of_groups
-            ),
-            tuple(
-                tuple(p.structural_key() if p else None for p in cond)
-                for cond in self.conditionals
-            ),
-            tuple(repr(v) for v in self.enum_values),
-            self.format_tag,
-            self.cycle_target,
+
+def _sub_nodes(node: ResolvedNode) -> Iterator[ResolvedNode]:
+    for _, child in node.children:
+        yield child
+    if node.item is not None:
+        yield node.item
+    for group in node.one_of_groups:
+        yield from group
+    for condition in node.conditionals:
+        for part in condition:
+            if part is not None:
+                yield part
+
+
+def _structural_key(root: ResolvedNode) -> Any:
+    """Compute ``root``'s structural key in one postorder pass: each node
+    without one gets its key, memoised in its instance dict (not a field),
+    once every node under it has one."""
+
+    def key(sub: ResolvedNode) -> Any:
+        return sub.__dict__["_structural_key"]
+
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        memo = node.__dict__
+        if "_structural_key" in memo:
+            stack.pop()
+            continue
+        missing = [sub for sub in _sub_nodes(node) if "_structural_key" not in sub.__dict__]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        memo["_structural_key"] = (
+            node.kind,
+            node.type_tag,
+            tuple((n, key(c)) for n, c in node.children),
+            key(node.item) if node.item else None,
+            tuple(sorted(node.required)),
+            node.additional_allowed,
+            tuple(tuple(key(b) for b in group) for group in node.one_of_groups),
+            tuple(tuple(key(p) if p else None for p in cond) for cond in node.conditionals),
+            tuple(repr(v) for v in node.enum_values),
+            node.format_tag,
+            node.cycle_target,
         )
+    return root.__dict__["_structural_key"]
 
 
 def _resolved_node(

@@ -1,16 +1,25 @@
 """Native validation of event instances against a resolved schema tree.
 
-The walker evaluates type, required, additionalProperties, enum, properties,
-items, every oneOf group (exactly-one-match semantics), if/then/else, and
-assertive format checks for ``date-time`` (ISO 8601 / RFC 3339 profile) and
-``ipv4`` (strict dotted quad, no leading zeros). allOf never appears here:
-the loader merges it during resolution. All violations are collected, not
-just the first; identical inputs yield identical violation lists. An
-instance that reaches a cycle stub is refused with CycleReached.
+The validator evaluates type, required, additionalProperties, enum,
+properties, items, every oneOf group (exactly-one-match semantics),
+if/then/else, and assertive format checks for ``date-time`` (ISO 8601 /
+RFC 3339 profile) and ``ipv4`` (strict dotted quad, no leading zeros). allOf
+never appears here: the loader merges it during resolution. All violations
+are collected, not just the first; identical inputs yield identical
+violation lists. An instance that reaches a cycle stub is refused with
+CycleReached.
+
+Each distinct node's checks are compiled once, lazily, on the node's first
+validation (never by ``resolve``), and cached on the node
+(``ResolvedNode.checks``): a tuple of closures holding only the checks its
+keywords need, with the type test chosen at compile time. A check that
+descends calls the child's checks directly, so an instance nesting level
+costs one Python frame. Since resolved nodes are shared, compilation costs
+once per distinct node, not per instance.
 
 Checks whose violations nobody reads -- oneOf branches and if-conditions --
-run the same walker in quiet mode, which stops at the first violation. A
-discriminated oneOf group (see ``loader.OneOfTags``) is dispatched on its
+run the same checks in quiet mode, whose sink stops at the first violation.
+A discriminated oneOf group (see ``loader.OneOfTags``) is dispatched on its
 tag: for an object instance only the branch a string tag selects is
 evaluated, since every other branch fails on the tag's ``required`` or
 ``enum``. Non-object instances and other groups evaluate every branch.
@@ -22,9 +31,8 @@ informational.
 
 from __future__ import annotations
 
-import calendar
 import re
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -38,6 +46,14 @@ _DATE_TIME_RE = re.compile(
     r"(?:[Zz]|([+-])(\d{2}):(\d{2}))$"
 )
 _IPV4_RE = re.compile(r"^(\d{1,3})\.(\d{1,3})\.(\d{1,3})\.(\d{1,3})$")
+_DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+
+
+def _days_in_month(year: int, month: int) -> int:
+    """Days in ``month`` (1-12) of a proleptic Gregorian ``year``."""
+    if month == 2 and year % 4 == 0 and (year % 100 != 0 or year % 400 == 0):
+        return 29
+    return _DAYS_IN_MONTH[month - 1]
 
 
 def is_date_time(value: str) -> bool:
@@ -49,7 +65,7 @@ def is_date_time(value: str) -> bool:
     hour, minute, second = int(match[4]), int(match[5]), int(match[6])
     if not (1 <= month <= 12):
         return False
-    if not (1 <= day <= calendar.monthrange(year, month)[1]):
+    if not (1 <= day <= _days_in_month(year, month)):
         return False
     if hour > 23 or minute > 59 or second > 59:
         return False
@@ -82,24 +98,25 @@ def _is_object(value: Any) -> bool:
     return kind is dict or (kind not in _NOT_MAPPINGS and isinstance(value, Mapping))
 
 
-def _type_matches(value: Any, tag: str) -> bool:
-    if tag == "string":
-        return isinstance(value, str)
-    if tag == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if tag == "integer":
-        if isinstance(value, bool):
-            return False
-        return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if tag == "boolean":
-        return isinstance(value, bool)
-    if tag == "null":
-        return value is None
-    if tag == "object":
-        return _is_object(value)
-    if tag == "array":
-        return isinstance(value, list)
-    return True
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value: Any) -> bool:
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+
+
+_TYPE_TESTS: dict[str, Callable[[Any], bool]] = {
+    "string": lambda value: isinstance(value, str),
+    "number": _is_number,
+    "integer": _is_integer,
+    "boolean": lambda value: isinstance(value, bool),
+    "null": lambda value: value is None,
+    "object": _is_object,
+    "array": lambda value: isinstance(value, list),
+}
 
 
 @dataclass(frozen=True)
@@ -116,83 +133,12 @@ class ValidationOutcome:
     violations: list[Violation] = field(default_factory=list)
 
 
-def _check(value: Any, node: ResolvedNode, ipath: str, out: list[Violation] | _QuietSink) -> None:
-    if node.kind == loader.CYCLE:
-        raise CycleReached(ipath, node.cycle_target)
-
-    if node.type_tag and not _type_matches(value, node.type_tag):
-        out.append(
-            Violation(ipath, _spath(node), "type", f"expected {node.type_tag}, got {type(value).__name__}")
-        )
-
-    if node.kind == loader.ENUM or node.enum_values:
-        strings = node.string_enum
-        if strings is not None and type(value) is str:
-            admitted = value in strings
-        else:
-            admitted = any(json_equal(value, allowed) for allowed in node.enum_values)
-        if not admitted:
-            out.append(Violation(ipath, _spath(node), "enum", f"{value!r} is not one of the allowed values"))
-
-    if node.format_tag in _FORMAT_CHECKS and isinstance(value, str):
-        if not _FORMAT_CHECKS[node.format_tag](value):
-            out.append(
-                Violation(ipath, _spath(node), "format", f"{value!r} is not a valid {node.format_tag}")
-            )
-
-    if _is_object(value):
-        for name in node.required:
-            if name not in value:
-                out.append(Violation(ipath, _spath(node), "required", f"missing required property {name!r}"))
-        for name, child in node.children:
-            if name in value:
-                _check(value[name], child, f"{ipath}/{name}", out)
-        if not node.additional_allowed:
-            declared = node.declared_names
-            for key in value:
-                if key not in declared:
-                    out.append(
-                        Violation(f"{ipath}/{key}", _spath(node), "additionalProperties",
-                                  f"property {key!r} is not allowed")
-                    )
-
-    if node.item is not None and isinstance(value, list):
-        for i, element in enumerate(value):
-            _check(element, node.item, f"{ipath}/{i}", out)
-
-    # Quiet checks start at instance path "", so prefix this node's path.
-    for group, tags in zip(node.one_of_groups, node.one_of_tags):
-        try:
-            matched = _count_matches(value, group, tags)
-        except CycleReached as exc:
-            exc.instance_path = ipath + exc.instance_path
-            raise
-        if matched != 1:
-            out.append(
-                Violation(ipath, _spath(node), "oneOf",
-                          f"matched {matched} of {len(group)} alternatives, expected exactly 1")
-            )
-
-    for condition, then, otherwise in node.conditionals:
-        try:
-            arm = then if _quiet_valid(value, condition) else otherwise
-        except CycleReached as exc:
-            exc.instance_path = ipath + exc.instance_path
-            raise
-        if arm is not None:
-            _check(value, arm, ipath, out)
-
-
-def _spath(node: ResolvedNode) -> str:
-    return f"{node.doc_id}#{node.path}"
-
-
 class _Invalid(Exception):
     """Raised by the quiet sink on the first violation."""
 
 
 class _QuietSink:
-    """Violation sink of quiet mode: the first append ends the walk."""
+    """Violation sink of quiet mode: the first append ends the check."""
 
     def append(self, violation: Violation) -> None:
         raise _Invalid
@@ -200,23 +146,172 @@ class _QuietSink:
 
 _QUIET = _QuietSink()
 
+# One check: (value, instance path, violation sink) -> None.
+Check = Callable[[Any, str, "list[Violation] | _QuietSink"], None]
+
+
+def compile_checks(node: ResolvedNode) -> tuple[Check, ...]:
+    """The checks ``node`` needs, in the order they run: type, enum, format,
+    the object keywords, items, each oneOf group, each if/then/else.
+    ``ResolvedNode.checks`` caches the result on the node, so each distinct
+    node is compiled once, on its first validation. A check that descends
+    runs its child's checks itself, so an instance level costs one frame."""
+    if node.kind == loader.CYCLE:
+        target = node.cycle_target
+
+        def cycle(value: Any, ipath: str, out) -> None:
+            raise CycleReached(ipath, target)
+
+        return (cycle,)
+    spath = f"{node.doc_id}#{node.path}"
+    checks = []
+    if node.type_tag in _TYPE_TESTS:
+        checks.append(_type_check(node.type_tag, spath))
+    if node.kind == loader.ENUM or node.enum_values:
+        checks.append(_enum_check(node.enum_values, spath))
+    if node.format_tag in _FORMAT_CHECKS:
+        checks.append(_format_check(node.format_tag, spath))
+    if node.required or node.children or not node.additional_allowed:
+        checks.append(_object_check(node, spath))
+    if node.item is not None:
+        checks.append(_items_check(node.item))
+    for group, tags in zip(node.one_of_groups, node.one_of_tags):
+        checks.append(_one_of_check(group, tags, spath))
+    for condition, then, otherwise in node.conditionals:
+        checks.append(_conditional_check(condition, then, otherwise))
+    return tuple(checks)
+
+
+def _type_check(tag: str, spath: str) -> Check:
+    expected = f"expected {tag}, got "
+    # The common cases are tested inline.
+    if tag == "string":
+        def check(value: Any, ipath: str, out) -> None:
+            if not isinstance(value, str):
+                out.append(Violation(ipath, spath, "type", expected + type(value).__name__))
+        return check
+    if tag == "object":
+        def check(value: Any, ipath: str, out) -> None:
+            kind = type(value)
+            if kind is not dict and (kind in _NOT_MAPPINGS or not isinstance(value, Mapping)):
+                out.append(Violation(ipath, spath, "type", expected + kind.__name__))
+        return check
+    test = _TYPE_TESTS[tag]
+
+    def check(value: Any, ipath: str, out) -> None:
+        if not test(value):
+            out.append(Violation(ipath, spath, "type", expected + type(value).__name__))
+    return check
+
+
+def _enum_check(values: tuple[Any, ...], spath: str) -> Check:
+    if values and all(type(v) is str for v in values):
+        # json_equal holds between a string and only an equal string.
+        strings = frozenset(values)
+
+        def check(value: Any, ipath: str, out) -> None:
+            if type(value) is not str or value not in strings:
+                out.append(Violation(ipath, spath, "enum", f"{value!r} is not one of the allowed values"))
+        return check
+
+    def check(value: Any, ipath: str, out) -> None:
+        if not any(json_equal(value, allowed) for allowed in values):
+            out.append(Violation(ipath, spath, "enum", f"{value!r} is not one of the allowed values"))
+    return check
+
+
+def _format_check(tag: str, spath: str) -> Check:
+    test = _FORMAT_CHECKS[tag]
+
+    def check(value: Any, ipath: str, out) -> None:
+        if isinstance(value, str) and not test(value):
+            out.append(Violation(ipath, spath, "format", f"{value!r} is not a valid {tag}"))
+    return check
+
+
+def _object_check(node: ResolvedNode, spath: str) -> Check:
+    required = node.required
+    children = tuple((name, f"/{name}", child) for name, child in node.children)
+    declared = None if node.additional_allowed else frozenset(name for name, _ in node.children)
+
+    def check(value: Any, ipath: str, out) -> None:
+        kind = type(value)
+        if kind is not dict and (kind in _NOT_MAPPINGS or not isinstance(value, Mapping)):
+            return
+        for name in required:
+            if name not in value:
+                out.append(Violation(ipath, spath, "required", f"missing required property {name!r}"))
+        for name, step, child in children:
+            if name in value:
+                member = value[name]
+                path = ipath + step
+                for child_check in child.checks:
+                    child_check(member, path, out)
+        if declared is not None and not declared.issuperset(value):
+            for key in value:
+                if key not in declared:
+                    out.append(
+                        Violation(f"{ipath}/{key}", spath, "additionalProperties",
+                                  f"property {key!r} is not allowed")
+                    )
+    return check
+
+
+def _items_check(item: ResolvedNode) -> Check:
+    def check(value: Any, ipath: str, out) -> None:
+        if isinstance(value, list):
+            item_checks = item.checks
+            for i, element in enumerate(value):
+                path = f"{ipath}/{i}"
+                for item_check in item_checks:
+                    item_check(element, path, out)
+    return check
+
+
+def _one_of_check(group: tuple[ResolvedNode, ...], tags: loader.OneOfTags, spath: str) -> Check:
+    discriminator = tags.discriminator
+    alternatives = f" of {len(group)} alternatives, expected exactly 1"
+
+    def check(value: Any, ipath: str, out) -> None:
+        branches = group
+        if discriminator is not None and _is_object(value):
+            # Every branch requires the tag and lists the strings it admits,
+            # so an absent or non-string tag fails them all, and a string
+            # tag all but the branch it selects.
+            branches = tags.branches(discriminator, value.get(discriminator))
+        # Quiet checks start at instance path "", so prefix this one's path.
+        try:
+            matched = sum(1 for branch in branches if _quiet_valid(value, branch))
+        except CycleReached as exc:
+            exc.instance_path = ipath + exc.instance_path
+            raise
+        if matched != 1:
+            out.append(Violation(ipath, spath, "oneOf", f"matched {matched}{alternatives}"))
+    return check
+
+
+def _conditional_check(
+    condition: ResolvedNode, then: ResolvedNode | None, otherwise: ResolvedNode | None
+) -> Check:
+    def check(value: Any, ipath: str, out) -> None:
+        try:
+            arm = then if _quiet_valid(value, condition) else otherwise
+        except CycleReached as exc:
+            exc.instance_path = ipath + exc.instance_path
+            raise
+        if arm is not None:
+            for arm_check in arm.checks:
+                arm_check(value, ipath, out)
+    return check
+
 
 def _quiet_valid(value: Any, node: ResolvedNode) -> bool:
     try:
-        _check(value, node, "", _QUIET)
+        for check in node.checks:
+            check(value, "", _QUIET)
     except _Invalid:
         return False
     return True
-
-
-def _count_matches(value: Any, group: tuple[ResolvedNode, ...], tags: loader.OneOfTags) -> int:
-    """How many branches of one oneOf group ``value`` is valid against."""
-    if tags.discriminator is not None and isinstance(value, Mapping):
-        # Every branch requires the tag and lists the strings it admits, so
-        # an absent or non-string tag fails them all, and a string tag all
-        # but the branch it selects.
-        group = tags.branches(tags.discriminator, value.get(tags.discriminator))
-    return sum(1 for branch in group if _quiet_valid(value, branch))
 
 
 def validate(instance: Any, schema: ResolvedNode) -> ValidationOutcome:
@@ -224,7 +319,8 @@ def validate(instance: Any, schema: ResolvedNode) -> ValidationOutcome:
     if not isinstance(schema, ResolvedNode):
         raise SchemaUnresolved("validate() needs a resolved schema tree (see loader.resolve)")
     violations: list[Violation] = []
-    _check(instance, schema, "", violations)
+    for check in schema.checks:
+        check(instance, "", violations)
     return ValidationOutcome(valid=not violations, violations=violations)
 
 

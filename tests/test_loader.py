@@ -631,6 +631,24 @@ def test_ten_thousand_document_chain_resolves():
     assert hops == CHAIN_LENGTH - 1
 
 
+@pytest.mark.parametrize("length", [300, 1200])
+def test_an_all_of_merge_compares_long_ref_chains(length):
+    docs = _chain_docs(length)
+    docs["merged.json"] = {
+        "allOf": [
+            {"properties": {"s": {"$ref": "link0.json"}}},
+            {"properties": {"s": {"$ref": "link0.json#/"}}},
+        ],
+    }
+    node = resolve(make_corpus(docs), "merged.json").child_map()["s"]
+    assert node.ref_names == ("link0",)
+    hops = 0
+    while "next" in node.child_map():
+        node = node.child_map()["next"]
+        hops += 1
+    assert hops == length - 1
+
+
 @pytest.fixture(scope="module")
 def chain_manifest_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("chain")

@@ -1,3 +1,4 @@
+import calendar
 import copy
 import hashlib
 import json
@@ -395,6 +396,15 @@ def test_batch_empty_list():
 )
 def test_is_date_time(value, ok):
     assert is_date_time(value) is ok
+
+
+def test_is_date_time_knows_the_length_of_every_month():
+    for year in (1900, 2000, 2019, 2020, 2100):
+        for month in range(1, 13):
+            last = calendar.monthrange(year, month)[1]
+            for day in (29, 30, 31):
+                value = f"{year:04d}-{month:02d}-{day:02d}T12:00:00Z"
+                assert is_date_time(value) is (day <= last), value
 
 
 @pytest.mark.parametrize(
