@@ -184,17 +184,10 @@ def compile_checks(node: ResolvedNode) -> tuple[Check, ...]:
 
 def _type_check(tag: str, spath: str) -> Check:
     expected = f"expected {tag}, got "
-    # The common cases are tested inline.
-    if tag == "string":
+    if tag == "string":  # the common case, tested inline
         def check(value: Any, ipath: str, out) -> None:
             if not isinstance(value, str):
                 out.append(Violation(ipath, spath, "type", expected + type(value).__name__))
-        return check
-    if tag == "object":
-        def check(value: Any, ipath: str, out) -> None:
-            kind = type(value)
-            if kind is not dict and (kind in _NOT_MAPPINGS or not isinstance(value, Mapping)):
-                out.append(Violation(ipath, spath, "type", expected + kind.__name__))
         return check
     test = _TYPE_TESTS[tag]
 
@@ -235,8 +228,7 @@ def _object_check(node: ResolvedNode, spath: str) -> Check:
     declared = None if node.additional_allowed else frozenset(name for name, _ in node.children)
 
     def check(value: Any, ipath: str, out) -> None:
-        kind = type(value)
-        if kind is not dict and (kind in _NOT_MAPPINGS or not isinstance(value, Mapping)):
+        if not _is_object(value):
             return
         for name in required:
             if name not in value:

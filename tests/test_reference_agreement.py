@@ -1,6 +1,8 @@
 """Verdict agreement between the shipped validator and an independent
 reference validator (jsonschema, draft 2019-09, file-URI resolution) across
-the bundled instances, systematic mutants, and a large randomised stream."""
+the bundled instances, systematic mutants, a large randomised stream, and
+random schemas and corpora over the loader's subset with instances drawn
+from them."""
 
 import copy
 import random

@@ -4,12 +4,13 @@ import hashlib
 import json
 import random
 import sys
+from dataclasses import fields
 
 import pytest
 
 from schemalens import validator
 from schemalens.errors import AmbiguousBranch, CycleReached, MergeConflict, NoBranch, ParseError, SchemaUnresolved
-from schemalens.loader import resolve
+from schemalens.loader import ResolvedNode, resolve
 from schemalens.validator import (
     dispatch_event_schema,
     is_date_time,
@@ -332,6 +333,20 @@ def test_reaching_a_cycle_stub_in_a_quiet_check_is_refused(document, instance, w
 def test_instances_that_reach_no_cycle_stub_agree_with_oracle(tmp_path, instance):
     oracle, schema = _oracle_and_schema(tmp_path, _RECURSIVE)
     assert validate(instance, schema).valid is oracle.is_valid(instance)
+
+
+# ------------------------------------------------------------ compilation
+
+def test_each_node_is_compiled_on_its_first_validation():
+    schema = resolve(
+        make_corpus({"s.json": {"properties": {"a": {"type": "string"}, "b": {"type": "integer"}}}}), "s.json"
+    )
+    a, b = (child for _, child in schema.children)
+    assert not any("checks" in node.__dict__ for node in (schema, a, b))
+    assert validate({"a": "x"}, schema).valid
+    assert "checks" in schema.__dict__ and "checks" in a.__dict__ and "checks" not in b.__dict__
+    assert schema.checks is schema.checks
+    assert "checks" not in {f.name for f in fields(ResolvedNode)}
 
 
 # ----------------------------------------------------------- deep instances
