@@ -175,8 +175,9 @@ def compile_checks(node: ResolvedNode) -> tuple[Check, ...]:
         checks.append(_object_check(node, spath))
     if node.item is not None:
         checks.append(_items_check(node.item))
-    for group, tags in zip(node.one_of_groups, node.one_of_tags):
-        checks.append(_one_of_check(group, tags, spath))
+    if node.one_of_groups:
+        for group, tags in zip(node.one_of_groups, node.one_of_tags):
+            checks.append(_one_of_check(group, tags, spath))
     for condition, then, otherwise in node.conditionals:
         checks.append(_conditional_check(condition, then, otherwise))
     return tuple(checks)
