@@ -593,7 +593,7 @@ _TYPES = ["string", "number", "integer", "boolean", "null", "object", "array"]
 
 _ENUM_POOL = ["x", "y", "", "2020-01-01T00:00:00Z", 0, 1, 1.0, 2.5, -3, True, False, None, [], [1], {}, {"a": 1}]
 
-# The forms of RFC 3339 section 5.6 that Python's fromisoformat also accepts.
+# Forms that Python's fromisoformat accepts and RFC 3339 section 5.6 rejects.
 NON_RFC3339_DATE_TIMES = [
     "2020-01-01T00:00Z",
     "2020-01-01T00:00:00,5Z",
