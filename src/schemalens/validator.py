@@ -89,13 +89,8 @@ def is_ipv4(value: str) -> bool:
 _FORMAT_CHECKS = {"date-time": is_date_time, "ipv4": is_ipv4}
 
 
-# Exact types of JSON values that are no Mapping: the ABC check is skipped.
-_NOT_MAPPINGS = frozenset([str, int, float, bool, type(None), list])
-
-
 def _is_object(value: Any) -> bool:
-    kind = type(value)
-    return kind is dict or (kind not in _NOT_MAPPINGS and isinstance(value, Mapping))
+    return type(value) is dict or isinstance(value, Mapping)
 
 
 def _is_number(value: Any) -> bool:
@@ -185,11 +180,6 @@ def compile_checks(node: ResolvedNode) -> tuple[Check, ...]:
 
 def _type_check(tag: str, spath: str) -> Check:
     expected = f"expected {tag}, got "
-    if tag == "string":  # the common case, tested inline
-        def check(value: Any, ipath: str, out) -> None:
-            if not isinstance(value, str):
-                out.append(Violation(ipath, spath, "type", expected + type(value).__name__))
-        return check
     test = _TYPE_TESTS[tag]
 
     def check(value: Any, ipath: str, out) -> None:
