@@ -23,6 +23,7 @@ from schemalens.validator import (
 from harness import (
     BAD_IPS,
     BAD_TIMESTAMPS,
+    LEI_EVENT_NAMES,
     chain_docs,
     envelope_mutants,
     make_corpus,
@@ -171,6 +172,34 @@ def test_dispatch_ambiguous_branch_reported():
     schema = resolve(corpus, "dup.json")
     with pytest.raises(AmbiguousBranch):
         dispatch_event_schema(schema, {"eventName": "Weight"})
+
+
+_ABSENT = object()
+
+# (eventName, item) -> doc id or exception class of dispatch_event_schema, for
+# every LEI event name and a few odd names, crossed with every LEI itemType, an
+# unknown item type and a missing item; _ABSENT leaves the key out.
+GOLDEN_DISPATCH_SHA256 = "75910678df3dcf6a890e477e944c509abc4efa1b5dede62355e68c6eee7801dd"
+
+
+def test_dispatch_matches_golden_table(lei_envelope):
+    names = [*LEI_EVENT_NAMES, "", "weight", 7, None, True, ["Weight"], _ABSENT]
+    items = [{"itemType": t} for t in ("Animals", "Crops", "Machinery", "Robots")] + [_ABSENT]
+    table = []
+    for name in names:
+        for item in items:
+            message = {key: value for key, value in (("eventName", name), ("item", item)) if value is not _ABSENT}
+            try:
+                outcome = dispatch_event_schema(lei_envelope, message)
+            except Exception as exc:
+                outcome = type(exc).__name__
+            table.append([message, outcome])
+    outcomes = [outcome for _, outcome in table]
+    assert len(table) == 205
+    assert outcomes.count("NoBranch") == 7 * 5
+    assert outcomes[:5] == ["events/leiWeightEvent.json"] * 5
+    digest = hashlib.sha256(json.dumps(table).encode()).hexdigest()
+    assert digest == GOLDEN_DISPATCH_SHA256
 
 
 def test_weight_scenario_evaluates_one_message_branch(weight_instance, lei_envelope, monkeypatch):
