@@ -110,67 +110,6 @@ class RawNode(NamedTuple):
 
 
 @dataclass(frozen=True)
-class OneOfTags:
-    """Branch lookup for one oneOf group.
-
-    A branch *gates* a property when it declares it as a non-cycle child
-    whose enum holds only strings. ``gates`` maps each gated property to the
-    branches each of its enum values admits, in group order.
-    ``discriminator`` names a gated property that every branch gates and
-    requires, with enum values disjoint across branches. In an object, a
-    string there selects at most one branch, and every other branch fails on
-    the enum; an absent or non-string value fails every branch. It is None
-    when no property qualifies.
-    """
-
-    gates: dict[str, dict[str, tuple["ResolvedNode", ...]]]
-    discriminator: str | None
-
-    def branches(self, name: str, value: Any) -> tuple["ResolvedNode", ...]:
-        """The branches that a string ``value`` of the gated property
-        ``name`` admits, in group order; () for any other value or name."""
-        table = self.gates.get(name)
-        if table is None or not isinstance(value, str):
-            return ()
-        return table.get(value, ())
-
-
-def _is_gate(node: "ResolvedNode") -> bool:
-    return (
-        node.kind != CYCLE
-        and bool(node.enum_values)
-        and all(isinstance(v, str) for v in node.enum_values)
-    )
-
-
-def _one_of_tags(group: tuple["ResolvedNode", ...]) -> OneOfTags:
-    gated = [{name for name, child in branch.children if _is_gate(child)} for branch in group]
-    gates: dict[str, dict[str, list[ResolvedNode]]] = {}
-    for branch, names in zip(group, gated):
-        for name, child in branch.children:
-            if name in names:
-                table = gates.setdefault(name, {})
-                for value in dict.fromkeys(child.enum_values):
-                    table.setdefault(value, []).append(branch)
-    discriminator = next(
-        (
-            name
-            for name in (group[0].required if group else ())
-            if all(name in b.required and name in g for b, g in zip(group, gated))
-            and all(len(branches) == 1 for branches in gates[name].values())
-        ),
-        None,
-    )
-    return OneOfTags(
-        gates={
-            name: {value: tuple(branches) for value, branches in table.items()}
-            for name, table in gates.items()
-        },
-        discriminator=discriminator,
-    )
-
-
-@dataclass(frozen=True)
 class ResolvedNode:
     """Reference-free, immutable schema node.
 
@@ -185,7 +124,9 @@ class ResolvedNode:
     shapes for equality on large DAGs, compare :meth:`structural_key`,
     which each node computes once. allOf is gone: object branches are
     merged into ``children`` and residual constraint branches live in
-    ``conditionals`` / ``one_of_groups``.
+    ``conditionals`` / ``one_of_groups``. Besides the structural key, a
+    node caches one derived value, :attr:`checks`; how a oneOf group
+    selects a branch is the validator's business, compiled there.
     """
 
     kind: str
@@ -206,12 +147,6 @@ class ResolvedNode:
 
     def child_map(self) -> dict[str, "ResolvedNode"]:
         return dict(self.children)
-
-    @cached_property
-    def one_of_tags(self) -> tuple[OneOfTags, ...]:
-        """One :class:`OneOfTags` per oneOf group. Built on first use, so
-        resolution does no extra work; not a field, so eq and hash ignore it."""
-        return tuple(_one_of_tags(group) for group in self.one_of_groups)
 
     @cached_property
     def checks(self) -> tuple:

@@ -19,11 +19,13 @@ once per distinct node, not per instance.
 
 Checks whose violations nobody reads -- oneOf branches and if-conditions --
 run the same checks in quiet mode, whose sink stops at the first violation.
-A discriminated oneOf group (see ``loader.OneOfTags``) is dispatched on its
-tag: for an object instance only the branch a string tag selects is
-evaluated, since every other branch fails on the tag's ``required`` or
-``enum``. Non-object instances and other groups evaluate every branch.
-Neither shortcut changes the top-level violation list, which stays complete.
+This module alone decides how a oneOf group selects a branch. A
+discriminated group (see ``_discriminator``) is dispatched on its tag: for an
+object instance only the branch a string tag selects is evaluated, since
+every other branch fails on the tag's ``required`` or ``enum``. Non-object
+instances and other groups evaluate every branch. Neither shortcut changes
+the top-level violation list, which stays complete. ``dispatch_event_schema``
+picks a message's event branch with the same compiled checks.
 
 Only ``(instance_path, keyword)`` pairs are contract-bearing; message text is
 informational.
@@ -170,9 +172,8 @@ def compile_checks(node: ResolvedNode) -> tuple[Check, ...]:
         checks.append(_object_check(node, spath))
     if node.item is not None:
         checks.append(_items_check(node.item))
-    if node.one_of_groups:
-        for group, tags in zip(node.one_of_groups, node.one_of_tags):
-            checks.append(_one_of_check(group, tags, spath))
+    for group in node.one_of_groups:
+        checks.append(_one_of_check(group, spath))
     for condition, then, otherwise in node.conditionals:
         checks.append(_conditional_check(condition, then, otherwise))
     return tuple(checks)
@@ -251,20 +252,47 @@ def _items_check(item: ResolvedNode) -> Check:
     return check
 
 
-def _one_of_check(group: tuple[ResolvedNode, ...], tags: loader.OneOfTags, spath: str) -> Check:
-    discriminator = tags.discriminator
+def _discriminator(group: tuple[ResolvedNode, ...]) -> tuple[str, dict[str, ResolvedNode]] | None:
+    """``(name, tag -> branch)`` for the first name in the first branch's
+    ``required`` that every branch requires and declares as a non-cycle
+    child whose enum holds only strings, no string admitted by two branches;
+    None when no name qualifies."""
+    for name in group[0].required if group else ():
+        table: dict[str, ResolvedNode] = {}
+        for branch in group:
+            child = branch.child_map().get(name)
+            if (
+                name not in branch.required
+                or child is None
+                or child.kind == loader.CYCLE
+                or not child.enum_values
+                or not all(isinstance(v, str) for v in child.enum_values)
+                or not table.keys().isdisjoint(child.enum_values)
+            ):
+                break
+            table.update(dict.fromkeys(child.enum_values, branch))
+        else:
+            return name, table
+    return None
+
+
+def _one_of_check(group: tuple[ResolvedNode, ...], spath: str) -> Check:
+    discriminator = _discriminator(group)
+    name, table = discriminator or (None, None)
     alternatives = f" of {len(group)} alternatives, expected exactly 1"
 
     def check(value: Any, ipath: str, out) -> None:
-        branches = group
-        if discriminator is not None and _is_object(value):
-            # Every branch requires the tag and lists the strings it admits,
-            # so an absent or non-string tag fails them all, and a string
-            # tag all but the branch it selects.
-            branches = tags.branches(discriminator, value.get(discriminator))
         # Quiet checks start at instance path "", so prefix this one's path.
         try:
-            matched = sum(1 for branch in branches if _quiet_valid(value, branch))
+            if discriminator is not None and _is_object(value):
+                # Every branch requires the tag and lists the strings it
+                # admits, so an absent or non-string tag fails them all, and
+                # a string tag all but the branch it selects.
+                tag = value.get(name)
+                branch = table.get(tag) if isinstance(tag, str) else None
+                matched = 1 if branch is not None and _quiet_valid(value, branch) else 0
+            else:
+                matched = sum(1 for branch in group if _quiet_valid(value, branch))
         except CycleReached as exc:
             exc.instance_path = ipath + exc.instance_path
             raise
@@ -311,10 +339,10 @@ def dispatch_event_schema(schema: ResolvedNode, message: Mapping[str, Any]) -> s
     """Pick the event sub-schema a message dispatches to.
 
     Uses the message node's conditional (itemType gates which event names are
-    admissible) and the branch lookup the validator dispatches through
-    (``OneOfTags.branches`` of ``ResolvedNode.one_of_tags``): the matches
-    are the branches whose string enum on eventName admits the message's
-    eventName. Returns the event schema's document id. Raises NoBranch when
+    admissible) and the oneOf branches of the message node: the matches are
+    the branches whose non-cycle eventName declaration the message's
+    eventName passes, tested with the validator's compiled checks, as is
+    the gate. Returns the event schema's document id. Raises NoBranch when
     nothing matches and AmbiguousBranch when more than one branch does.
     """
     if not isinstance(schema, ResolvedNode):
@@ -327,13 +355,17 @@ def dispatch_event_schema(schema: ResolvedNode, message: Mapping[str, Any]) -> s
     for condition, then, _ in message_node.conditionals:
         if then is not None and _quiet_valid(message, condition):
             gate = then.child_map().get("eventName")
-            if gate is not None and gate.enum_values:
-                if not any(json_equal(event_name, v) for v in gate.enum_values):
-                    raise NoBranch(
-                        f"eventName {event_name!r} is not admissible for this item type"
-                    )
+            if gate is not None and gate.enum_values and not _quiet_valid(event_name, gate):
+                raise NoBranch(f"eventName {event_name!r} is not admissible for this item type")
 
-    matches = [branch for tags in message_node.one_of_tags for branch in tags.branches("eventName", event_name)]
+    matches = [
+        branch
+        for group in message_node.one_of_groups
+        for branch in group
+        if (declared := branch.child_map().get("eventName")) is not None
+        and declared.kind != loader.CYCLE
+        and _quiet_valid(event_name, declared)
+    ]
     if not matches:
         raise NoBranch(f"no event branch accepts eventName {event_name!r}")
     if len(matches) > 1:

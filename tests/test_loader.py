@@ -414,7 +414,7 @@ def test_resolved_nodes_are_the_frozen_dataclass_the_constructor_builds(lei_enve
             node.path = "x"
         with pytest.raises(FrozenInstanceError):
             node.kind = "x"
-        assert node.one_of_tags is node.one_of_tags
+        assert node.checks is node.checks
         assert node.structural_key() is node.structural_key()
         assert node.structural_key() == rebuilt.structural_key()
 
