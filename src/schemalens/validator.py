@@ -43,11 +43,11 @@ from .errors import AmbiguousBranch, CycleReached, NoBranch, SchemaUnresolved
 from .loader import ResolvedNode, json_equal
 
 _DATE_TIME_RE = re.compile(
-    r"^(\d{4})-(\d{2})-(\d{2})[Tt]"
-    r"(\d{2}):(\d{2}):(\d{2})(?:\.\d+)?"
-    r"(?:[Zz]|([+-])(\d{2}):(\d{2}))$"
+    r"^([0-9]{4})-([0-9]{2})-([0-9]{2})[Tt]"
+    r"([0-9]{2}):([0-9]{2}):([0-9]{2})(?:\.[0-9]+)?"
+    r"(?:[Zz]|([+-])([0-9]{2}):([0-9]{2}))$"
 )
-_IPV4_RE = re.compile(r"^(\d{1,3})\.(\d{1,3})\.(\d{1,3})\.(\d{1,3})$")
+_IPV4_RE = re.compile(r"^([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})$")
 _DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 

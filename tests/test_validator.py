@@ -328,8 +328,14 @@ def _oracle_and_schema(tmp_path, schema):
         ),
         ({"type": "null"}, [None, 0, "", False, []]),
         ({"type": "array"}, [[], {}, "a", None]),
+        ({"format": "ipv4"}, ["1.2.3.4", "\u0661.2.3.4", "1.2.3.\uff14", "1.2.\u0663\u0663.4"]),
+        (
+            {"format": "date-time"},
+            ["2020-01-01T00:00:00Z", "\uff12\uff10\uff12\uff10-01-01T00:00:00Z",
+             "2020-01-01T00:00:00.\u0665Z", "2020-01-01T00:00:00+\u0661\u0660:00"],
+        ),
     ],
-    ids=["items", "else", "null", "array"],
+    ids=["items", "else", "null", "array", "ipv4-non-ascii-digits", "date-time-non-ascii-digits"],
 )
 def test_keywords_agree_with_oracle(tmp_path, schema, instances):
     oracle, resolved = _oracle_and_schema(tmp_path, schema)
@@ -470,6 +476,7 @@ def test_batch_empty_list():
         ("2021-01-17T24:00:00Z", False),
         ("2021-01-17T09:30:00+24:00", False),
         ("garbage", False),
+        ("\uff12\uff10\uff12\uff10-01-01T00:00:00Z", False),  # fullwidth digits
     ],
 )
 def test_is_date_time(value, ok):
@@ -497,6 +504,7 @@ def test_is_date_time_knows_the_length_of_every_month():
         ("1.2.3.4.5", False),
         ("a.b.c.d", False),
         ("", False),
+        ("\u0661.2.3.4", False),  # Arabic-Indic digit
     ],
 )
 def test_is_ipv4(value, ok):
