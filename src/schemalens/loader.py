@@ -220,6 +220,25 @@ def _structural_key(root: ResolvedNode) -> Any:
     return root.__dict__["_structural_key"]
 
 
+def _same_shape(a: ResolvedNode, b: ResolvedNode) -> bool:
+    """``a.structural_key() == b.structural_key()``, compared on an explicit
+    stack, so two unequal keys of long ref chains compare without deep
+    recursion; a subkey shared by both compares by identity."""
+    pending = [(a.structural_key(), b.structural_key())]
+    while pending:
+        x, y = pending.pop()
+        if x is y:
+            continue
+        if type(x) is not tuple or type(y) is not tuple:
+            if x != y:
+                return False
+        elif len(x) != len(y):
+            return False
+        else:
+            pending.extend(zip(x, y))
+    return True
+
+
 def _resolved_node(
     kind, doc_id, path, type_tag, children, item, required, additional_allowed,
     one_of_groups, conditionals, enum_values, format_tag, ref_names, ref_docs, cycle_target,
@@ -803,7 +822,7 @@ class _Resolver:
             if format_tag and branch.format_tag and format_tag != branch.format_tag:
                 raise MergeConflict(f"{where} has format {branch.format_tag!r}, not {format_tag!r}")
             format_tag = format_tag or branch.format_tag
-            if item and branch.item and item.structural_key() != branch.item.structural_key():
+            if item and branch.item and not _same_shape(item, branch.item):
                 raise MergeConflict(f"{where} disagrees on items")
             item = item or branch.item
             if branch.kind == ENUM or branch.enum_values:
@@ -816,7 +835,7 @@ class _Resolver:
             for name, sub in branch.children:
                 if name in names:
                     existing = merged_children[names[name]][1]
-                    if existing.structural_key() != sub.structural_key():
+                    if not _same_shape(existing, sub):
                         raise MergeConflict(f"{where} disagrees on property {name!r}")
                 else:
                     names[name] = len(merged_children)

@@ -649,6 +649,19 @@ def test_an_all_of_merge_compares_long_ref_chains(length):
     assert hops == length - 1
 
 
+@pytest.mark.parametrize("length", [300, 1200])
+def test_an_all_of_merge_of_two_unequal_long_ref_chains_is_a_conflict(length):
+    docs = _chain_docs(length)
+    docs["merged.json"] = {
+        "allOf": [
+            {"properties": {"s": {"$ref": "link0.json"}}},
+            {"properties": {"s": {"$ref": "link1.json"}}},
+        ],
+    }
+    with pytest.raises(MergeConflict, match="disagrees on property 's'"):
+        resolve(make_corpus(docs), "merged.json")
+
+
 @pytest.fixture(scope="module")
 def chain_manifest_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("chain")
