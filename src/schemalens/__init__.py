@@ -9,7 +9,7 @@ from .evaluation import (
     normalize,
     run_comparison,
 )
-from .graph import MetricGraph, build_graph, classify_attribute, enumerate_paths
+from .graph import MetricGraph, build_graph, classify_attribute
 from .loader import CorpusHandle, ResolvedNode, load_corpus, resolve
 from .metrics import ABSENT, Absent, WidthCoefficients
 from .validator import ValidationOutcome, dispatch_event_schema, validate, validate_batch
@@ -29,7 +29,6 @@ __all__ = [
     "capability_matrix",
     "classify_attribute",
     "dispatch_event_schema",
-    "enumerate_paths",
     "evaluate_schema",
     "load_corpus",
     "load_manifest",

@@ -124,14 +124,6 @@ def _subtree_size(spec: Spec, sizes: list[int]) -> int:
 
 
 @dataclass(frozen=True)
-class PathDescriptor:
-    """A collection-to-leaf node path and its embedded-document count."""
-
-    nodes: tuple[int, ...]
-    emb_count: int
-
-
-@dataclass(frozen=True)
 class CardinalityAnnotation:
     """Overrides the default cardinality 1 on one embedding edge.
 
@@ -458,28 +450,6 @@ def _annotate(top: Spec, ann: CardinalityAnnotation) -> Spec:
     for parent, i in zip(reversed(trail), reversed(indices)):
         spec = replace(parent, kids=parent.kids[:i] + (spec,) + parent.kids[i + 1:])
     return spec
-
-
-def enumerate_paths(graph: MetricGraph, collection: str) -> list[PathDescriptor]:
-    """Every path from the named collection node down to a leaf, with its
-    count of Embedded nodes. A childless collection yields no paths."""
-    start = graph.collection_node(collection)
-    paths: list[PathDescriptor] = []
-
-    def descend(node_id: int, trail: tuple[int, ...], embs: int):
-        kids = graph.child_ids(node_id)
-        node = graph.node(node_id)
-        embs += 1 if node.kind == EMBEDDED else 0
-        trail = trail + (node_id,)
-        if not kids:
-            paths.append(PathDescriptor(nodes=trail, emb_count=embs))
-            return
-        for kid in kids:
-            descend(kid, trail, embs)
-
-    for kid in graph.child_ids(start.id):
-        descend(kid, (start.id,), 0)
-    return paths
 
 
 def to_dot(graph: MetricGraph, title: str = "schema") -> str:

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 
 from .evaluation import ComparisonResult, round2
-from .metrics import ABSENT, Absent, MetricValue
+from .metrics import Absent, MetricValue
 
 ABSENT_GLYPH = "-"
 
@@ -72,15 +71,6 @@ def metric_report_records(result: ComparisonResult) -> list[dict]:
                 }
             )
     return records
-
-
-def parse_metric_records(text: str) -> dict[tuple[str, int], MetricValue]:
-    """Inverse of the records dump: (schema, criterion) -> value/ABSENT."""
-    out: dict[tuple[str, int], MetricValue] = {}
-    for record in json.loads(text):
-        value = ABSENT if record["absent"] else record["value"]
-        out[(record["schema"], record["criterion"])] = value
-    return out
 
 
 def score_matrix_grid(result: ComparisonResult) -> tuple[list[str], list[list[str]]]:

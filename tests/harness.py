@@ -13,6 +13,7 @@ import copy
 import json
 import posixpath
 import random
+from dataclasses import dataclass
 from pathlib import Path
 
 import jsonschema
@@ -30,9 +31,9 @@ from schemalens.graph import (
     CardinalityAnnotation,
     MetricGraph,
     build_graph,
-    enumerate_paths,
 )
 from schemalens.loader import CorpusHandle, SchemaDocument, parse_schema, resolve
+from schemalens.metrics import ABSENT, MetricValue
 
 # --------------------------------------------------------------------------
 # In-memory corpora
@@ -410,6 +411,33 @@ def tree_walk(graph: MetricGraph, start: int):
             stack.append((kid, level, copies * graph.edge_cardinality(node_id, kid)))
 
 
+@dataclass(frozen=True)
+class PathDescriptor:
+    """A collection-to-leaf node path and its embedded-document count."""
+
+    nodes: tuple[int, ...]
+    emb_count: int
+
+
+def enumerate_paths(graph: MetricGraph, collection: str) -> list[PathDescriptor]:
+    """Every path from the named collection node down to a leaf, in
+    preorder, with its count of Embedded nodes; a childless collection
+    yields none. Walks on an explicit stack, so depth costs no recursion."""
+    start = graph.collection_node(collection).id
+    paths: list[PathDescriptor] = []
+    pending = [(kid, (start,), 0) for kid in reversed(graph.child_ids(start))]
+    while pending:
+        node_id, trail, embs = pending.pop()
+        trail += (node_id,)
+        embs += 1 if graph.node(node_id).kind == EMBEDDED else 0
+        kids = graph.child_ids(node_id)
+        if kids:
+            pending.extend((kid, trail, embs) for kid in reversed(kids))
+        else:
+            paths.append(PathDescriptor(nodes=trail, emb_count=embs))
+    return paths
+
+
 def _path_edge_product(graph: MetricGraph, nodes: tuple[int, ...], upto: int) -> int:
     product = 1
     for i in range(upto):
@@ -776,3 +804,17 @@ def random_multi_file_corpus(rng: random.Random) -> tuple[dict[str, dict], list[
         return docs, ids
     docs = {doc_id: doc.raw for doc_id, doc in corpus.documents.items()}
     return docs, sorted(docs)
+
+
+# --------------------------------------------------------------------------
+# Report records
+
+
+def parse_metric_records(text: str) -> dict[tuple[str, int], MetricValue]:
+    """Inverse of the ``records`` metric dump: (schema, criterion) -> value,
+    or ABSENT."""
+    out: dict[tuple[str, int], MetricValue] = {}
+    for record in json.loads(text):
+        value = ABSENT if record["absent"] else record["value"]
+        out[(record["schema"], record["criterion"])] = value
+    return out

@@ -15,9 +15,9 @@ from schemalens.cli import main
 from schemalens.corpus import capability_grid, capability_matrix
 from schemalens.evaluation import run_comparison
 from schemalens.loader import STATE_BUDGET
-from schemalens.report import breakdown_grid, parse_metric_records, score_matrix_grid
+from schemalens.report import breakdown_grid, score_matrix_grid
 
-from harness import clique_docs, diamond_docs, envelope_mutants, write_manifest_dir
+from harness import clique_docs, diamond_docs, envelope_mutants, parse_metric_records, write_manifest_dir
 
 
 def run_cli(capsys, *argv):
@@ -486,3 +486,11 @@ def test_the_runtime_imports_only_the_stdlib():
     new = json.loads(proc.stdout)
     assert "schemalens" in new
     assert [m for m in new if m != "schemalens" and m not in sys.stdlib_module_names] == []
+
+
+def test_every_public_name_imports():
+    namespace: dict = {}
+    exec("from schemalens import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(schemalens.__all__)
+    assert all(namespace[name] is getattr(schemalens, name) for name in schemalens.__all__)

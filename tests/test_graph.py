@@ -18,12 +18,11 @@ from schemalens.graph import (
     CardinalityAnnotation,
     build_graph,
     classify_attribute,
-    enumerate_paths,
     to_dot,
 )
 from schemalens.loader import ResolvedNode, resolve
 
-from harness import diamond_docs, make_corpus, random_cyclic_corpus, random_graph, random_ref_corpus
+from harness import diamond_docs, enumerate_paths, make_corpus, random_cyclic_corpus, random_graph, random_ref_corpus
 
 # sha256 over every node, edge and cardinality of the graphs named in
 # test_graph_and_metrics_match_golden_digest, plus the type-scoped metrics of

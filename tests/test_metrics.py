@@ -4,11 +4,11 @@ import pytest
 
 from schemalens import metrics
 from schemalens.errors import TypeAbsent, UnknownCollection
-from schemalens.graph import ROOT, CardinalityAnnotation, MetricGraph, Spec, build_graph, enumerate_paths
+from schemalens.graph import ROOT, CardinalityAnnotation, MetricGraph, Spec, build_graph
 from schemalens.loader import resolve
 from schemalens.metrics import AttributeCounts, WidthCoefficients
 
-from harness import diamond_docs, make_corpus, random_annotations, tree_walk
+from harness import diamond_docs, enumerate_paths, make_corpus, random_annotations, tree_walk
 
 
 def _resolve_single(schema_dict):

@@ -15,12 +15,12 @@ from schemalens.evaluation import (
     evaluate_schema,
     normalize,
 )
-from schemalens.graph import enumerate_paths
 from schemalens.loader import CYCLE, resolve
 from schemalens.metrics import ABSENT, WidthCoefficients
 
 from harness import (
     TYPE_POOL,
+    enumerate_paths,
     make_corpus,
     oracle_attribute_counts,
     oracle_col_depth,
