@@ -1,3 +1,5 @@
+import contextlib
+import copy
 import csv
 import hashlib
 import io
@@ -9,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import schemalens
 from schemalens.cli import main
@@ -494,3 +498,90 @@ def test_every_public_name_imports():
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(schemalens.__all__)
     assert all(namespace[name] is getattr(schemalens, name) for name in schemalens.__all__)
+
+
+# ------------------------------------------------ random JSON in config slots
+
+_DATA = Path(schemalens.__file__).parent / "data"
+_SCENARIO = str(_DATA / "scenarios" / "scenario-03" / "weight.json")
+
+# Keys whose dicts map names to entries: one entry stands for all of them.
+_NAME_MAPS = frozenset(["schemas", "events", "scenarios", "weights"])
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=5,
+)
+
+# What each file is read by: the manifest by every subcommand, each config by
+# `evaluate` given its path.
+_COMMANDS = {
+    "manifest.json": [["metrics"], ["evaluate"], ["capability"], ["graph"], ["validate", _SCENARIO]],
+    "configs/criteria.json": [["evaluate", "--criteria"]],
+    "configs/weights.json": [["evaluate", "--weights"]],
+}
+
+# Fixed examples, few per slot, so the suite's time stays flat.
+_SLOT_SETTINGS = settings(derandomize=True, max_examples=4, deadline=None, database=None)
+
+
+def _slots(document, path=(), parent_key=None):
+    """Every position in ``document`` whose value a config reader takes, one
+    per shape: the first element of each list and the first entry of each
+    name map stand for the others."""
+    yield path
+    if isinstance(document, list):
+        if document:
+            yield from _slots(document[0], (*path, 0), None)
+    elif isinstance(document, dict):
+        entries = list(document.items())
+        for key, value in entries[:1] if parent_key in _NAME_MAPS else entries:
+            yield from _slots(value, (*path, key), key)
+
+
+def _with_value(document, path, value):
+    if not path:
+        return value
+    document = copy.deepcopy(document)
+    holder = document
+    for step in path[:-1]:
+        holder = holder[step]
+    holder[path[-1]] = value
+    return document
+
+
+def _bundled(name):
+    return json.loads((_DATA / name).read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def slot_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("slots")
+    for name in ("corpora", "scenarios", "configs"):
+        (root / name).symlink_to(_DATA / name, target_is_directory=True)
+    return root
+
+
+_SLOT_CASES = [(name, path) for name in _COMMANDS for path in _slots(_bundled(name))]
+
+
+@pytest.mark.parametrize(
+    "name, path", _SLOT_CASES, ids=[f"{name}:/{'/'.join(map(str, path))}" for name, path in _SLOT_CASES]
+)
+def test_random_json_in_a_config_slot_exits_0_or_2_with_at_most_one_line(slot_dir, name, path):
+    original = _bundled(name)
+
+    @_SLOT_SETTINGS
+    @given(value=_JSON, command=st.sampled_from(_COMMANDS[name]))
+    def run(value, command):
+        written = slot_dir / name.rpartition("/")[2]
+        written.write_text(json.dumps(_with_value(original, path, value)))
+        argv = [*command, "--corpus", str(slot_dir)] if name == "manifest.json" else [*command, str(written)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2), (argv, err.getvalue())
+        assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+
+    run()
