@@ -277,14 +277,13 @@ def _discriminator(group: tuple[ResolvedNode, ...]) -> tuple[str, dict[str, Reso
 
 
 def _one_of_check(group: tuple[ResolvedNode, ...], spath: str) -> Check:
-    discriminator = _discriminator(group)
-    name, table = discriminator or (None, None)
+    name, table = _discriminator(group) or (None, None)
     alternatives = f" of {len(group)} alternatives, expected exactly 1"
 
     def check(value: Any, ipath: str, out) -> None:
         # Quiet checks start at instance path "", so prefix this one's path.
         try:
-            if discriminator is not None and _is_object(value):
+            if table is not None and _is_object(value):
                 # Every branch requires the tag and lists the strings it
                 # admits, so an absent or non-string tag fails them all, and
                 # a string tag all but the branch it selects.
