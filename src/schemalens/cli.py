@@ -104,12 +104,12 @@ def _manifest(args) -> CorpusManifest:
 
 
 def _schema_names(args, manifest: CorpusManifest, default_all: bool) -> list[str]:
-    if args.schema:
-        names = []
-        for chunk in args.schema:
-            names.extend(n.strip() for n in chunk.split(",") if n.strip())
-        return names
-    return manifest.schema_names() if default_all else ["lei"]
+    if args.schema is None:
+        return manifest.schema_names() if default_all else ["lei"]
+    names = [n.strip() for chunk in args.schema for n in chunk.split(",") if n.strip()]
+    if not names:
+        raise SchemaLensError(f"--schema {','.join(args.schema)!r} names no schema set")
+    return names
 
 
 def _coefficients(args) -> WidthCoefficients:
@@ -201,8 +201,12 @@ def _instance_paths(raw_paths: list[str]) -> list[Path]:
 def _read_instance(path: Path):
     try:
         return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaLensError(f"{path}: not UTF-8: {exc.reason} at byte offset {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise SchemaLensError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaLensError(f"{path}: nested too deeply for the recursion limit") from None
 
 
 def cmd_validate(args) -> int:

@@ -272,6 +272,11 @@ def _metrics_with_criterion(tmp_path, **slots):
     return _metrics_with_criteria(tmp_path, {"criteria": [{"id": 1, "metric": "nbrCol", **slots}]})
 
 
+def _validate_bytes(tmp_path, data):
+    (tmp_path / "i.json").write_bytes(data)
+    return ["validate", str(tmp_path / "i.json")]
+
+
 def _validate_recursive(tmp_path, instance):
     # a.json references itself through "n"; validation does not follow it.
     (tmp_path / "r").mkdir()
@@ -342,6 +347,15 @@ def _validate_recursive(tmp_path, instance):
         (lambda tmp: _metrics_with_criteria(tmp, "{nope"), "c.json: not valid JSON"),
         (lambda tmp: ["evaluate", "--weights", _write(tmp / "w.json", "{nope")], "w.json: not valid JSON"),
         (lambda tmp: _metrics_on_manifest_bytes(tmp, b'{"title": "caf\xe9"}'), "manifest.json: not UTF-8"),
+        (lambda tmp: _validate_bytes(tmp, b"\xff{}"), "i.json: not UTF-8: invalid start byte at byte offset 0"),
+        (
+            lambda tmp: _validate_bytes(tmp, b"[" * 100_000 + b"]" * 100_000),
+            "i.json: nested too deeply for the recursion limit",
+        ),
+        (lambda tmp: ["validate", "--schema", "", _write(tmp / "i.json", {})], "--schema '' names no schema set"),
+        (lambda tmp: ["graph", "--schema", ","], "--schema ',' names no schema set"),
+        (lambda tmp: ["metrics", "--schema", ""], "--schema '' names no schema set"),
+        (lambda tmp: ["evaluate", "--schema", " , "], "--schema ' , ' names no schema set"),
     ],
     ids=[
         "criteria", "criterion-metric", "cases", "case-name", "schemas",
@@ -353,6 +367,8 @@ def _validate_recursive(tmp_path, instance):
         "criterion-direction", "criterion-direction-type", "criteria-collection-type",
         "criterion-id-repeated", "cases-empty", "cycle-stub", "oneOf-type", "envelope-type", "event-file-type",
         "manifest-not-json", "criteria-not-json", "weights-not-json", "manifest-not-utf8",
+        "instance-not-utf8", "instance-too-deep", "validate-schema-empty", "graph-schema-comma",
+        "metrics-schema-empty", "evaluate-schema-blank",
     ],
 )
 def test_malformed_inputs_exit_2_with_one_line(capsys, tmp_path, make_argv, expected):
@@ -498,6 +514,73 @@ def test_every_public_name_imports():
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(schemalens.__all__)
     assert all(namespace[name] is getattr(schemalens, name) for name in schemalens.__all__)
+
+
+# The public names whose module `import schemalens` leaves unloaded.
+_LAZY_NAMES = {
+    "corpus": ["CorpusManifest", "capability_matrix", "load_manifest"],
+    "evaluation": ["CriterionSpec", "WeightCase", "evaluate_schema", "normalize", "run_comparison"],
+    "validator": ["ValidationOutcome", "dispatch_event_schema", "validate", "validate_batch"],
+}
+
+_IMPORT_CONTRACT = """
+import importlib, json, sys
+import schemalens
+package = sorted(sys.modules)
+undirected = sorted(set(schemalens.__all__) - set(dir(schemalens)))
+import schemalens.cli
+cli = sorted(sys.modules)
+unbound = sorted(set(schemalens.__all__) - set(vars(schemalens)))
+lazy = json.loads(sys.argv[1])
+same = {
+    name: getattr(schemalens, name) is getattr(importlib.import_module("schemalens." + module), name)
+    for module, names in lazy.items()
+    for name in names
+}
+print(json.dumps({"package": package, "undirected": undirected, "cli": cli, "unbound": unbound, "same": same}))
+"""
+
+
+@pytest.fixture(scope="module")
+def fresh_imports():
+    """What a fresh interpreter loads at ``import schemalens`` and then at
+    ``import schemalens.cli``, and how the lazy names resolve there."""
+    src = str(Path(schemalens.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CONTRACT, json.dumps(_LAZY_NAMES)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_importing_the_package_loads_only_loader_graph_and_metrics(fresh_imports):
+    deferred = [f"schemalens.{m}" for m in ("corpus", "evaluation", "validator", "report", "cli")]
+    assert [m for m in [*deferred, "decimal", "csv", "argparse"] if m in fresh_imports["package"]] == []
+    assert {"schemalens.loader", "schemalens.graph", "schemalens.metrics"} <= set(fresh_imports["package"])
+    assert fresh_imports["undirected"] == []
+
+
+def test_importing_the_cli_loads_every_module(fresh_imports):
+    # so an in-process CLI session imports nothing after its start
+    package_dir = Path(schemalens.__file__).parent
+    every = {"schemalens" if p.stem == "__init__" else f"schemalens.{p.stem}" for p in package_dir.glob("*.py")}
+    assert len(every) == 10
+    assert every <= set(fresh_imports["cli"])
+
+
+def test_each_lazy_name_is_its_module_attribute(fresh_imports):
+    lazy = sorted(name for names in _LAZY_NAMES.values() for name in names)
+    assert fresh_imports["unbound"] == lazy
+    assert sorted(fresh_imports["same"]) == lazy and all(fresh_imports["same"].values())
+    assert set(lazy) <= set(schemalens.__all__)
+
+
+def test_an_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        schemalens.no_such_name
+    assert not hasattr(schemalens, "cli_main")
 
 
 # ------------------------------------------------ random JSON in config slots
