@@ -527,7 +527,7 @@ _IMPORT_CONTRACT = """
 import importlib, json, sys
 import schemalens
 package = sorted(sys.modules)
-undirected = sorted(set(schemalens.__all__) - set(dir(schemalens)))
+missing_from_dir = sorted(set(schemalens.__all__) - set(dir(schemalens)))
 import schemalens.cli
 cli = sorted(sys.modules)
 unbound = sorted(set(schemalens.__all__) - set(vars(schemalens)))
@@ -537,7 +537,7 @@ same = {
     for module, names in lazy.items()
     for name in names
 }
-print(json.dumps({"package": package, "undirected": undirected, "cli": cli, "unbound": unbound, "same": same}))
+print(json.dumps({"package": package, "missing_from_dir": missing_from_dir, "cli": cli, "unbound": unbound, "same": same}))
 """
 
 
@@ -559,7 +559,7 @@ def test_importing_the_package_loads_only_loader_graph_and_metrics(fresh_imports
     deferred = [f"schemalens.{m}" for m in ("corpus", "evaluation", "validator", "report", "cli")]
     assert [m for m in [*deferred, "decimal", "csv", "argparse"] if m in fresh_imports["package"]] == []
     assert {"schemalens.loader", "schemalens.graph", "schemalens.metrics"} <= set(fresh_imports["package"])
-    assert fresh_imports["undirected"] == []
+    assert fresh_imports["missing_from_dir"] == []
 
 
 def test_importing_the_cli_loads_every_module(fresh_imports):
@@ -574,13 +574,11 @@ def test_each_lazy_name_is_its_module_attribute(fresh_imports):
     lazy = sorted(name for names in _LAZY_NAMES.values() for name in names)
     assert fresh_imports["unbound"] == lazy
     assert sorted(fresh_imports["same"]) == lazy and all(fresh_imports["same"].values())
-    assert set(lazy) <= set(schemalens.__all__)
 
 
 def test_an_unknown_package_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         schemalens.no_such_name
-    assert not hasattr(schemalens, "cli_main")
 
 
 # ------------------------------------------------ random JSON in config slots
