@@ -27,7 +27,7 @@ from .corpus import (
 from .errors import SchemaLensError
 from .evaluation import load_criteria, load_weight_cases, run_comparison
 from .graph import to_dot
-from .loader import resolve
+from .loader import _schema_files, resolve
 from .metrics import DEFAULT_COEFFICIENTS, WidthCoefficients
 from .validator import validate_batch
 
@@ -113,9 +113,12 @@ def _schema_names(args, manifest: CorpusManifest, default_all: bool) -> list[str
 
 
 def _coefficients(args) -> WidthCoefficients:
-    if getattr(args, "coefficients", None):
+    if not getattr(args, "coefficients", None):
+        return DEFAULT_COEFFICIENTS
+    try:
         return WidthCoefficients.parse(args.coefficients)
-    return DEFAULT_COEFFICIENTS
+    except ValueError as exc:
+        raise SchemaLensError(f"--coefficients {args.coefficients!r}: {exc}") from None
 
 
 def _config(path: str | None, manifest: CorpusManifest, name: str) -> str | Path:
@@ -188,7 +191,7 @@ def _instance_paths(raw_paths: list[str]) -> list[Path]:
     for raw in raw_paths:
         path = Path(raw)
         if path.is_dir():
-            paths.extend(sorted(path.rglob("*.json")))
+            paths.extend(path.joinpath(*parts) for parts, _ in _schema_files(path))
         elif path.is_file():
             paths.append(path)
         else:

@@ -1,8 +1,9 @@
 """Load multi-file JSON Schema corpora and resolve cross-file references.
 
 A corpus is a directory tree of UTF-8 ``*.json`` schema files. ``load_corpus``
-parses every file into a :class:`SchemaDocument`; ``resolve`` turns one entry
-document into a self-contained, reference-free :class:`ResolvedNode` graph:
+reads every file, and each is parsed into a :class:`SchemaDocument` on first
+use; ``resolve`` turns one entry document into a self-contained,
+reference-free :class:`ResolvedNode` graph:
 ``allOf`` branches are merged, reference cycles are stubbed with CYCLE
 markers so resolution always terminates, and each ``$ref`` target is
 resolved once per call, its one node shared by every site that references
@@ -43,10 +44,10 @@ from __future__ import annotations
 import json
 import os
 import posixpath
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterator, Mapping, NamedTuple
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import CorpusError, IoError, MergeConflict, ParseError, ResolutionTooLarge, UnknownRef
 
@@ -267,25 +268,45 @@ class SchemaDocument(NamedTuple):
     draft: str
 
 
-@dataclass
 class CorpusHandle:
-    """All documents of one corpus directory plus per-file parse errors."""
+    """The files of one corpus directory, each parsed on first use.
 
-    root_dir: Path
-    documents: dict[str, SchemaDocument]
-    errors: list[ParseError] = field(default_factory=list)
+    Built from a map of each id to its SchemaDocument or to its file's bytes,
+    which the first ``get`` parses, plus refusals already made. Reading
+    ``documents`` or ``errors`` parses every file still pending; both list
+    files in the order given, whatever order they were parsed in.
+    """
+
+    def __init__(self, root_dir: Path, documents: Mapping[str, SchemaDocument | bytes],
+                 errors: Iterable[ParseError] = ()):
+        self.root_dir = root_dir
+        self._files = {**documents, **{error.file_id: error for error in errors}}
 
     def get(self, doc_id: str) -> SchemaDocument:
-        """The document ``doc_id``; the ParseError that kept it out of the
-        corpus if it was refused; else UnknownRef."""
-        try:
-            return self.documents[doc_id]
-        except KeyError:
-            pass
-        for error in self.errors:
-            if error.file_id == doc_id:
-                raise error
-        raise UnknownRef(f"no document {doc_id!r} in corpus {self.root_dir}")
+        """The document ``doc_id``; the ParseError that keeps it out of the
+        corpus if it is refused; else UnknownRef."""
+        found = self._files.get(doc_id)
+        if type(found) is bytes:
+            found = self._files[doc_id] = _parse_file(doc_id, found)
+        if type(found) is SchemaDocument:
+            return found
+        if found is None:
+            raise UnknownRef(f"no document {doc_id!r} in corpus {self.root_dir}")
+        raise found
+
+    def _parsed(self) -> dict[str, SchemaDocument | ParseError]:
+        for doc_id, found in self._files.items():
+            if type(found) is bytes:
+                self._files[doc_id] = _parse_file(doc_id, found)
+        return self._files
+
+    @property
+    def documents(self) -> dict[str, SchemaDocument]:
+        return {doc_id: doc for doc_id, doc in self._parsed().items() if type(doc) is SchemaDocument}
+
+    @property
+    def errors(self) -> list[ParseError]:
+        return [error for error in self._parsed().values() if type(error) is not SchemaDocument]
 
 
 _MISSING = object()
@@ -438,63 +459,53 @@ def _schema_files(root: Path) -> list[tuple[tuple[str, ...], str]]:
     return found
 
 
+def _parse_file(doc_id: str, data: bytes) -> SchemaDocument | ParseError:
+    """The document in one file's bytes, read as ``Path.read_text`` would
+    (UTF-8 with universal newlines), or the ParseError that refuses it."""
+    try:
+        text = data.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        raw = json.loads(text)
+        if not isinstance(raw, dict):
+            return ParseError(doc_id, "top level must be an object document")
+        return SchemaDocument(doc_id, raw, parse_schema(raw, doc_id), raw.get("$schema", ""))
+    except UnicodeDecodeError as exc:
+        return ParseError(doc_id, f"not UTF-8: {exc.reason} at byte offset {exc.start}")
+    except json.JSONDecodeError as exc:
+        return ParseError(doc_id, f"invalid JSON at offset {exc.pos}: {exc.msg}")
+    except RecursionError:
+        return ParseError(doc_id, "nested too deeply")
+    except ParseError as exc:
+        return exc
+
+
 def load_corpus(directory: str | Path) -> CorpusHandle:
-    """Parse every ``*.json`` file under ``directory`` into a corpus handle.
+    """Read every ``*.json`` file under ``directory`` into a corpus handle.
 
     The files are those ``Path.rglob`` finds (see :func:`_schema_files`),
-    in sorted path order, each with its relative POSIX path as id and read
-    as ``Path.read_text`` would: UTF-8 with universal newlines. Malformed
-    files -- not UTF-8, not JSON, not an object, nested too deeply for the
-    recursion limit, or outside the subset -- are recorded per file in
-    ``handle.errors`` (as ParseError entries naming the file); the
-    remaining documents stay loadable. Raises CorpusError
-    when the directory holds no schema files at all and IoError when it or
-    a file cannot be read.
+    in sorted path order, each with its relative POSIX path as id. Every
+    file is read here and parsed on first use (see :class:`CorpusHandle`).
+    Malformed files -- not UTF-8, not JSON, not an object, nested too
+    deeply for the recursion limit, or outside the subset -- are recorded
+    per file in ``handle.errors`` (as ParseError entries naming the file);
+    the remaining documents stay loadable. Raises CorpusError when the
+    directory holds no schema files at all and IoError when it or a file
+    cannot be read.
     """
     root = Path(directory)
     if not root.is_dir():
         raise IoError(f"not a readable directory: {root}")
-    files = _schema_files(root)
-    if not files:
-        raise CorpusError(f"no schema files in {root}")
-
-    documents: dict[str, SchemaDocument] = {}
-    errors: list[ParseError] = []
-    for parts, path in files:
-        doc_id = "/".join(parts)
+    files: dict[str, bytes] = {}
+    for parts, path in _schema_files(root):
         try:
             with open(path, "rb", buffering=0) as stream:
-                data = stream.readall()
+                files["/".join(parts)] = stream.readall()
         except OSError as exc:
             raise IoError(f"cannot read {root.joinpath(*parts)}: {exc}") from exc
-        try:
-            text = data.decode("utf-8")
-            if "\r" in text:
-                text = text.replace("\r\n", "\n").replace("\r", "\n")
-            raw = json.loads(text)
-        except UnicodeDecodeError as exc:
-            errors.append(ParseError(doc_id, f"not UTF-8: {exc.reason} at byte offset {exc.start}"))
-            continue
-        except json.JSONDecodeError as exc:
-            errors.append(ParseError(doc_id, f"invalid JSON at offset {exc.pos}: {exc.msg}"))
-            continue
-        except RecursionError:
-            errors.append(ParseError(doc_id, "nested too deeply"))
-            continue
-        if not isinstance(raw, dict):
-            errors.append(ParseError(doc_id, "top level must be an object document"))
-            continue
-        try:
-            node = parse_schema(raw, doc_id)
-        except ParseError as exc:
-            errors.append(exc)
-            continue
-        except RecursionError:
-            errors.append(ParseError(doc_id, "nested too deeply"))
-            continue
-        draft = raw.get("$schema", "")
-        documents[doc_id] = SchemaDocument(doc_id, raw, node, draft)
-    return CorpusHandle(root_dir=root, documents=documents, errors=errors)
+    if not files:
+        raise CorpusError(f"no schema files in {root}")
+    return CorpusHandle(root, files)
 
 
 def json_equal(a: Any, b: Any) -> bool:

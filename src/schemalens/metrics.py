@@ -22,6 +22,7 @@ for the number of paths. All functions are pure reads of an immutable graph.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import TypeAbsent, UnknownCollection
@@ -60,15 +61,20 @@ class WidthCoefficients:
     cf_tbl_doc: float = 3
 
     def __post_init__(self):
-        if min(self.cf_atom, self.cf_doc, self.cf_tbl_atom, self.cf_tbl_doc) <= 0:
-            raise ValueError("width coefficients must be positive")
+        if not all(0 < c < math.inf for c in (self.cf_atom, self.cf_doc, self.cf_tbl_atom, self.cf_tbl_doc)):
+            raise ValueError("width coefficients must be positive and finite")
 
     @classmethod
     def parse(cls, text: str) -> "WidthCoefficients":
         parts = [p.strip() for p in text.split(",")]
         if len(parts) != 4:
             raise ValueError("expected four comma-separated coefficients")
-        values = [float(p) if "." in p else int(p) for p in parts]
+        values = []
+        for part in parts:
+            try:
+                values.append(float(part) if "." in part else int(part))
+            except ValueError:
+                raise ValueError(f"{part!r} is not a number") from None
         return cls(*values)
 
 

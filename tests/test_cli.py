@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -146,6 +147,19 @@ def test_validate_mutant_exits_1_with_violation_paths(capsys, manifest, tmp_path
     assert code == 1
     assert "INVALID" in out
     assert "[required]" in out
+
+
+def test_validate_walks_a_directory_as_the_loader_does(capsys, manifest, tmp_path):
+    root = tmp_path / "instances"
+    shutil.copytree(manifest.root / "scenarios" / "scenario-01", root)
+    (root / "sub.json").mkdir()
+    (root / "sub.json" / "inner.json").write_text((root / "arrival.json").read_text())
+    (root / "broken.json").symlink_to(tmp_path / "missing.json")
+    expected = sorted(p for p in root.rglob("*.json") if p.is_file())
+    code, out, err = run_cli(capsys, "validate", str(root))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"{path}: valid" for path in expected]
+    assert root / "sub.json" / "inner.json" in expected
 
 
 def test_validate_records_format(capsys, manifest):
@@ -356,6 +370,13 @@ def _validate_recursive(tmp_path, instance):
         (lambda tmp: ["graph", "--schema", ","], "--schema ',' names no schema set"),
         (lambda tmp: ["metrics", "--schema", ""], "--schema '' names no schema set"),
         (lambda tmp: ["evaluate", "--schema", " , "], "--schema ' , ' names no schema set"),
+        (
+            lambda tmp: ["metrics", "--coefficients", "1.0e999,1,1,1"],
+            "--coefficients '1.0e999,1,1,1': width coefficients must be positive and finite",
+        ),
+        (lambda tmp: ["evaluate", "--coefficients", "1,1,-1.0e999,1"], "--coefficients '1,1,-1.0e999,1': "),
+        (lambda tmp: ["metrics", "--coefficients", "a,1,1,1"], "--coefficients 'a,1,1,1': 'a' is not a number"),
+        (lambda tmp: ["evaluate", "--coefficients", "1,2,x.5,3"], "--coefficients '1,2,x.5,3': 'x.5' is not a number"),
     ],
     ids=[
         "criteria", "criterion-metric", "cases", "case-name", "schemas",
@@ -368,7 +389,8 @@ def _validate_recursive(tmp_path, instance):
         "criterion-id-repeated", "cases-empty", "cycle-stub", "oneOf-type", "envelope-type", "event-file-type",
         "manifest-not-json", "criteria-not-json", "weights-not-json", "manifest-not-utf8",
         "instance-not-utf8", "instance-too-deep", "validate-schema-empty", "graph-schema-comma",
-        "metrics-schema-empty", "evaluate-schema-blank",
+        "metrics-schema-empty", "evaluate-schema-blank", "coefficients-infinite", "coefficients-negative-infinite",
+        "coefficients-not-int", "coefficients-not-float",
     ],
 )
 def test_malformed_inputs_exit_2_with_one_line(capsys, tmp_path, make_argv, expected):

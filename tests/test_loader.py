@@ -899,6 +899,75 @@ def test_a_refused_document_is_reported_where_it_is_referenced(tmp_path):
         resolve(handle, "a.json")
 
 
+def _count_parses(monkeypatch):
+    parsed = []
+    parse_file = loader._parse_file
+
+    def counting(doc_id, data):
+        parsed.append(doc_id)
+        return parse_file(doc_id, data)
+
+    monkeypatch.setattr(loader, "_parse_file", counting)
+    return parsed
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(["metrics"], 34), (["evaluate"], 34), (["graph"], 14), (["capability"], 114), (["validate", None], 79)],
+    ids=["metrics", "evaluate", "graph", "capability", "validate"],
+)
+def test_a_session_parses_only_the_documents_it_resolves(capsys, monkeypatch, manifest, argv, expected):
+    argv = [str(manifest.root / "scenarios") if arg is None else arg for arg in argv]
+    parsed = _count_parses(monkeypatch)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(parsed) == expected
+
+
+def test_an_unreferenced_malformed_file_does_not_stop_resolve(tmp_path, monkeypatch):
+    (tmp_path / "a.json").write_text(json.dumps({"type": "object", "properties": {"b": {"$ref": "b.json"}}}))
+    (tmp_path / "b.json").write_text('{"type": "string"}')
+    (tmp_path / "broken.json").write_text('{"type": "obj')
+    (tmp_path / "refused.json").write_text(json.dumps({"anyOf": [{"type": "string"}]}))
+    handle = load_corpus(tmp_path)
+    parsed = _count_parses(monkeypatch)
+    assert resolve(handle, "a.json").child_map()["b"].type_tag == "string"
+    assert parsed == ["a.json", "b.json"]
+    assert [e.file_id for e in handle.errors] == ["broken.json", "refused.json"]
+    assert list(handle.documents) == ["a.json", "b.json"]
+
+
+def test_documents_keep_path_order_when_parsed_out_of_order(tmp_path):
+    names = ["a.json", "b/c.json", "b-d.json", "e.json", "z.json"]
+    for name in names:
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text('{"type": "object"}')
+    (tmp_path / "c.json").write_text("[]")
+    handle = load_corpus(tmp_path)
+    for doc_id in ["z.json", "b-d.json", "e.json"]:
+        handle.get(doc_id)
+    with pytest.raises(ParseError):
+        handle.get("c.json")
+    assert list(handle.documents) == names
+    assert [e.file_id for e in handle.errors] == ["c.json"]
+
+
+def test_each_get_of_a_refused_file_raises_its_parse_error(tmp_path, monkeypatch):
+    (tmp_path / "ok.json").write_text('{"type": "object"}')
+    (tmp_path / "refused.json").write_text(json.dumps({"not": {"type": "string"}}))
+    handle = load_corpus(tmp_path)
+    parsed = _count_parses(monkeypatch)
+    raised = []
+    for _ in range(3):
+        with pytest.raises(ParseError, match="^refused.json: keywords \\['not'\\]") as info:
+            handle.get("refused.json")
+        raised.append(info.value)
+    assert parsed == ["refused.json"]
+    assert handle.errors == raised[:1] and all(error is raised[0] for error in raised)
+    with pytest.raises(UnknownRef):
+        handle.get("missing.json")
+
+
 def test_the_bundled_corpora_hold_only_subset_keywords(manifest):
     for name in manifest.schema_names():
         assert manifest.schema_set(name).corpus().errors == []

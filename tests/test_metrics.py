@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -112,6 +113,12 @@ def test_doc_width_with_unit_coefficients_is_total_attribute_count(graphs):
 def test_width_coefficients_must_be_positive():
     with pytest.raises(ValueError):
         WidthCoefficients(0, 2, 1, 3)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_width_coefficients_must_be_finite(value):
+    with pytest.raises(ValueError, match="positive and finite"):
+        WidthCoefficients(1, 2, value, 3)
 
 
 def test_width_coefficients_parse():
