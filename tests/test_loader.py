@@ -306,6 +306,33 @@ def test_unknown_ref_target():
         resolve(corpus, "e.json")
 
 
+def test_broken_references_are_reported_in_site_order():
+    # One missing target under each keyword; each resolve reports the first
+    # one still missing, in the resolver's site order: allOf comes last,
+    # though it is parsed before if/then/else.
+    order = ["properties", "items", "oneOf", "if", "then", "else", "allOf"]
+    docs = {
+        "e.json": {
+            "allOf": [{"$ref": "allOf.json"}],
+            "else": {"$ref": "else.json"},
+            "then": {"$ref": "then.json"},
+            "if": {"$ref": "if.json"},
+            "oneOf": [{"$ref": "oneOf.json"}],
+            "items": {"$ref": "items.json"},
+            "properties": {"p": {"$ref": "properties.json"}},
+        }
+    }
+    reported = []
+    for _ in order:
+        with pytest.raises(UnknownRef, match="^no document '") as info:
+            resolve(make_corpus(docs), "e.json")
+        missing = re.search(r"no document '(\w+)\.json'", str(info.value)).group(1)
+        reported.append(missing)
+        docs[f"{missing}.json"] = {}
+    assert reported == order
+    assert list(resolve(make_corpus(docs), "e.json").child_map()) == ["p"]
+
+
 def test_absolute_url_refs_are_rejected():
     corpus = make_corpus(
         {"e.json": {"type": "object", "properties": {"x": {"$ref": "https://example.com/x.json"}}}}
