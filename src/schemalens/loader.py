@@ -92,13 +92,20 @@ class RawNode(NamedTuple):
     every file, and a tuple builds about ten times faster; ``parse_schema``
     builds it with ``tuple.__new__``, which skips the keyword-matching
     ``__new__`` as well.
+
+    ``refs`` holds the ``$ref`` targets of the node and of every node below
+    it, in the order the resolver reaches them: properties, items, oneOf
+    branches, if, then, else, allOf; a reference node's is its own target.
+    The host copy ``_merge_all_of`` makes with ``_replace`` keeps its allOf
+    branches' targets in ``refs``; that is harmless, because the resolver
+    reads the whole of ``refs`` only on a target's root node.
     """
 
     kind: str
     type_tag: str | None = None
     children: tuple[tuple[str, "RawNode"], ...] = ()
     item: "RawNode | None" = None
-    ref_target: str | None = None
+    refs: tuple[str, ...] = ()
     required: tuple[str, ...] = ()
     additional_allowed: bool = True
     one_of: tuple["RawNode", ...] = ()
@@ -335,7 +342,7 @@ def parse_schema(value: Any, where: str = "<inline>") -> RawNode:
             raise ParseError(
                 where, f"$ref with constraint siblings {sorted(siblings)} is outside the supported subset"
             )
-        return RawNode(REFERENCE, None, (), None, ref)
+        return RawNode(REFERENCE, None, (), None, (ref,))
 
     type_tag = get("type")
     if type_tag is not None and not isinstance(type_tag, str):
@@ -421,10 +428,27 @@ def parse_schema(value: Any, where: str = "<inline>") -> RawNode:
         # A node tells an empty enum from none only by its ENUM kind.
         raise ParseError(where, "an empty enum beside other constraints is outside the supported subset")
 
+    # The $ref targets below, in the resolver's site order: allOf comes
+    # last, though it is parsed before if/then/else.
+    refs: list[str] = []
+    for _, sub in children:
+        refs += sub.refs
+    if item is not None:
+        refs += item.refs
+    for sub in one_of:
+        refs += sub.refs
+    if condition is not None:
+        refs += condition.refs
+        if then is not None:
+            refs += then.refs
+        if otherwise is not None:
+            refs += otherwise.refs
+    for sub in all_of:
+        refs += sub.refs
     return tuple.__new__(
         RawNode,
-        (kind, type_tag, children, item, None, required, additional, one_of, all_of,
-         condition, then, otherwise, enum_values, format_tag),
+        (kind, type_tag, children, item, tuple(refs) if refs else (), required, additional, one_of,
+         all_of, condition, then, otherwise, enum_values, format_tag),
     )
 
 
@@ -565,31 +589,6 @@ _Key = tuple[str, str]
 STATE_BUDGET = 20_000
 
 
-def _ref_sites(raw: RawNode, sites: list[RawNode]) -> list[RawNode]:
-    """Append the REFERENCE nodes of one document body to ``sites``, in the
-    order the resolver reaches them: properties, items, oneOf branches,
-    if/then/else, allOf."""
-    kind, _, children, item, _, _, _, one_of, all_of, condition, then, otherwise, _, _ = raw
-    if kind == REFERENCE:
-        sites.append(raw)
-        return sites
-    for _, sub in children:
-        _ref_sites(sub, sites)
-    if item is not None:
-        _ref_sites(item, sites)
-    for sub in one_of:
-        _ref_sites(sub, sites)
-    if condition is not None:
-        _ref_sites(condition, sites)
-        if then is not None:
-            _ref_sites(then, sites)
-        if otherwise is not None:
-            _ref_sites(otherwise, sites)
-    for sub in all_of:
-        _ref_sites(sub, sites)
-    return sites
-
-
 class _Resolver:
     """Resolve over the ref graph of one entry, sharing every target.
 
@@ -711,9 +710,7 @@ class _Resolver:
         self._raw[key] = raw
         targets = self._targets[key] = []
         base_dir = posixpath.dirname(doc_id)
-        for site in _ref_sites(raw, []):
-            ref = site.ref_target
-            assert ref is not None
+        for ref in raw.refs:
             target = self._site_keys.get((doc_id, ref))
             if target is None:
                 path_part, _, target_fragment = ref.partition("#")
@@ -788,8 +785,7 @@ class _Resolver:
         )
 
     def _reference(self, raw: RawNode, doc_id: str, path: str, stack: tuple[int, int]) -> ResolvedNode:
-        assert raw.ref_target is not None
-        key = self._site_keys[doc_id, raw.ref_target]
+        key = self._site_keys[doc_id, raw.refs[0]]
         state = self._state(key, stack)
         if state is None:
             target_id, fragment = key
