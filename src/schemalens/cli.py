@@ -3,7 +3,9 @@
 Exit codes are a stable contract: 0 success, 1 at least one instance failed
 validation, 2 usage/corpus/config errors. The corpus directory defaults to
 the bundled data tree; override with --corpus or the SCHEMALENS_CORPUS
-environment variable (the directory must hold a manifest.json).
+environment variable (the directory must hold a manifest.json). Each
+command reads every input the user names -- flags, config files, instance
+paths -- before it loads a corpus, so a bad one is refused at no cost.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def _schema_names(args, manifest: CorpusManifest, default_all: bool) -> list[str
 
 
 def _coefficients(args) -> WidthCoefficients:
-    if not getattr(args, "coefficients", None):
+    if not args.coefficients:
         return DEFAULT_COEFFICIENTS
     try:
         return WidthCoefficients.parse(args.coefficients)
@@ -146,13 +148,13 @@ def _criteria(args, manifest: CorpusManifest):
 
 
 def cmd_metrics(args) -> int:
+    coefficients = _coefficients(args)
     manifest = _manifest(args)
     names = _schema_names(args, manifest, default_all=True)
-    graphs = manifest.graphs(names, args.collection)
     criteria = _criteria(args, manifest)
     if args.type_filter:
         criteria = [c for c in criteria if c.type_name == args.type_filter]
-    result = run_comparison(graphs, criteria, (), _coefficients(args))
+    result = run_comparison(manifest.graphs(names, args.collection), criteria, (), coefficients)
     if args.format == "records":
         print(json.dumps(report.metric_report_records(result), indent=2))
     else:
@@ -161,12 +163,12 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    coefficients = _coefficients(args)
     manifest = _manifest(args)
     names = _schema_names(args, manifest, default_all=True)
-    graphs = manifest.graphs(names, args.collection)
     criteria = _criteria(args, manifest)
     cases = load_weight_cases(_config(args.weights, manifest, "weights.json"))
-    result = run_comparison(graphs, criteria, cases, _coefficients(args))
+    result = run_comparison(manifest.graphs(names, args.collection), criteria, cases, coefficients)
     if args.chart_data:
         print(json.dumps(result.chart_data(), indent=2))
     elif args.format == "records":
@@ -218,9 +220,8 @@ def cmd_validate(args) -> int:
     schema_set = manifest.schema_set(name)
     if schema_set.envelope is None:
         raise SchemaLensError(f"schema set {name!r} has no instance envelope to validate against")
-    envelope = resolve(schema_set.corpus(), schema_set.envelope)
-
     paths = _instance_paths(args.files)
+    envelope = resolve(schema_set.corpus(), schema_set.envelope)
     outcomes, totals = validate_batch(map(_read_instance, paths), envelope)
     records = [
         {

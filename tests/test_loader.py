@@ -951,6 +951,24 @@ def test_a_session_parses_only_the_documents_it_resolves(capsys, monkeypatch, ma
     assert len(parsed) == expected
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["metrics", "--coefficients", "a,1,1,1"], "--coefficients 'a,1,1,1': 'a' is not a number"),
+        (["metrics", "--criteria", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
+        (["evaluate", "--weights", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
+        (["validate", "{missing}"], "no such file or directory: {missing}"),
+    ],
+    ids=["metrics-coefficients", "metrics-criteria", "evaluate-weights", "validate-files"],
+)
+def test_a_bad_user_input_is_refused_before_any_document_is_parsed(capsys, monkeypatch, tmp_path, argv, message):
+    missing = str(tmp_path / "missing.json")
+    parsed = _count_parses(monkeypatch)
+    assert main([arg.format(missing=missing) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"schemalens: error: {message.format(missing=missing)}\n"
+    assert parsed == []
+
+
 def test_an_unreferenced_malformed_file_does_not_stop_resolve(tmp_path, monkeypatch):
     (tmp_path / "a.json").write_text(json.dumps({"type": "object", "properties": {"b": {"$ref": "b.json"}}}))
     (tmp_path / "b.json").write_text('{"type": "string"}')
