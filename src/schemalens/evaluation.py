@@ -185,27 +185,26 @@ def evaluate_schema(
 
 
 def run_comparison(
-    schemas: Mapping[str, MetricGraph] | Sequence[tuple[str, MetricGraph]],
+    schemas: Mapping[str, MetricGraph],
     criteria: Sequence[CriterionSpec],
     cases: Sequence[WeightCase],
     coefficients: WidthCoefficients = metrics.DEFAULT_COEFFICIENTS,
 ) -> ComparisonResult:
     """Score every schema under every weight case; also keeps the raw and
     normalised per-criterion values for the metric table and breakdowns."""
-    pairs = list(schemas.items()) if isinstance(schemas, Mapping) else list(schemas)
-    if not pairs:
+    if not schemas:
         raise ValueError("need at least one schema")
     raw: dict[str, dict[int, MetricValue]] = {}
     normalized: dict[str, dict[int, float]] = {}
     totals: dict[str, dict[str, float]] = {}
-    for name, graph in pairs:
+    for name, graph in schemas.items():
         raw[name] = values = {c.id: criterion_value(graph, c, coefficients) for c in criteria}
         normalized[name] = {c.id: normalize(values[c.id], c.direction) for c in criteria}
         totals[name] = {
             case.name: evaluate_schema(values, criteria, case, name).per_case[case.name] for case in cases
         }
     return ComparisonResult(
-        schemas=[n for n, _ in pairs],
+        schemas=list(schemas),
         cases=[c.name for c in cases],
         criteria=list(criteria),
         raw=raw,

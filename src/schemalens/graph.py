@@ -29,7 +29,7 @@ length builds and measures.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -400,7 +400,7 @@ def _member_specs(node: ResolvedNode, below: list[tuple[Spec, ResolvedNode]]) ->
 
 
 def build_graph(
-    collections: Mapping[str, ResolvedNode] | Sequence[tuple[str, ResolvedNode]],
+    collections: Mapping[str, ResolvedNode],
     annotations: Iterable[CardinalityAnnotation] = (),
 ) -> MetricGraph:
     """Build a metric graph with one level-0 Collection per named entry.
@@ -410,13 +410,12 @@ def build_graph(
     The members of each distinct resolved node are computed once and shared
     by every spec that embeds it; the tree is not built here.
     """
-    items = list(collections.items()) if isinstance(collections, Mapping) else list(collections)
-    if not items:
+    if not collections:
         raise UnknownCollection("at least one collection name is required")
-    below = [(Spec(COLLECTION, name, None, entry.ref_names), entry) for name, entry in items]
+    below = [(Spec(COLLECTION, name, None, entry.ref_names), entry) for name, entry in collections.items()]
     top = Spec(ROOT, "root", kids=tuple(spec for spec, _ in below))
     members: dict[int, tuple[Spec, ...]] = {}
-    todo = [entry for _, entry in items]
+    todo = list(collections.values())
     while todo:
         node = todo.pop()
         if id(node) not in members:

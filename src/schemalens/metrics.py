@@ -130,7 +130,7 @@ def col_depth(graph: MetricGraph, collection: str) -> int:
 
 
 def global_depth(graph: MetricGraph) -> int:
-    return max((col_depth(graph, c.type_name) for c in graph.dag().kids), default=0)
+    return max((graph.fold(_depth_below, 0, c)[c] for c in graph.dag().kids), default=0)
 
 
 def _deepest_level(graph: MetricGraph, start: Spec, type_name: str) -> int:
@@ -160,11 +160,7 @@ def doc_depth_in_col(graph: MetricGraph, collection: str, type_name: str) -> int
 
 def _doc_depths(graph: MetricGraph, type_name: str) -> list[int]:
     """docDepthInCol of the type in every collection that holds it."""
-    depths = []
-    for c in graph.dag().kids:
-        level = _deepest_level(graph, graph.collection_spec(c.type_name), type_name)
-        if level:
-            depths.append(level)
+    depths = [level for c in graph.dag().kids if (level := _deepest_level(graph, c, type_name))]
     if not depths:
         raise TypeAbsent(f"type {type_name!r} occurs in no collection")
     return depths
@@ -278,4 +274,4 @@ def doc_copies_in_col(graph: MetricGraph, type_name: str, collection: str) -> in
 
 def doc_type_copies(graph: MetricGraph, type_name: str) -> int:
     """Number of collections whose paths contain the type."""
-    return sum(doc_existence(graph, c.type_name, type_name) for c in graph.dag().kids)
+    return sum(_holds(graph, c, type_name)[c] for c in graph.dag().kids)

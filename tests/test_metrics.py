@@ -5,7 +5,10 @@ import pytest
 
 from schemalens import metrics
 from schemalens.errors import TypeAbsent, UnknownCollection
-from schemalens.graph import ROOT, CardinalityAnnotation, MetricGraph, Spec, build_graph
+from schemalens.evaluation import run_comparison
+from schemalens.graph import (
+    ATOMIC, ATTRIBUTE, COLLECTION, EMBEDDED, ROOT, CardinalityAnnotation, MetricGraph, Spec, build_graph,
+)
 from schemalens.loader import resolve
 from schemalens.metrics import AttributeCounts, WidthCoefficients
 
@@ -244,6 +247,32 @@ def test_doc_type_copies_sums_over_collections():
     )
     assert metrics.doc_type_copies(graph, "t") == 2
     assert metrics.doc_type_copies(graph, "ghost") == 0
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["holder-last", "holder-first"])
+def test_two_collections_of_one_name_are_each_measured(order):
+    # Only a hand-built graph repeats a collection name: build_graph takes a
+    # mapping. Each metric over all collections must measure each one.
+    flat = Spec(COLLECTION, "c", kids=(Spec(ATTRIBUTE, "flat", ATOMIC),))
+    holder = Spec(COLLECTION, "c", kids=(Spec(EMBEDDED, "box", kids=(Spec(ATTRIBUTE, "inner", ATOMIC),)),))
+    pair = (flat, holder)
+    graph = MetricGraph(Spec(ROOT, "root", kids=(pair[order[0]], pair[order[1]])))
+    walks = [list(tree_walk(graph, c)) for c in graph.child_ids(graph.root)]
+    depths = [max((level - (node.kind != EMBEDDED) for node, level, _ in walk), default=0) for walk in walks]
+    levels = [max(found) for walk in walks if (found := [level for node, level, _ in walk if node.matches("inner")])]
+    assert sorted(depths) == [0, 1] and levels == [2]
+    assert metrics.global_depth(graph) == max(depths) == 1
+    assert metrics.max_doc_depth(graph, "inner") == max(levels) == 2
+    assert metrics.min_doc_depth(graph, "inner") == min(levels) == 2
+    assert metrics.doc_type_copies(graph, "inner") == len(levels) == 1
+
+
+def test_build_graph_and_run_comparison_take_only_a_mapping(criteria):
+    entry = _resolve_single({"type": "object"})
+    with pytest.raises(AttributeError):
+        build_graph([("c", entry)])
+    with pytest.raises(AttributeError):
+        run_comparison([("X", build_graph({"c": entry}))], criteria, ())
 
 
 # ---------------------------------------------------------------- refLoad
