@@ -281,20 +281,15 @@ def _one_of_check(group: tuple[ResolvedNode, ...], spath: str) -> Check:
     alternatives = f" of {len(group)} alternatives, expected exactly 1"
 
     def check(value: Any, ipath: str, out) -> None:
-        # Quiet checks start at instance path "", so prefix this one's path.
-        try:
-            if table is not None and _is_object(value):
-                # Every branch requires the tag and lists the strings it
-                # admits, so an absent or non-string tag fails them all, and
-                # a string tag all but the branch it selects.
-                tag = value.get(name)
-                branch = table.get(tag) if isinstance(tag, str) else None
-                matched = 1 if branch is not None and _quiet_valid(value, branch) else 0
-            else:
-                matched = sum(1 for branch in group if _quiet_valid(value, branch))
-        except CycleReached as exc:
-            exc.instance_path = ipath + exc.instance_path
-            raise
+        if table is not None and _is_object(value):
+            # Every branch requires the tag and lists the strings it admits,
+            # so an absent or non-string tag fails them all, and a string tag
+            # all but the branch it selects.
+            tag = value.get(name)
+            branch = table.get(tag) if isinstance(tag, str) else None
+            matched = 1 if branch is not None and _quiet_valid(value, branch, ipath) else 0
+        else:
+            matched = sum(1 for branch in group if _quiet_valid(value, branch, ipath))
         if matched != 1:
             out.append(Violation(ipath, spath, "oneOf", f"matched {matched}{alternatives}"))
     return check
@@ -304,23 +299,25 @@ def _conditional_check(
     condition: ResolvedNode, then: ResolvedNode | None, otherwise: ResolvedNode | None
 ) -> Check:
     def check(value: Any, ipath: str, out) -> None:
-        try:
-            arm = then if _quiet_valid(value, condition) else otherwise
-        except CycleReached as exc:
-            exc.instance_path = ipath + exc.instance_path
-            raise
+        arm = then if _quiet_valid(value, condition, ipath) else otherwise
         if arm is not None:
             for arm_check in arm.checks:
                 arm_check(value, ipath, out)
     return check
 
 
-def _quiet_valid(value: Any, node: ResolvedNode) -> bool:
+def _quiet_valid(value: Any, node: ResolvedNode, ipath: str = "") -> bool:
+    """Whether ``value`` passes ``node``'s checks, recording no violation.
+    The checks run from instance path "", so a CycleReached they raise gets
+    ``ipath``, the value's own path, prefixed here."""
     try:
         for check in node.checks:
             check(value, "", _QUIET)
     except _Invalid:
         return False
+    except CycleReached as exc:
+        exc.instance_path = ipath + exc.instance_path
+        raise
     return True
 
 

@@ -242,10 +242,10 @@ def test_weight_scenario_evaluates_one_message_branch(weight_instance, lei_envel
     evaluated = []
     quiet_valid = validator._quiet_valid
 
-    def counting(value, node):
+    def counting(value, node, ipath=""):
         if any(node is branch for branch in group):
             evaluated.append(node)
-        return quiet_valid(value, node)
+        return quiet_valid(value, node, ipath)
 
     monkeypatch.setattr(validator, "_quiet_valid", counting)
     assert validate(weight_instance, lei_envelope).valid
