@@ -69,6 +69,13 @@ def test_metrics_records_round_trip(capsys, manifest, graphs, criteria):
             assert parsed[(schema, criterion_id)] == value
 
 
+def test_metrics_collection_renames_the_default_collection(capsys):
+    _, default, _ = run_cli(capsys, "metrics", "--format", "csv")
+    code, renamed, _ = run_cli(capsys, "metrics", "--format", "csv", "--collection", "herd")
+    assert code == 0
+    assert "weight" in default and renamed == default.replace("weight", "herd")
+
+
 def test_metrics_csv_parses(capsys):
     code, out, _ = run_cli(capsys, "metrics", "--format", "csv")
     assert code == 0

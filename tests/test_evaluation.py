@@ -3,7 +3,8 @@ import json
 import pytest
 
 from schemalens import corpus as corpus_mod
-from schemalens.errors import UnknownCriterionMetric
+from schemalens import metrics
+from schemalens.errors import TypeAbsent, UnknownCriterionMetric
 from schemalens.evaluation import (
     MAXIMIZE,
     MINIMIZE,
@@ -97,6 +98,43 @@ def test_criterion_values_render_absent_for_missing_targets(graphs, criteria):
     assert icar_values[4] is ABSENT
     assert icar_values[8] is ABSENT
     assert icar_values[6] == 12
+
+
+# Metric names the bundled criteria file does not use: (metric, type,
+# collection, the metrics call it stands for).
+_UNBUNDLED_METRICS = [
+    ("docCopiesInCol", "id", "weight", lambda g: metrics.doc_copies_in_col(g, "id", "weight")),
+    ("nbrCol", None, None, metrics.nbr_col),
+    ("colDepth", None, "weight", lambda g: metrics.col_depth(g, "weight")),
+    ("globalDepth", None, None, metrics.global_depth),
+    ("maxDocDepth", "id", None, lambda g: metrics.max_doc_depth(g, "id")),
+    ("minDocDepth", "session", None, lambda g: metrics.min_doc_depth(g, "session")),
+    ("docTypeCopies", "id", None, lambda g: metrics.doc_type_copies(g, "id")),
+]
+
+
+def _metric_or_absent(call, graph):
+    try:
+        return call(graph)
+    except TypeAbsent:
+        return ABSENT
+
+
+def test_each_metric_name_of_a_criteria_file_reads_its_metric(tmp_path, manifest):
+    entries = [
+        {"id": i, "metric": metric, **({"type": t} if t else {}), **({"collection": c} if c else {})}
+        for i, (metric, t, c, _) in enumerate(_UNBUNDLED_METRICS, 1)
+    ]
+    (tmp_path / "criteria.json").write_text(json.dumps({"criteria": entries}))
+    criteria, _ = load_criteria(tmp_path / "criteria.json")
+    graphs = manifest.graphs()
+    raw = run_comparison(graphs, criteria, ()).raw
+    for name, graph in graphs.items():
+        assert raw[name] == {
+            i: _metric_or_absent(call, graph) for i, (*_, call) in enumerate(_UNBUNDLED_METRICS, 1)
+        }, name
+    assert raw["LEI"] == {1: 3, 2: 1, 3: 4, 4: 4, 5: 5, 6: 2, 7: 1}
+    assert raw["ICAR"][6] is ABSENT
 
 
 def test_unknown_metric_raises(graphs):

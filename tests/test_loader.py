@@ -341,6 +341,37 @@ def test_absolute_url_refs_are_rejected():
         resolve(corpus, "e.json")
 
 
+@pytest.mark.parametrize(
+    "ref, message",
+    [
+        ("/etc/x.json", "absolute path references are rejected: '/etc/x.json'"),
+        ("#foo", "unsupported fragment 'foo' in e.json (plain-name anchors not supported)"),
+        ("#/required", "reference target is not a schema: e.json#/required: schema must be an object, got list"),
+    ],
+    ids=["absolute-path", "plain-name-anchor", "not-a-schema"],
+)
+def test_a_reference_outside_the_subset_is_unknown_ref(ref, message):
+    corpus = make_corpus({"e.json": {"type": "object", "required": ["x"], "properties": {"x": {"$ref": ref}}}})
+    with pytest.raises(UnknownRef) as info:
+        resolve(corpus, "e.json")
+    assert str(info.value) == message
+
+
+def test_an_all_of_branch_that_refers_to_its_own_document_is_a_merge_conflict():
+    corpus = make_corpus({"e.json": {"type": "object", "allOf": [{"$ref": "e.json"}]}})
+    with pytest.raises(MergeConflict, match="^e.json: allOf branch 0 is a cyclic reference and cannot be merged$"):
+        resolve(corpus, "e.json")
+
+
+def test_a_fragment_indexes_into_a_list():
+    docs = {
+        "e.json": {"type": "object", "properties": {"x": {"$ref": "lib.json#/oneOf/1"}}},
+        "lib.json": {"oneOf": [{"type": "string"}, {"type": "integer"}]},
+    }
+    x = resolve(make_corpus(docs), "e.json").child_map()["x"]
+    assert (x.type_tag, x.doc_id, x.path, x.ref_docs) == ("integer", "lib.json", "/oneOf/1", ("lib.json",))
+
+
 def test_refs_escaping_the_corpus_root_are_rejected():
     corpus = make_corpus(
         {"e.json": {"type": "object", "properties": {"x": {"$ref": "../../outside.json"}}}}
