@@ -160,7 +160,11 @@ def doc_depth_in_col(graph: MetricGraph, collection: str, type_name: str) -> int
 
 def _doc_depths(graph: MetricGraph, type_name: str) -> list[int]:
     """docDepthInCol of the type in every collection that holds it."""
-    depths = [level for c in graph.dag().kids if (level := _deepest_level(graph, c, type_name))]
+    depths = []
+    for c in graph.dag().kids:
+        level = _deepest_level(graph, c, type_name)
+        if level:
+            depths.append(level)
     if not depths:
         raise TypeAbsent(f"type {type_name!r} occurs in no collection")
     return depths
