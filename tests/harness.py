@@ -9,10 +9,12 @@ metrics are recomputed from enumerate_paths output alone.
 
 from __future__ import annotations
 
+import calendar
 import copy
 import json
 import posixpath
 import random
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,6 +113,47 @@ def oracle_for_docs(docs: dict[str, dict], entry: str) -> jsonschema.Draft201909
     under a file URI built from its corpus-relative id."""
     root = "file:///corpus/"
     return _oracle(((root + doc_id, _pointer_root_as_hash(doc)) for doc_id, doc in docs.items()), root + entry)
+
+
+# --------------------------------------------------------------------------
+# Format checks that parse each field with int(): the validator's route before
+# the ranges moved into its patterns, kept as the reference for that rewrite.
+
+_INT_DATE_TIME_RE = re.compile(
+    r"^([0-9]{4})-([0-9]{2})-([0-9]{2})[Tt]"
+    r"([0-9]{2}):([0-9]{2}):([0-9]{2})(?:\.[0-9]+)?"
+    r"(?:[Zz]|([+-])([0-9]{2}):([0-9]{2}))$"
+)
+_INT_IPV4_RE = re.compile(r"^([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})$")
+
+
+def int_parsing_is_date_time(value: str) -> bool:
+    match = _INT_DATE_TIME_RE.match(value)
+    if not match:
+        return False
+    year, month, day = int(match[1]), int(match[2]), int(match[3])
+    hour, minute, second = int(match[4]), int(match[5]), int(match[6])
+    if not (1 <= month <= 12):
+        return False
+    if not (1 <= day <= calendar.monthrange(year, month)[1]):
+        return False
+    if hour > 23 or minute > 59 or second > 59:
+        return False
+    if match[7] is not None and (int(match[8]) > 23 or int(match[9]) > 59):
+        return False
+    return True
+
+
+def int_parsing_is_ipv4(value: str) -> bool:
+    match = _INT_IPV4_RE.match(value)
+    if not match:
+        return False
+    for octet in match.groups():
+        if len(octet) > 1 and octet.startswith("0"):
+            return False
+        if int(octet) > 255:
+            return False
+    return True
 
 
 # --------------------------------------------------------------------------

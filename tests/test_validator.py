@@ -26,6 +26,8 @@ from harness import (
     LEI_EVENT_NAMES,
     chain_docs,
     envelope_mutants,
+    int_parsing_is_date_time,
+    int_parsing_is_ipv4,
     make_corpus,
     random_variant,
     reference_validator,
@@ -509,6 +511,45 @@ def test_is_date_time_knows_the_length_of_every_month():
 )
 def test_is_ipv4(value, ok):
     assert is_ipv4(value) is ok
+
+
+def _date_time_grid():
+    """Every field just inside and just outside its range, one at a time or
+    together: whole dates, whole times, and offsets."""
+    for year in (1900, 2000, 2019, 2020, 2100):
+        for month in range(14):
+            for day in range(33):
+                yield f"{year:04d}-{month:02d}-{day:02d}T12:30:30Z"
+    edges = (0, 1, 9, 10, 58, 59, 60, 61)
+    for hour in range(26):
+        for minute in range(62):
+            for second in edges:
+                yield f"2020-06-15T{hour:02d}:{minute:02d}:{second:02d}Z"
+                yield f"2020-06-15T{hour:02d}:{second:02d}:{minute:02d}Z"
+    for sign in "+-":
+        for hour in (0, 1, 22, 23, 24, 25, 99):
+            for minute in (0, 1, 58, 59, 60, 61, 99):
+                yield f"2020-02-29t23:59:59.5{sign}{hour:02d}:{minute:02d}"
+
+
+def test_is_date_time_agrees_with_int_parsing_on_a_grid():
+    checked = 0
+    for value in _date_time_grid():
+        for text in (value, value + "\n"):
+            assert is_date_time(text) is int_parsing_is_date_time(text), repr(text)
+            checked += 1
+    assert checked > 50_000
+
+
+def test_is_ipv4_agrees_with_int_parsing_on_every_octet():
+    octets = {f"{n:0{width}d}" for n in range(1000) for width in (1, 2, 3)}
+    for octet in octets:
+        for position in range(4):
+            parts = ["1", "1", "1", "1"]
+            parts[position] = octet
+            value = ".".join(parts)
+            for text in (value, value + "\n"):
+                assert is_ipv4(text) is int_parsing_is_ipv4(text), repr(text)
 
 
 def test_json_equal_distinguishes_bools_from_numbers():
