@@ -3,11 +3,12 @@
 The validator evaluates type, required, additionalProperties, enum,
 properties, items, every oneOf group (exactly-one-match semantics),
 if/then/else, and assertive format checks for ``date-time`` (ISO 8601 /
-RFC 3339 profile) and ``ipv4`` (strict dotted quad, no leading zeros). allOf
-never appears here: the loader merges it during resolution. All violations
-are collected, not just the first; identical inputs yield identical
-violation lists. An instance that reaches a cycle stub is refused with
-CycleReached.
+RFC 3339 profile) and ``ipv4`` (strict dotted quad, no leading zeros). Each
+format's field ranges live in its anchored pattern; only a day of 29-31 is
+parsed, to check its month's length. allOf never appears here: the loader
+merges it during resolution. All violations are collected, not just the
+first; identical inputs yield identical violation lists. An instance that
+reaches a cycle stub is refused with CycleReached.
 
 Each distinct node's checks are compiled once, lazily, on the node's first
 validation (never by ``resolve``), and cached on the node
@@ -17,8 +18,11 @@ descends calls the child's checks directly, so an instance nesting level
 costs one Python frame. Since resolved nodes are shared, compilation costs
 once per distinct node, not per instance.
 
-Checks whose violations nobody reads -- oneOf branches and if-conditions --
-run the same checks in quiet mode, whose sink stops at the first violation.
+Checks whose violations nobody reads -- oneOf branches, if-conditions and
+``dispatch_event_schema``'s tests -- run the same checks in quiet mode: they
+get the sink None, and a failing check raises at once, before it builds a
+Violation or formats a message. A caller that wants a branch's violations
+runs that branch again with a list sink.
 This module alone decides how a oneOf group selects a branch. A
 discriminated group (see ``_discriminator``) is dispatched on its tag: for an
 object instance only the branch a string tag selects is evaluated, since
@@ -43,11 +47,12 @@ from .errors import AmbiguousBranch, CycleReached, NoBranch, SchemaUnresolved
 from .loader import ResolvedNode, json_equal
 
 _DATE_TIME_RE = re.compile(
-    r"^([0-9]{4})-([0-9]{2})-([0-9]{2})[Tt]"
-    r"([0-9]{2}):([0-9]{2}):([0-9]{2})(?:\.[0-9]+)?"
-    r"(?:[Zz]|([+-])([0-9]{2}):([0-9]{2}))$"
+    r"([0-9]{4})-(0[1-9]|1[0-2])-(0[1-9]|[12][0-9]|3[01])[Tt]"
+    r"(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9](?:\.[0-9]+)?"
+    r"(?:[Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])$"
 )
-_IPV4_RE = re.compile(r"^([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})$")
+_OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9][0-9]|[0-9])"
+_IPV4_RE = re.compile(rf"(?:{_OCTET}\.){{3}}{_OCTET}$")
 _DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
@@ -59,33 +64,19 @@ def _days_in_month(year: int, month: int) -> int:
 
 
 def is_date_time(value: str) -> bool:
-    """RFC 3339 date-time: full date, 'T', full time, 'Z' or an offset."""
+    """RFC 3339 date-time: full date, 'T', full time, 'Z' or an offset.
+    The pattern holds every field's range; only a day of 29-31 is checked
+    against its month's length."""
     match = _DATE_TIME_RE.match(value)
-    if not match:
+    if match is None:
         return False
-    year, month, day = int(match[1]), int(match[2]), int(match[3])
-    hour, minute, second = int(match[4]), int(match[5]), int(match[6])
-    if not (1 <= month <= 12):
-        return False
-    if not (1 <= day <= _days_in_month(year, month)):
-        return False
-    if hour > 23 or minute > 59 or second > 59:
-        return False
-    if match[7] is not None and (int(match[8]) > 23 or int(match[9]) > 59):
-        return False
-    return True
+    day = match[3]
+    return day < "29" or int(day) <= _days_in_month(int(match[1]), int(match[2]))
 
 
 def is_ipv4(value: str) -> bool:
-    match = _IPV4_RE.match(value)
-    if not match:
-        return False
-    for octet in match.groups():
-        if len(octet) > 1 and octet.startswith("0"):
-            return False
-        if int(octet) > 255:
-            return False
-    return True
+    """Dotted quad of decimal octets 0-255 with no leading zero."""
+    return _IPV4_RE.match(value) is not None
 
 
 _FORMAT_CHECKS = {"date-time": is_date_time, "ipv4": is_ipv4}
@@ -131,20 +122,12 @@ class ValidationOutcome:
 
 
 class _Invalid(Exception):
-    """Raised by the quiet sink on the first violation."""
+    """Raised by a quiet check (one given no sink) at its first failure."""
 
 
-class _QuietSink:
-    """Violation sink of quiet mode: the first append ends the check."""
-
-    def append(self, violation: Violation) -> None:
-        raise _Invalid
-
-
-_QUIET = _QuietSink()
-
-# One check: (value, instance path, violation sink) -> None.
-Check = Callable[[Any, str, "list[Violation] | _QuietSink"], None]
+# One check: (value, instance path, violation sink) -> None. A quiet check
+# gets the sink None and raises _Invalid where it would append a violation.
+Check = Callable[[Any, str, "list[Violation] | None"], None]
 
 
 def compile_checks(node: ResolvedNode) -> tuple[Check, ...]:
@@ -181,11 +164,27 @@ def compile_checks(node: ResolvedNode) -> tuple[Check, ...]:
 
 def _type_check(tag: str, spath: str) -> Check:
     expected = f"expected {tag}, got "
-    test = _TYPE_TESTS[tag]
 
-    def check(value: Any, ipath: str, out) -> None:
-        if not test(value):
-            out.append(Violation(ipath, spath, "type", expected + type(value).__name__))
+    def fail(value: Any, ipath: str, out) -> None:
+        if out is None:
+            raise _Invalid
+        out.append(Violation(ipath, spath, "type", expected + type(value).__name__))
+
+    # The two commonest tags test inline, saving a call per check.
+    if tag == "string":
+        def check(value: Any, ipath: str, out) -> None:
+            if not isinstance(value, str):
+                fail(value, ipath, out)
+    elif tag == "object":
+        def check(value: Any, ipath: str, out) -> None:
+            if type(value) is not dict and not isinstance(value, Mapping):
+                fail(value, ipath, out)
+    else:
+        test = _TYPE_TESTS[tag]
+
+        def check(value: Any, ipath: str, out) -> None:
+            if not test(value):
+                fail(value, ipath, out)
     return check
 
 
@@ -196,11 +195,15 @@ def _enum_check(values: tuple[Any, ...], spath: str) -> Check:
 
         def check(value: Any, ipath: str, out) -> None:
             if type(value) is not str or value not in strings:
+                if out is None:
+                    raise _Invalid
                 out.append(Violation(ipath, spath, "enum", f"{value!r} is not one of the allowed values"))
         return check
 
     def check(value: Any, ipath: str, out) -> None:
         if not any(json_equal(value, allowed) for allowed in values):
+            if out is None:
+                raise _Invalid
             out.append(Violation(ipath, spath, "enum", f"{value!r} is not one of the allowed values"))
     return check
 
@@ -210,6 +213,8 @@ def _format_check(tag: str, spath: str) -> Check:
 
     def check(value: Any, ipath: str, out) -> None:
         if isinstance(value, str) and not test(value):
+            if out is None:
+                raise _Invalid
             out.append(Violation(ipath, spath, "format", f"{value!r} is not a valid {tag}"))
     return check
 
@@ -220,10 +225,12 @@ def _object_check(node: ResolvedNode, spath: str) -> Check:
     declared = None if node.additional_allowed else frozenset(name for name, _ in node.children)
 
     def check(value: Any, ipath: str, out) -> None:
-        if not _is_object(value):
+        if type(value) is not dict and not isinstance(value, Mapping):
             return
         for name in required:
             if name not in value:
+                if out is None:
+                    raise _Invalid
                 out.append(Violation(ipath, spath, "required", f"missing required property {name!r}"))
         for name, step, child in children:
             if name in value:
@@ -232,6 +239,8 @@ def _object_check(node: ResolvedNode, spath: str) -> Check:
                 for child_check in child.checks:
                     child_check(member, path, out)
         if declared is not None and not declared.issuperset(value):
+            if out is None:
+                raise _Invalid
             for key in value:
                 if key not in declared:
                     out.append(
@@ -291,6 +300,8 @@ def _one_of_check(group: tuple[ResolvedNode, ...], spath: str) -> Check:
         else:
             matched = sum(1 for branch in group if _quiet_valid(value, branch, ipath))
         if matched != 1:
+            if out is None:
+                raise _Invalid
             out.append(Violation(ipath, spath, "oneOf", f"matched {matched}{alternatives}"))
     return check
 
@@ -312,7 +323,7 @@ def _quiet_valid(value: Any, node: ResolvedNode, ipath: str = "") -> bool:
     ``ipath``, the value's own path, prefixed here."""
     try:
         for check in node.checks:
-            check(value, "", _QUIET)
+            check(value, "", None)
     except _Invalid:
         return False
     except CycleReached as exc:
