@@ -52,7 +52,7 @@ _DATE_TIME_RE = re.compile(
     r"(?:[Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])$"
 )
 _OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9][0-9]|[0-9])"
-_IPV4_RE = re.compile(rf"(?:{_OCTET}\.){{3}}{_OCTET}$")
+_IPV4_RE = re.compile(rf"(?:{_OCTET}\.){{3}}{_OCTET}")
 _DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
@@ -75,8 +75,10 @@ def is_date_time(value: str) -> bool:
 
 
 def is_ipv4(value: str) -> bool:
-    """Dotted quad of decimal octets 0-255 with no leading zero."""
-    return _IPV4_RE.match(value) is not None
+    """Dotted quad of decimal octets 0-255 with no leading zero. fullmatch,
+    since ``$`` would also match before a final newline, which ipaddress
+    refuses."""
+    return _IPV4_RE.fullmatch(value) is not None
 
 
 _FORMAT_CHECKS = {"date-time": is_date_time, "ipv4": is_ipv4}

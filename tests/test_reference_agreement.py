@@ -11,7 +11,7 @@ import pytest
 
 from schemalens.errors import CycleReached, MergeConflict, ParseError
 from schemalens.loader import resolve
-from schemalens.validator import is_date_time, validate
+from schemalens.validator import is_date_time, is_ipv4, validate
 
 from harness import (
     NON_RFC3339_DATE_TIMES,
@@ -150,3 +150,13 @@ def test_the_date_time_oracle_follows_rfc3339():
         assert not is_date_time(value), value
     for value in ["2020-01-01T00:00:00Z", "2020-01-01t00:00:00.5z", "2020-02-29T23:59:59-01:30"]:
         assert checker.conforms(value, "date-time"), value
+
+
+def test_a_trailing_newline_gets_the_oracle_verdict():
+    checker = oracle_format_checker()
+    for value in ["1.2.3.4\n", "255.255.255.255\n", "0.0.0.0\n"]:
+        assert not checker.conforms(value, "ipv4"), value
+        assert not is_ipv4(value), value
+    for value in ["2020-01-01T00:00:00Z\n", "2020-02-29t23:59:59.5-01:30\n"]:
+        assert checker.conforms(value, "date-time"), value
+        assert is_date_time(value), value
