@@ -134,6 +134,28 @@ def test_violation_lists_match_golden_digest(scenario_documents, lei_envelope):
     assert digest == GOLDEN_VIOLATIONS_SHA256
 
 
+def test_quiet_checks_build_no_violation(scenario_documents, lei_envelope, monkeypatch):
+    # oneOf branches and if-conditions run quietly; only reported
+    # violations may be constructed.
+    built = []
+    real = validator.Violation
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(validator, "Violation", counting)
+    rng = random.Random(1)
+    bases = [doc for _, doc in scenario_documents]
+    bodies = [copy.deepcopy(doc["message"]["event"]) for doc in bases]
+    reported = 0
+    for _ in range(300):
+        variant = random_variant(rng, rng.choice(bases), bodies)
+        reported += len(validate(variant, lei_envelope).violations)
+    assert reported >= 200
+    assert len(built) == reported
+
+
 # ----------------------------------------------------------------- dispatch
 
 def test_dispatch_weight(lei_envelope):
