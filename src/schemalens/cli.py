@@ -106,9 +106,11 @@ def _manifest(args) -> CorpusManifest:
 
 
 def _schema_names(args, manifest: CorpusManifest, default_all: bool) -> list[str]:
+    """The schema sets ``--schema`` names, each once, in first-occurrence
+    order, so a repeated name builds no second graph."""
     if args.schema is None:
         return manifest.schema_names() if default_all else ["lei"]
-    names = [n.strip() for chunk in args.schema for n in chunk.split(",") if n.strip()]
+    names = list(dict.fromkeys(n.strip() for chunk in args.schema for n in chunk.split(",") if n.strip()))
     if not names:
         raise SchemaLensError(f"--schema {','.join(args.schema)!r} names no schema set")
     return names

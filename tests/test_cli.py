@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schemalens
+from schemalens import corpus
 from schemalens.cli import main
 from schemalens.corpus import capability_grid, capability_matrix
 from schemalens.evaluation import run_comparison
@@ -42,6 +43,23 @@ def test_metrics_single_schema(capsys):
     code, out, _ = run_cli(capsys, "metrics", "--schema", "lei")
     assert code == 0
     assert "LEI" in out and "ICAR" not in out
+
+
+@pytest.mark.parametrize("command", ["metrics", "evaluate"])
+def test_a_repeated_schema_name_is_resolved_once(capsys, monkeypatch, command):
+    _, once, _ = run_cli(capsys, command, "--schema", "lei")
+    calls = []
+    real = corpus.resolve
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(corpus, "resolve", counting)
+    code, twice, _ = run_cli(capsys, command, "--schema", "lei,lei", "--schema", "lei")
+    assert code == 0
+    assert calls == ["leiWeightEventSchema.json"]
+    assert twice == once
 
 
 def test_metrics_type_filter(capsys):
