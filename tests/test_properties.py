@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schemalens import metrics
-from schemalens.errors import TypeAbsent
+from schemalens.errors import SchemaLensError, TypeAbsent
 from schemalens.evaluation import (
     MAXIMIZE,
     MINIMIZE,
@@ -15,6 +15,7 @@ from schemalens.evaluation import (
     evaluate_schema,
     normalize,
 )
+from schemalens.graph import ROOT, build_graph
 from schemalens.loader import CYCLE, resolve
 from schemalens.metrics import ABSENT, WidthCoefficients
 
@@ -28,82 +29,133 @@ from harness import (
     oracle_doc_depth_in_col,
     oracle_doc_existence,
     oracle_ref_load,
+    random_annotations,
     random_cyclic_corpus,
     random_graph,
+    random_multi_file_corpus,
+    random_ref_corpus,
 )
 
 N_GRAPHS = 500
 N_WEIGHT_VECTORS = 500
 N_CYCLIC_CORPORA = 100
+N_CORPORA_PER_KIND = 30
+MAX_CORPUS_TREE = 150
 
 PROBE_TYPES = TYPE_POOL + ["absentType"]
 
 
+def _assert_metrics_match_oracles(graph, collections, probe_types):
+    """Every metric of ``graph`` equals its path-enumeration oracle, for each
+    collection and each of ``probe_types``."""
+    unit = WidthCoefficients(1, 1, 1, 1)
+    for collection in collections:
+        assert metrics.col_depth(graph, collection) == oracle_col_depth(graph, collection)
+        for type_name in probe_types:
+            existence = metrics.doc_existence(graph, collection, type_name)
+            assert existence == oracle_doc_existence(graph, collection, type_name), (
+                collection, type_name,
+            )
+            copies = metrics.doc_copies_in_col(graph, type_name, collection)
+            assert copies == oracle_doc_copies(graph, collection, type_name)
+            # docCopies = 0 exactly when the type is absent
+            assert (copies == 0) == (existence == 0)
+
+            expected_depth = oracle_doc_depth_in_col(graph, collection, type_name)
+            if expected_depth is None:
+                with pytest.raises(TypeAbsent):
+                    metrics.doc_depth_in_col(graph, collection, type_name)
+            else:
+                assert (
+                    metrics.doc_depth_in_col(graph, collection, type_name)
+                    == expected_depth
+                )
+
+            expected_counts = oracle_attribute_counts(graph, collection, type_name)
+            if expected_counts is None:
+                with pytest.raises(TypeAbsent):
+                    metrics.attribute_counts(graph, type_name, collection)
+            else:
+                got = metrics.attribute_counts(graph, type_name, collection)
+                assert {
+                    "atomic": got.atomic,
+                    "document": got.document,
+                    "arrayAtomic": got.array_atomic,
+                    "arrayDocument": got.array_document,
+                } == expected_counts
+                # unit coefficients turn width into the plain count
+                assert metrics.doc_width(graph, type_name, collection, unit) == got.total
+
+    # schema-scope metrics
+    assert metrics.global_depth(graph) == max(
+        (oracle_col_depth(graph, c) for c in collections), default=0
+    )
+    for type_name in probe_types:
+        assert metrics.doc_type_copies(graph, type_name) == sum(
+            oracle_doc_existence(graph, c, type_name) for c in collections
+        )
+        holders = [
+            c for c in collections if oracle_doc_existence(graph, c, type_name)
+        ]
+        if holders:
+            depths = [oracle_doc_depth_in_col(graph, c, type_name) for c in holders]
+            assert metrics.min_doc_depth(graph, type_name) == min(depths)
+            assert metrics.max_doc_depth(graph, type_name) == max(depths)
+            assert metrics.min_doc_depth(graph, type_name) <= metrics.max_doc_depth(
+                graph, type_name
+            )
+        if graph.knows_name(type_name):
+            assert metrics.ref_load(graph, type_name) == oracle_ref_load(graph, type_name)
+
+
 def test_metrics_match_path_enumeration_oracle_on_random_graphs():
     rng = random.Random(20210117)
-    unit = WidthCoefficients(1, 1, 1, 1)
-    for i in range(N_GRAPHS):
+    for _ in range(N_GRAPHS):
         graph, collections = random_graph(rng)
         assert len(graph.nodes) <= 52  # node budget + root + collections slack
         assert metrics.nbr_col(graph) == len(collections)
+        _assert_metrics_match_oracles(graph, collections, PROBE_TYPES)
 
-        for collection in collections:
-            assert metrics.col_depth(graph, collection) == oracle_col_depth(graph, collection)
-            for type_name in PROBE_TYPES:
-                existence = metrics.doc_existence(graph, collection, type_name)
-                assert existence == oracle_doc_existence(graph, collection, type_name), (
-                    i, collection, type_name,
-                )
-                copies = metrics.doc_copies_in_col(graph, type_name, collection)
-                assert copies == oracle_doc_copies(graph, collection, type_name)
-                # docCopies = 0 exactly when the type is absent
-                assert (copies == 0) == (existence == 0)
 
-                expected_depth = oracle_doc_depth_in_col(graph, collection, type_name)
-                if expected_depth is None:
-                    with pytest.raises(TypeAbsent):
-                        metrics.doc_depth_in_col(graph, collection, type_name)
-                else:
-                    assert (
-                        metrics.doc_depth_in_col(graph, collection, type_name)
-                        == expected_depth
-                    )
+def _random_corpus_graph(rng, kind):
+    """A graph over one to three entries of a random multi-file corpus of
+    ``kind``, with random cardinality annotations; None when the corpus is
+    refused or its tree exceeds MAX_CORPUS_TREE nodes."""
+    try:
+        if kind == "ref":
+            corpus = random_ref_corpus(rng)
+        elif kind == "cyclic":
+            corpus, _ = random_cyclic_corpus(rng)
+        else:
+            docs, _ = random_multi_file_corpus(rng)
+            corpus = make_corpus(docs)
+        ids = rng.sample(sorted(corpus.documents), min(len(corpus.documents), rng.randint(1, 3)))
+        entries = {f"col{i}": resolve(corpus, doc_id) for i, doc_id in enumerate(ids)}
+    except SchemaLensError:
+        return None
+    bare = build_graph(entries)
+    if bare.node_count() > MAX_CORPUS_TREE:
+        return None
+    return build_graph(entries, random_annotations(rng, bare, list(entries))), list(entries)
 
-                expected_counts = oracle_attribute_counts(graph, collection, type_name)
-                if expected_counts is None:
-                    with pytest.raises(TypeAbsent):
-                        metrics.attribute_counts(graph, type_name, collection)
-                else:
-                    got = metrics.attribute_counts(graph, type_name, collection)
-                    assert {
-                        "atomic": got.atomic,
-                        "document": got.document,
-                        "arrayAtomic": got.array_atomic,
-                        "arrayDocument": got.array_document,
-                    } == expected_counts
-                    # unit coefficients turn width into the plain count
-                    assert metrics.doc_width(graph, type_name, collection, unit) == got.total
 
-        # schema-scope metrics
-        assert metrics.global_depth(graph) == max(
-            (oracle_col_depth(graph, c) for c in collections), default=0
-        )
-        for type_name in PROBE_TYPES:
-            assert metrics.doc_type_copies(graph, type_name) == sum(
-                oracle_doc_existence(graph, c, type_name) for c in collections
-            )
-            holders = [
-                c for c in collections if oracle_doc_existence(graph, c, type_name)
-            ]
-            if holders:
-                depths = [oracle_doc_depth_in_col(graph, c, type_name) for c in holders]
-                assert metrics.min_doc_depth(graph, type_name) == min(depths)
-                assert metrics.max_doc_depth(graph, type_name) == max(depths)
-                assert metrics.min_doc_depth(graph, type_name) <= metrics.max_doc_depth(
-                    graph, type_name
-                )
-            if graph.knows_name(type_name):
-                assert metrics.ref_load(graph, type_name) == oracle_ref_load(graph, type_name)
+@pytest.mark.parametrize("kind", ["ref", "cyclic", "multi-file"])
+def test_metrics_match_path_enumeration_oracle_on_random_corpora(kind):
+    # Shared targets, cycle stubs, oneOf, then/else members and allOf
+    # merges, which random_graph's single-document trees never build.
+    rng = random.Random(20231027)
+    checked = 0
+    for _ in range(N_CORPORA_PER_KIND):
+        built = _random_corpus_graph(rng, kind)
+        if built is None:
+            continue
+        graph, collections = built
+        names = {spec.type_name for specs in graph.postorder() for spec in specs if spec.kind != ROOT}
+        names.update(name for specs in graph.postorder() for spec in specs for name in spec.ref_names)
+        probe = PROBE_TYPES + sorted(names - set(PROBE_TYPES))
+        _assert_metrics_match_oracles(graph, collections, probe)
+        checked += 1
+    assert checked >= N_CORPORA_PER_KIND // 2
 
 
 def test_evaluation_linearity_and_monotonicity_on_random_weight_vectors():
