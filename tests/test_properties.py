@@ -150,8 +150,8 @@ def test_metrics_match_path_enumeration_oracle_on_random_corpora(kind):
         if built is None:
             continue
         graph, collections = built
-        names = {spec.type_name for specs in graph.postorder() for spec in specs if spec.kind != ROOT}
-        names.update(name for specs in graph.postorder() for spec in specs for name in spec.ref_names)
+        specs = [spec for specs in graph.postorder() for spec in specs if spec.kind != ROOT]
+        names = {spec.type_name for spec in specs} | {name for spec in specs for name in spec.ref_names}
         probe = PROBE_TYPES + sorted(names - set(PROBE_TYPES))
         _assert_metrics_match_oracles(graph, collections, probe)
         checked += 1
