@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Any
 
 from . import loader
@@ -98,25 +99,7 @@ class Spec:
                          self.ref_names, self.required, self.flagged)
 
 
-def _postorder(top: Spec) -> tuple[list[Spec], list[Spec]]:
-    """The distinct specs reachable from ``top``: those without kids, and
-    those with kids, each after all of its kids. Iterative, so a chain of
-    any length orders."""
-    leaves: list[Spec] = []
-    inner: list[Spec] = []
-    seen = {top}
-    stack = [(top, iter(top.kids))]
-    while stack:
-        spec, kids = stack[-1]
-        for kid in kids:
-            if kid not in seen:
-                seen.add(kid)
-                stack.append((kid, iter(kid.kids)))
-                break
-        else:
-            stack.pop()
-            (inner if spec.kids else leaves).append(spec)
-    return leaves, inner
+_kids = attrgetter("kids")
 
 
 def _subtree_size(spec: Spec, sizes: list[int]) -> int:
@@ -187,7 +170,8 @@ class MetricGraph:
         kids."""
         start = start or self.dag()
         if start not in self._orders:
-            self._orders[start] = _postorder(start)
+            order = loader.postorder(start, _kids)
+            self._orders[start] = [s for s in order if not s.kids], [s for s in order if s.kids]
         return self._orders[start]
 
     def fold(self, combine: Callable[[Spec, list], Any], leaf: Any, start: Spec | None = None) -> dict[Spec, Any]:

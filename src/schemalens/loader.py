@@ -9,11 +9,11 @@ markers so resolution always terminates, and each ``$ref`` target is
 resolved once per call, its one node shared by every site that references
 it. The result is a DAG whose unfolding is the fully inlined tree, so a ref
 diamond of depth d costs d resolutions rather than 2^d. Targets are built
-in one pass over an explicit work stack, each after the targets it
-references, so a ref chain or cycle of any length resolves without deep
-recursion. Inside a reference cycle a target is expanded once per cycle
-stack that reaches it, which can be exponentially many; above
-``STATE_BUDGET`` such expansions, ``resolve`` raises ResolutionTooLarge.
+in postorder, each after the targets it references, so a ref chain or
+cycle of any length resolves without deep recursion. Inside a reference
+cycle a target is expanded once per cycle stack that reaches it, which can
+be exponentially many; when more than ``STATE_BUDGET`` such expansions are
+discovered, ``resolve`` raises ResolutionTooLarge before it builds any.
 Nodes are immutable, which makes the sharing safe.
 
 Supported dialect subset: type (one type name), properties, items,
@@ -47,7 +47,7 @@ import posixpath
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import CorpusError, IoError, MergeConflict, ParseError, ResolutionTooLarge, UnknownRef
 
@@ -192,27 +192,46 @@ def _sub_nodes(node: ResolvedNode) -> Iterator[ResolvedNode]:
                 yield part
 
 
+def postorder(root: Any, subs: Callable[[Any], Iterable[Any]], key: Callable[[Any], Any] | None = None,
+              done: Callable[[Any], bool] | None = None) -> list:
+    """The distinct nodes reachable from ``root`` through ``subs``, each
+    after every node ``subs`` gives it, in depth-first site order; the
+    graph must be acyclic. Nodes are told apart by ``key(node)``, or by
+    value when ``key`` is None, which keeps the per-edge loop free of
+    Python calls; a ResolvedNode needs ``key=id``, because its ``==`` walks
+    the unfolded tree. A node for which ``done`` holds is left out, and so
+    is everything reachable only through it. Iterative, so a chain of any
+    length orders."""
+    if done is not None and done(root):
+        return []
+    order = []
+    seen = {root if key is None else key(root)}
+    stack = [(root, iter(subs(root)))]
+    while stack:
+        node, pending = stack[-1]
+        for sub in pending:
+            mark = sub if key is None else key(sub)
+            if mark not in seen:
+                seen.add(mark)
+                if done is None or not done(sub):
+                    stack.append((sub, iter(subs(sub))))
+                    break
+        else:
+            stack.pop()
+            order.append(node)
+    return order
+
+
 def _structural_key(root: ResolvedNode) -> Any:
     """Compute ``root``'s structural key in one postorder pass: each node
     without one gets its key, memoised in its instance dict (not a field),
-    once every node under it has one."""
+    after every node under it."""
 
     def key(sub: ResolvedNode) -> Any:
         return sub.__dict__["_structural_key"]
 
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        memo = node.__dict__
-        if "_structural_key" in memo:
-            stack.pop()
-            continue
-        missing = [sub for sub in _sub_nodes(node) if "_structural_key" not in sub.__dict__]
-        if missing:
-            stack.extend(missing)
-            continue
-        stack.pop()
-        memo["_structural_key"] = (
+    for node in postorder(root, _sub_nodes, id, lambda node: "_structural_key" in node.__dict__):
+        node.__dict__["_structural_key"] = (
             node.kind,
             node.type_tag,
             tuple((n, key(c)) for n, c in node.children),
@@ -583,9 +602,10 @@ def _type_name_for_target(doc_id: str, fragment: str) -> str:
 _Key = tuple[str, str]
 
 # The most expansion states under a non-empty cycle stack that one
-# ``resolve`` call builds before it raises ResolutionTooLarge. A k-clique
-# needs (k-1) * 2^(k-2) of them: the 12-clique's 11,264 resolve, the
-# 13-clique's 24,576 are refused. A ring of n documents needs n - 1.
+# ``resolve`` call discovers, before any is built, without raising
+# ResolutionTooLarge. A k-clique needs (k-1) * 2^(k-2) of them: the
+# 12-clique's 11,264 resolve, the 13-clique's 24,576 are refused. A ring of
+# n documents needs n - 1.
 STATE_BUDGET = 20_000
 
 
@@ -604,11 +624,12 @@ class _Resolver:
     the empty mask, and its one node is shared by every site that
     references it.
 
-    ``resolve`` builds every state in one postorder pass over an explicit
-    work stack: a state is built only after every state its non-cycle
-    references need, so each reference is a memo hit, and the only
-    recursion is the nesting inside one document. States with a non-empty
-    mask are counted; above STATE_BUDGET, resolution is refused.
+    ``resolve`` lists every state reachable from the entry in one
+    :func:`postorder`, each after the states its non-cycle references need,
+    and builds them in that order, so each reference is a memo hit and the
+    only recursion is the nesting inside one document. States with a
+    non-empty mask are counted as they are discovered, before any is built;
+    above STATE_BUDGET, resolution is refused.
     """
 
     def __init__(self, corpus: CorpusHandle):
@@ -623,36 +644,31 @@ class _Resolver:
     def resolve(self, entry_id: str) -> ResolvedNode:
         entry = (entry_id, "")
         self._components(entry)
-        place, memo = self._place, self._memo
-        entry_stack = place[entry]  # the entry's bit is its whole stack
-        # (state, None) asks for a state's expansion; (state, stack) builds it
-        # once every state it needs is built.
-        work = [(state, None) for state in reversed(self._needs(entry, entry_stack))]
+        place, targets, state_of = self._place, self._targets, self._state
         cyclic = 0
-        while work:
-            state, stack = work.pop()
+
+        def needs(state: tuple[_Key, int]) -> list[tuple[_Key, int]]:
+            # the states its non-cycle references stand for, in site order
+            nonlocal cyclic
             key, mask = state
-            if stack is None:
-                if state in memo:
-                    continue
-                component, bit = place[key]
-                stack = (component, mask | bit)
-                needs = self._needs(key, stack)
-                if needs:
-                    work.append((state, stack))
-                    for need in reversed(needs):
-                        work.append((need, None))
-                    continue
             if mask:
                 cyclic += 1
                 if cyclic > STATE_BUDGET:
                     raise ResolutionTooLarge(entry_id, STATE_BUDGET)
+            component, bit = place[key]
+            stack = (component, mask | bit)
+            return [need for target in targets[key] if (need := state_of(target, stack)) is not None]
+
+        states = postorder((entry, 0), needs)
+        states.pop()  # the entry, which no other state needs
+        for key, mask in states:
+            component, bit = place[key]
             target_id, fragment = key
-            memo[state] = self._node(
-                self._raw[key], target_id, fragment, stack,
+            self._memo[key, mask] = self._node(
+                self._raw[key], target_id, fragment, (component, mask | bit),
                 (_type_name_for_target(target_id, fragment),), (target_id,),
             )
-        return self._node(self._raw[entry], entry_id, "", entry_stack)
+        return self._node(self._raw[entry], entry_id, "", place[entry])  # its bit is its stack
 
     def _components(self, entry: _Key) -> None:
         """Place every key of the ref graph reachable from ``entry`` in its
@@ -734,15 +750,6 @@ class _Resolver:
         if mask & bit:
             return None
         return target, mask
-
-    def _needs(self, key: _Key, stack: tuple[int, int]) -> list[tuple[_Key, int]]:
-        """The states not built yet that the non-cycle references of ``key``
-        under ``stack`` stand for, in site order."""
-        memo = self._memo
-        return [
-            state for target in self._targets[key]
-            if (state := self._state(target, stack)) is not None and state not in memo
-        ]
 
     def _node(
         self, raw: RawNode, doc_id: str, path: str, stack: tuple[int, int],
@@ -885,9 +892,10 @@ def resolve(corpus: CorpusHandle, entry_id: str) -> ResolvedNode:
     Cycles are stubbed (kind "cycle"), never expanded, so this terminates on
     any corpus. It refuses a corpus whose reference cycles need more than
     ``STATE_BUDGET`` expansions under a non-empty cycle stack, raising
-    ResolutionTooLarge (a CorpusError) rather than building an output
-    exponential in the size of a cycle. Resolution is deterministic: equal
-    corpora yield structurally identical results, and the result unfolds to
-    the tree a per-site inlining of every reference would build.
+    ResolutionTooLarge (a CorpusError) when they are discovered, before any
+    is built, rather than building an output exponential in the size of a
+    cycle. Resolution is deterministic: equal corpora yield structurally
+    identical results, and the result unfolds to the tree a per-site
+    inlining of every reference would build.
     """
     return _Resolver(corpus).resolve(entry_id)
