@@ -282,38 +282,45 @@ def classify_attribute(node: ResolvedNode) -> str:
     document; a oneOf mixing object and scalar branches is unclassifiable and
     conservatively counted as document (callers can flag it).
     """
+    return _classify(node, {})[0]
+
+
+# The kinds whose class depends on the classes of other nodes.
+_COMPOUND = frozenset([loader.ARRAY, loader.ONEOF, loader.CONDITIONAL])
+
+
+def _classify(node: ResolvedNode, memo: dict[int, tuple[str, bool]]) -> tuple[str, bool]:
+    """``node``'s class, and whether it is a oneOf that mixes document and
+    atomic branches. A compound node's pair is computed once per ``memo``,
+    kept under ``id(node)``, after its parts' in one postorder, so a oneOf
+    or array diamond costs its depth and a chain of any length classifies."""
     kind = node.kind
-    if kind == loader.CYCLE:
-        return DOCUMENT
-    if kind == loader.ENUM:
-        return ATOMIC
-    if kind == loader.OBJECT:
-        return DOCUMENT
-    if kind == loader.ARRAY:
-        if node.item is None:
-            return ARRAY_ATOMIC
-        item_class = classify_attribute(node.item)
-        return ARRAY_DOCUMENT if item_class in (DOCUMENT, ARRAY_DOCUMENT) else ARRAY_ATOMIC
-    if kind == loader.ONEOF:
-        branch_classes = {classify_attribute(b) for b in node.one_of_branches()}
-        if branch_classes <= {DOCUMENT}:
-            return DOCUMENT
-        if branch_classes <= {ATOMIC}:
-            return ATOMIC
-        return DOCUMENT  # mixed: conservative upper classification
-    if kind == loader.CONDITIONAL:
-        arms = [arm for _, then, other in node.conditionals for arm in (then, other) if arm]
-        if arms and all(classify_attribute(a) == DOCUMENT for a in arms):
-            return DOCUMENT
-        return ATOMIC
-    return ATOMIC  # atomic / any
+    if kind not in _COMPOUND:
+        return (DOCUMENT if kind in (loader.CYCLE, loader.OBJECT) else ATOMIC), False
+    if id(node) not in memo:
+        done = lambda sub: sub.kind not in _COMPOUND or id(sub) in memo
+        for sub in loader.postorder(node, _class_parts, id, done):
+            classes = {_classify(part, memo)[0] for part in _class_parts(sub)}
+            if sub.kind == loader.ARRAY:
+                found = (ARRAY_DOCUMENT if classes & {DOCUMENT, ARRAY_DOCUMENT} else ARRAY_ATOMIC), False
+            elif sub.kind == loader.ONEOF:
+                # a mixed oneOf gets the conservative upper classification
+                mixed = not classes <= {DOCUMENT} and not classes <= {ATOMIC}
+                found = (ATOMIC if classes and classes <= {ATOMIC} else DOCUMENT), mixed
+            else:
+                found = (DOCUMENT if classes == {DOCUMENT} else ATOMIC), False
+            memo[id(sub)] = found
+    return memo[id(node)]
 
 
-def _is_mixed_one_of(node: ResolvedNode) -> bool:
-    if node.kind != loader.ONEOF or not node.one_of_groups:
-        return False
-    branch_classes = {classify_attribute(b) for b in node.one_of_branches()}
-    return not (branch_classes <= {DOCUMENT}) and not (branch_classes <= {ATOMIC})
+def _class_parts(node: ResolvedNode) -> tuple[ResolvedNode, ...] | list[ResolvedNode]:
+    """The nodes whose classes decide ``node``'s: an array's item, a
+    oneOf's branches, a conditional's then/else arms."""
+    if node.kind == loader.ARRAY:
+        return () if node.item is None else (node.item,)
+    if node.kind == loader.ONEOF:
+        return node.one_of_branches()
+    return [arm for _, then, other in node.conditionals for arm in (then, other) if arm]
 
 
 def _richness(node: ResolvedNode) -> int:
@@ -350,12 +357,15 @@ def effective_children(node: ResolvedNode) -> list[tuple[str, ResolvedNode]]:
     return [(name, merged[name]) for name in order]
 
 
-def _member_specs(node: ResolvedNode, below: list[tuple[Spec, ResolvedNode]]) -> tuple[Spec, ...]:
+def _member_specs(
+    node: ResolvedNode, below: list[tuple[Spec, ResolvedNode]], classes: dict[int, tuple[str, bool]]
+) -> tuple[Spec, ...]:
     """What each effective property of ``node`` becomes. A cycle stub becomes
     a Reference, a document an Embedded node, anything else an Attribute,
     with the item's Embedded node (or Reference) below an array of
     documents. Each spec whose members are those of a resolved node is
-    appended to ``below`` with that node; its ``kids`` are filled in later."""
+    appended to ``below`` with that node; its ``kids`` are filled in later.
+    ``classes`` memoises :func:`_classify` across the calls of one build."""
     required = set(node.required)
     specs: list[Spec] = []
     for name, sub in effective_children(node):
@@ -364,9 +374,9 @@ def _member_specs(node: ResolvedNode, below: list[tuple[Spec, ResolvedNode]]) ->
             type_name = sub.ref_names[0] if sub.ref_names else name
             specs.append(Spec(REFERENCE, type_name, None, sub.ref_names, req))
             continue
-        attr_class = classify_attribute(sub)
+        attr_class, mixed = _classify(sub, classes)
         if attr_class == DOCUMENT:
-            spec = Spec(EMBEDDED, name, None, sub.ref_names, req, _is_mixed_one_of(sub))
+            spec = Spec(EMBEDDED, name, None, sub.ref_names, req, mixed)
             below.append((spec, sub))
             specs.append(spec)
             continue
@@ -399,12 +409,13 @@ def build_graph(
     below = [(Spec(COLLECTION, name, None, entry.ref_names), entry) for name, entry in collections.items()]
     top = Spec(ROOT, "root", kids=tuple(spec for spec, _ in below))
     members: dict[int, tuple[Spec, ...]] = {}
+    classes: dict[int, tuple[str, bool]] = {}
     todo = list(collections.values())
     while todo:
         node = todo.pop()
         if id(node) not in members:
             start = len(below)
-            members[id(node)] = _member_specs(node, below)
+            members[id(node)] = _member_specs(node, below, classes)
             todo.extend(sub for _, sub in below[start:])
     for spec, node in below:
         spec.kids = members[id(node)]

@@ -298,15 +298,14 @@ class CorpusHandle:
     """The files of one corpus directory, each parsed on first use.
 
     Built from a map of each id to its SchemaDocument or to its file's bytes,
-    which the first ``get`` parses, plus refusals already made. Reading
-    ``documents`` or ``errors`` parses every file still pending; both list
-    files in the order given, whatever order they were parsed in.
+    which the first ``get`` parses. Reading ``documents`` or ``errors``
+    parses every file still pending; both list files in the order given,
+    whatever order they were parsed in.
     """
 
-    def __init__(self, root_dir: Path, documents: Mapping[str, SchemaDocument | bytes],
-                 errors: Iterable[ParseError] = ()):
+    def __init__(self, root_dir: Path, documents: Mapping[str, SchemaDocument | bytes]):
         self.root_dir = root_dir
-        self._files = {**documents, **{error.file_id: error for error in errors}}
+        self._files: dict[str, SchemaDocument | bytes | ParseError] = dict(documents)
 
     def get(self, doc_id: str) -> SchemaDocument:
         """The document ``doc_id``; the ParseError that keeps it out of the

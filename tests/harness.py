@@ -49,7 +49,7 @@ def make_corpus(docs: dict[str, dict]) -> CorpusHandle:
         )
         for doc_id, raw in docs.items()
     }
-    return CorpusHandle(root_dir=Path("<memory>"), documents=documents, errors=[])
+    return CorpusHandle(root_dir=Path("<memory>"), documents=documents)
 
 
 # --------------------------------------------------------------------------
@@ -358,7 +358,7 @@ def random_annotations(
     return annotations
 
 
-def diamond_docs(depth: int, fragments: bool, arrays: bool = False) -> tuple[dict, str]:
+def diamond_docs(depth: int, fragments: bool, arrays: bool = False, one_of: bool = False) -> tuple[dict, str]:
     """A ref diamond whose entry is its level 0: level k < depth refs level
     k+1 twice (``leftPart``/``rightPart``) beside an atomic ``tag``, and the
     last level holds ``value0`` and ``value1``. Levels are documents
@@ -366,12 +366,18 @@ def diamond_docs(depth: int, fragments: bool, arrays: bool = False) -> tuple[dic
     document, which is a bare ``$ref`` to its level 0. Its tree has
     5 * 2^depth - 1 nodes and holds level k 2^k times. With ``arrays``,
     ``rightPart`` is an array of objects whose ``cell`` is level k+1, so the
-    right side is twice as deep as the left."""
+    right side is twice as deep as the left. With ``one_of``, ``rightPart``
+    is a oneOf of level k+1 and an array of it: a mixed oneOf, so a flagged
+    document whose members are level k+1's, and the tree keeps its size."""
     def level(k: int) -> dict:
         if k == depth:
             return {"type": "object", "properties": {"value0": {"type": "string"}, "value1": {"type": "number"}}}
         target = {"$ref": f"#/$defs/t{k + 1}" if fragments else f"t{k + 1}.json"}
-        right = {"type": "array", "items": {"type": "object", "properties": {"cell": target}}} if arrays else dict(target)
+        right = dict(target)
+        if arrays:
+            right = {"type": "array", "items": {"type": "object", "properties": {"cell": target}}}
+        elif one_of:
+            right = {"oneOf": [target, {"type": "array", "items": target}]}
         return {
             "type": "object",
             "properties": {"leftPart": target, "rightPart": right, "tag": {"type": "string"}},

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from dataclasses import astuple
 
 import pytest
@@ -339,6 +340,65 @@ def test_an_annotation_unshares_only_its_path():
     deep = _diamond_graph(30, [CardinalityAnnotation("c", "rightPart/leftPart/leftPart", 5)])
     assert metrics.doc_copies_in_col(deep, "t3", "c") == 2**3 + 4
     assert metrics.doc_copies_in_col(deep, "t2", "c") == 2**2
+
+
+def _head_graph(links: dict) -> "graph_module.MetricGraph":
+    """The graph of collection ``c``, whose one property ``head`` is a ref
+    to ``t0.json`` of ``links``."""
+    docs = {**links, "c.json": {"type": "object", "properties": {"head": {"$ref": "t0.json"}}}}
+    return build_graph({"c": resolve(make_corpus(docs), "c.json")})
+
+
+_LAST_LINK = {"type": "object", "properties": {"tag": {"type": "string"}}}
+
+
+def test_a_depth_40_one_of_diamond_classifies_each_level_once():
+    # Each level is a oneOf of the next and of an array of the next, so a
+    # classification per path would take 2^40 steps.
+    depth = 40
+    links = {
+        f"t{k}.json": {"oneOf": [{"$ref": f"t{k + 1}.json"}, {"type": "array", "items": {"$ref": f"t{k + 1}.json"}}]}
+        for k in range(depth)
+    }
+    started = time.perf_counter()
+    graph = _head_graph({**links, f"t{depth}.json": _LAST_LINK})
+    assert time.perf_counter() - started < 1.0
+    head = graph.node(graph.child_ids(1)[0])
+    assert (head.kind, head.type_name, head.flagged) == (EMBEDDED, "head", True)  # mixed at every level
+    assert len(graph.nodes) == 3
+
+
+CHAIN_LENGTH = 3_000
+
+
+def test_a_one_of_chain_of_3000_documents_builds():
+    # t<k> is a oneOf of t<k+1> and of an object whose ``next`` is t<k+1>:
+    # classifying t0 reaches down the whole chain.
+    links = {
+        f"t{k}.json": {"oneOf": [
+            {"$ref": f"t{k + 1}.json"}, {"type": "object", "properties": {"next": {"$ref": f"t{k + 1}.json"}}},
+        ]}
+        for k in range(CHAIN_LENGTH - 1)
+    }
+    graph = _head_graph({**links, f"t{CHAIN_LENGTH - 1}.json": _LAST_LINK})
+    # root, c, head, a ``next`` for each later link, and a ``tag`` in the
+    # last two: the last but one takes the last's members from its oneOf
+    assert len(graph.nodes) == CHAIN_LENGTH + 4
+    assert metrics.col_depth(graph, "c") == CHAIN_LENGTH
+    assert not any(node.flagged for node in graph.nodes.values())
+
+
+def test_an_array_chain_of_3000_documents_builds():
+    # t<k> is an array of t<k+1>: t0 is an array of documents only because
+    # the last link is an object.
+    links = {f"t{k}.json": {"type": "array", "items": {"$ref": f"t{k + 1}.json"}} for k in range(CHAIN_LENGTH - 1)}
+    graph = _head_graph({**links, f"t{CHAIN_LENGTH - 1}.json": _LAST_LINK})
+    head_id = graph.child_ids(1)[0]
+    assert graph.node(head_id).attr_class == ARRAY_DOCUMENT
+    # root, c, head and head's item, an array with no members
+    assert [graph.node(k).type_name for k in graph.child_ids(head_id)] == ["t1"]
+    assert len(graph.nodes) == 4
+    assert metrics.col_depth(graph, "c") == 1
 
 
 def test_a_depth_16_diamond_still_builds_its_tree():

@@ -796,6 +796,16 @@ def test_the_budget_counts_the_states_under_a_cycle_stack(monkeypatch, docs, ent
         resolve(corpus, entry)
 
 
+@pytest.mark.parametrize("k", [13, 16])
+def test_a_clique_over_the_budget_is_refused_before_any_node_is_built(monkeypatch, k):
+    built = []
+    original = loader._resolved_node
+    monkeypatch.setattr(loader, "_resolved_node", lambda *fields: built.append(fields[:3]) or original(*fields))
+    with pytest.raises(ResolutionTooLarge, match=f"^node0.json: .* more than {loader.STATE_BUDGET} "):
+        resolve(make_corpus(clique_docs(k)), "node0.json")
+    assert built == []
+
+
 def test_a_chain_needs_no_state_under_a_cycle_stack(monkeypatch):
     monkeypatch.setattr(loader, "STATE_BUDGET", 0)
     resolve(make_corpus(_chain_docs(100)), "link0.json")

@@ -438,11 +438,13 @@ def _dag_values(graph, collection, names):
 
 
 @pytest.mark.parametrize(
-    "fragments, arrays", [(False, False), (True, False), (False, True)], ids=["documents", "fragments", "arrays"]
+    "fragments, arrays, one_of",
+    [(False, False, False), (True, False, False), (False, True, False), (False, False, True)],
+    ids=["documents", "fragments", "arrays", "oneOf"],
 )
 @pytest.mark.parametrize("depth", range(1, 11))
-def test_dag_metrics_match_the_tree_on_diamonds(depth, fragments, arrays):
-    docs, entry = diamond_docs(depth, fragments, arrays)
+def test_dag_metrics_match_the_tree_on_diamonds(depth, fragments, arrays, one_of):
+    docs, entry = diamond_docs(depth, fragments, arrays, one_of)
     resolved = resolve(make_corpus(docs), entry)
     bare = build_graph({"c": resolved})
     rng = random.Random(depth)
