@@ -199,11 +199,9 @@ def postorder(root: Any, subs: Callable[[Any], Iterable[Any]], key: Callable[[An
     graph must be acyclic. Nodes are told apart by ``key(node)``, or by
     value when ``key`` is None, which keeps the per-edge loop free of
     Python calls; a ResolvedNode needs ``key=id``, because its ``==`` walks
-    the unfolded tree. A node for which ``done`` holds is left out, and so
-    is everything reachable only through it. Iterative, so a chain of any
-    length orders."""
-    if done is not None and done(root):
-        return []
+    the unfolded tree. A node below ``root`` for which ``done`` holds is
+    left out, and so is everything reachable only through it. Iterative, so
+    a chain of any length orders."""
     order = []
     seen = {root if key is None else key(root)}
     stack = [(root, iter(subs(root)))]
