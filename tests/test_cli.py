@@ -32,6 +32,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# What argparse prints for --help, for usage errors and for an unknown or
+# missing command, at an 80-column terminal: exit code, stdout and stderr.
+_CLI_TEXTS = json.loads(Path(__file__).with_name("cli_texts.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", _CLI_TEXTS, ids=[" ".join(c["argv"]) or "no-arguments" for c in _CLI_TEXTS])
+def test_help_and_usage_texts_are_pinned(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(case["argv"])
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
+
+
 def test_metrics_table_contains_the_width_row(capsys):
     code, out, _ = run_cli(capsys, "metrics")
     assert code == 0
