@@ -58,15 +58,7 @@ def _add_schema_flag(parser: argparse.ArgumentParser, default_all: bool):
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="schemalens",
-        description="Structural metrics, weighted evaluation and validation "
-        "for livestock event schema corpora.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("metrics", help="compute the structural metric table")
+def _add_metrics(p: argparse.ArgumentParser):
     _add_common(p)
     _add_schema_flag(p, default_all=True)
     p.add_argument("--collection", help="override the level-0 collection name")
@@ -74,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coefficients", help="docWidth coefficients a,b,c,d (default 1,2,1,3)")
     p.add_argument("--criteria", help="criteria config file (default: bundled)")
 
-    p = sub.add_parser("evaluate", help="score schemas under the weight cases")
+
+def _add_evaluate(p: argparse.ArgumentParser):
     _add_common(p)
     _add_schema_flag(p, default_all=True)
     p.add_argument("--collection", help="override the level-0 collection name")
@@ -84,20 +77,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--breakdown", action="store_true", help="also print per-criterion scores")
     p.add_argument("--chart-data", action="store_true", help="emit case->schema->score JSON")
 
-    p = sub.add_parser("validate", help="validate instance files against the envelope schema")
+
+def _add_validate(p: argparse.ArgumentParser):
     _add_common(p)
     _add_schema_flag(p, default_all=False)
     p.add_argument("files", nargs="+", help="instance files or directories of instances")
 
-    p = sub.add_parser("capability", help="event-capture capability matrix")
-    _add_common(p)
 
-    p = sub.add_parser("graph", help="export a schema's metric graph as DOT")
+def _add_graph(p: argparse.ArgumentParser):
     _add_common(p)
     _add_schema_flag(p, default_all=False)
     p.add_argument("--collection", help="override the level-0 collection name")
     p.add_argument("--graph-dot", help="write DOT here instead of stdout")
-    return parser
 
 
 def _manifest(args) -> CorpusManifest:
@@ -274,20 +265,40 @@ def cmd_graph(args) -> int:
     return 0
 
 
+# name -> (help, argument adder, command), in the order --help lists them
 _COMMANDS = {
-    "metrics": cmd_metrics,
-    "evaluate": cmd_evaluate,
-    "validate": cmd_validate,
-    "capability": cmd_capability,
-    "graph": cmd_graph,
+    "metrics": ("compute the structural metric table", _add_metrics, cmd_metrics),
+    "evaluate": ("score schemas under the weight cases", _add_evaluate, cmd_evaluate),
+    "validate": ("validate instance files against the envelope schema", _add_validate, cmd_validate),
+    "capability": ("event-capture capability matrix", _add_common, cmd_capability),
+    "graph": ("export a schema's metric graph as DOT", _add_graph, cmd_graph),
 }
 
 
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with ``command``'s alone. The
+    one-subcommand parser's usage line still names them all, so its usage
+    errors read as the full parser's do."""
+    parser = argparse.ArgumentParser(
+        prog="schemalens",
+        description="Structural metrics, weighted evaluation and validation "
+        "for livestock event schema corpora.",
+    )
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else [command]:
+        help_text, add_arguments, _ = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A session parses one command, so it builds only that subparser; help,
+    # an unknown command or none at all builds every one.
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except (SchemaLensError, OSError, ValueError, RecursionError) as exc:
         print(f"schemalens: error: {exc}", file=sys.stderr)
         return 2

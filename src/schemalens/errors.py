@@ -43,7 +43,7 @@ class ResolutionTooLarge(CorpusError):
     def __init__(self, entry: str, budget: int):
         super().__init__(
             f"{entry}: resolution needs more than {budget} expansions of documents"
-            f" inside reference cycles, the most one resolve may build"
+            f" inside reference cycles, the most one resolve may expand"
         )
         self.entry, self.budget = entry, budget
 

@@ -1,8 +1,8 @@
 """Load multi-file JSON Schema corpora and resolve cross-file references.
 
 A corpus is a directory tree of UTF-8 ``*.json`` schema files. ``load_corpus``
-reads every file, and each is parsed into a :class:`SchemaDocument` on first
-use; ``resolve`` turns one entry document into a self-contained,
+lists the files, and each is read and parsed into a :class:`SchemaDocument`
+on first use; ``resolve`` turns one entry document into a self-contained,
 reference-free :class:`ResolvedNode` graph:
 ``allOf`` branches are merged, reference cycles are stubbed with CYCLE
 markers so resolution always terminates, and each ``$ref`` target is
@@ -293,24 +293,25 @@ class SchemaDocument(NamedTuple):
 
 
 class CorpusHandle:
-    """The files of one corpus directory, each parsed on first use.
+    """The files of one corpus directory, each read and parsed on first use.
 
-    Built from a map of each id to its SchemaDocument or to its file's bytes,
-    which the first ``get`` parses. Reading ``documents`` or ``errors``
-    parses every file still pending; both list files in the order given,
-    whatever order they were parsed in.
+    Built from a map of each id to its SchemaDocument or to its file's path,
+    which the first ``get`` reads and parses. Reading ``documents`` or
+    ``errors`` reads and parses every file still pending; both list files
+    in the order given, whatever order they were parsed in.
     """
 
-    def __init__(self, root_dir: Path, documents: Mapping[str, SchemaDocument | bytes]):
+    def __init__(self, root_dir: Path, documents: Mapping[str, SchemaDocument | str]):
         self.root_dir = root_dir
-        self._files: dict[str, SchemaDocument | bytes | ParseError] = dict(documents)
+        self._files: dict[str, SchemaDocument | str | ParseError] = dict(documents)
 
     def get(self, doc_id: str) -> SchemaDocument:
         """The document ``doc_id``; the ParseError that keeps it out of the
-        corpus if it is refused; else UnknownRef."""
+        corpus if it is refused; IoError if its file cannot be read; else
+        UnknownRef."""
         found = self._files.get(doc_id)
-        if type(found) is bytes:
-            found = self._files[doc_id] = _parse_file(doc_id, found)
+        if type(found) is str:
+            found = self._files[doc_id] = _parse_file(doc_id, _read(found))
         if type(found) is SchemaDocument:
             return found
         if found is None:
@@ -319,8 +320,8 @@ class CorpusHandle:
 
     def _parsed(self) -> dict[str, SchemaDocument | ParseError]:
         for doc_id, found in self._files.items():
-            if type(found) is bytes:
-                self._files[doc_id] = _parse_file(doc_id, found)
+            if type(found) is str:
+                self._files[doc_id] = _parse_file(doc_id, _read(found))
         return self._files
 
     @property
@@ -499,6 +500,16 @@ def _schema_files(root: Path) -> list[tuple[tuple[str, ...], str]]:
     return found
 
 
+def _read(path: str) -> bytes:
+    """The bytes of the file at ``path``; IoError naming it if it cannot be
+    read."""
+    try:
+        with open(path, "rb", buffering=0) as stream:
+            return stream.readall()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+
+
 def _parse_file(doc_id: str, data: bytes) -> SchemaDocument | ParseError:
     """The document in one file's bytes, read as ``Path.read_text`` would
     (UTF-8 with universal newlines), or the ParseError that refuses it."""
@@ -521,28 +532,23 @@ def _parse_file(doc_id: str, data: bytes) -> SchemaDocument | ParseError:
 
 
 def load_corpus(directory: str | Path) -> CorpusHandle:
-    """Read every ``*.json`` file under ``directory`` into a corpus handle.
+    """List every ``*.json`` file under ``directory`` in a corpus handle.
 
     The files are those ``Path.rglob`` finds (see :func:`_schema_files`),
-    in sorted path order, each with its relative POSIX path as id. Every
-    file is read here and parsed on first use (see :class:`CorpusHandle`).
-    Malformed files -- not UTF-8, not JSON, not an object, nested too
-    deeply for the recursion limit, or outside the subset -- are recorded
-    per file in ``handle.errors`` (as ParseError entries naming the file);
-    the remaining documents stay loadable. Raises CorpusError when the
-    directory holds no schema files at all and IoError when it or a file
-    cannot be read.
+    in sorted path order, each with its relative POSIX path as id. Each
+    file is read and parsed on first use (see :class:`CorpusHandle`), so a
+    session reads only the files its resolves reach, and a file that cannot
+    be read raises IoError there. Malformed files -- not UTF-8, not JSON,
+    not an object, nested too deeply for the recursion limit, or outside
+    the subset -- are recorded per file in ``handle.errors`` (as ParseError
+    entries naming the file); the remaining documents stay loadable.
+    Raises CorpusError when the directory holds no schema files at all and
+    IoError when it cannot be read.
     """
     root = Path(directory)
     if not root.is_dir():
         raise IoError(f"not a readable directory: {root}")
-    files: dict[str, bytes] = {}
-    for parts, path in _schema_files(root):
-        try:
-            with open(path, "rb", buffering=0) as stream:
-                files["/".join(parts)] = stream.readall()
-        except OSError as exc:
-            raise IoError(f"cannot read {root.joinpath(*parts)}: {exc}") from exc
+    files = {"/".join(parts): path for parts, path in _schema_files(root)}
     if not files:
         raise CorpusError(f"no schema files in {root}")
     return CorpusHandle(root, files)

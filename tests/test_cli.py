@@ -455,6 +455,33 @@ def test_a_corpus_file_too_deep_to_parse_fails_only_where_it_is_referenced(capsy
         assert (code, err) == (0, "")
 
 
+@pytest.mark.parametrize("referenced", [False, True], ids=["unreferenced", "referenced"])
+def test_a_corpus_file_deleted_after_loading_fails_only_where_it_is_referenced(
+    capsys, monkeypatch, tmp_path, referenced
+):
+    entry = {"type": "object", "properties": {"tag": {"type": "string"}}}
+    if referenced:
+        entry["properties"]["gone"] = {"$ref": "gone.json"}
+    argv = _metrics_on_schema(tmp_path, entry)
+    gone = tmp_path / "k" / "gone.json"
+    _write(gone, {"type": "string"})
+    load_corpus = corpus.load_corpus
+
+    def load_then_delete(directory):
+        handle = load_corpus(directory)
+        gone.unlink()
+        return handle
+
+    monkeypatch.setattr(corpus, "load_corpus", load_then_delete)
+    code, _, err = run_cli(capsys, *argv)
+    assert not gone.exists()
+    if referenced:
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"schemalens: error: cannot read {gone}: ")
+    else:
+        assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize("instance, expected", [({"x": "ok"}, 0), ({"x": 1}, 1)])
 def test_validate_on_a_recursive_schema_away_from_the_cycle(capsys, tmp_path, instance, expected):
     code, _, err = run_cli(capsys, *_validate_recursive(tmp_path, instance))

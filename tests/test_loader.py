@@ -9,7 +9,7 @@ import pytest
 
 from schemalens import loader
 from schemalens.cli import main
-from schemalens.errors import CorpusError, MergeConflict, ParseError, ResolutionTooLarge, UnknownRef
+from schemalens.errors import CorpusError, IoError, MergeConflict, ParseError, ResolutionTooLarge, UnknownRef
 from schemalens.loader import CYCLE, ResolvedNode, load_corpus, parse_schema, resolve
 from schemalens.validator import validate
 
@@ -990,6 +990,35 @@ def test_a_session_parses_only_the_documents_it_resolves(capsys, monkeypatch, ma
     assert main(argv) == 0
     capsys.readouterr()
     assert len(parsed) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(["metrics"], 34), (["evaluate"], 34), (["graph"], 14), (["capability"], 114), (["validate", None], 79)],
+    ids=["metrics", "evaluate", "graph", "capability", "validate"],
+)
+def test_a_session_reads_only_the_files_it_resolves(capsys, monkeypatch, manifest, argv, expected):
+    argv = [str(manifest.root / "scenarios") if arg is None else arg for arg in argv]
+    read = []
+    original = loader._read
+    monkeypatch.setattr(loader, "_read", lambda path: read.append(path) or original(path))
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(read) == len(set(read)) == expected
+
+
+def test_a_file_deleted_after_loading_fails_only_where_it_is_referenced(tmp_path):
+    # deleted rather than made unreadable: mode 0 does not stop a root user
+    (tmp_path / "a.json").write_text(json.dumps({"type": "object", "properties": {"b": {"$ref": "b.json"}}}))
+    (tmp_path / "b.json").write_text('{"type": "string"}')
+    (tmp_path / "c.json").write_text('{"type": "string"}')
+    handle = load_corpus(tmp_path)
+    (tmp_path / "b.json").unlink()
+    assert resolve(handle, "c.json").type_tag == "string"
+    with pytest.raises(IoError, match=f"^cannot read {re.escape(str(tmp_path / 'b.json'))}: "):
+        resolve(handle, "a.json")
+    with pytest.raises(IoError):
+        handle.documents
 
 
 @pytest.mark.parametrize(
