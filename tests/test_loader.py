@@ -1007,6 +1007,14 @@ def test_a_session_reads_only_the_files_it_resolves(capsys, monkeypatch, manifes
     assert len(read) == len(set(read)) == expected
 
 
+def test_a_file_larger_than_one_read_loads_whole(tmp_path):
+    document = {"enum": [f"value-{i:06d}" for i in range(20_000)]}
+    text = json.dumps(document)
+    assert len(text) > 3 * 65536
+    (tmp_path / "big.json").write_text(text)
+    assert load_corpus(tmp_path).get("big.json").raw == document
+
+
 def test_a_file_deleted_after_loading_fails_only_where_it_is_referenced(tmp_path):
     # deleted rather than made unreadable: mode 0 does not stop a root user
     (tmp_path / "a.json").write_text(json.dumps({"type": "object", "properties": {"b": {"$ref": "b.json"}}}))
