@@ -21,15 +21,21 @@ once per distinct node, not per instance.
 Checks whose violations nobody reads -- oneOf branches, if-conditions and
 ``dispatch_event_schema``'s tests -- run the same checks in quiet mode: they
 get the sink None, and a failing check raises at once, before it builds a
-Violation or formats a message. A caller that wants a branch's violations
-runs that branch again with a list sink.
-This module alone decides how a oneOf group selects a branch. A
-discriminated group (see ``_discriminator``) is dispatched on its tag: for an
-object instance only the branch a string tag selects is evaluated, since
-every other branch fails on the tag's ``required`` or ``enum``. Non-object
-instances and other groups evaluate every branch. Neither shortcut changes
-the top-level violation list, which stays complete. ``dispatch_event_schema``
-picks a message's event branch with the same compiled checks.
+Violation or formats a message. A quiet check builds no instance path
+either: it passes down the path it was given, and a CycleReached raised
+below gets each property step or ``/<i>`` prefixed on its way out. A caller
+that wants a branch's violations runs that branch again with a list sink.
+This module alone decides how a oneOf group selects a branch. A group is
+discriminated (see ``_discriminator``) when every branch declares one tag
+property with a string-only enum and no string is admitted by two branches;
+a tag that every branch also requires is preferred. For an object instance
+that carries the tag, only the branch a string tag selects is evaluated,
+since every other branch fails on the tag's ``enum`` (and a non-string tag
+fails them all); when the tag is absent, every branch is evaluated, unless
+every branch requires it, in which case all fail. Non-object instances and
+other groups evaluate every branch. Neither shortcut changes the top-level
+violation list, which stays complete. ``dispatch_event_schema`` picks a
+message's event branch with the same compiled checks.
 
 Only ``(instance_path, keyword)`` pairs are contract-bearing; message text is
 informational.
@@ -237,9 +243,16 @@ def _object_check(node: ResolvedNode, spath: str) -> Check:
         for name, step, child in children:
             if name in value:
                 member = value[name]
-                path = ipath + step
-                for child_check in child.checks:
-                    child_check(member, path, out)
+                # A quiet check builds no path: a CycleReached gets its step
+                # on the way out.
+                path = ipath if out is None else ipath + step
+                try:
+                    for child_check in child.checks:
+                        child_check(member, path, out)
+                except CycleReached as exc:
+                    if out is None:
+                        exc.instance_path = step + exc.instance_path
+                    raise
         if declared is not None and not declared.issuperset(value):
             if out is None:
                 raise _Invalid
@@ -257,45 +270,65 @@ def _items_check(item: ResolvedNode) -> Check:
         if isinstance(value, list):
             item_checks = item.checks
             for i, element in enumerate(value):
-                path = f"{ipath}/{i}"
-                for item_check in item_checks:
-                    item_check(element, path, out)
+                path = ipath if out is None else f"{ipath}/{i}"
+                try:
+                    for item_check in item_checks:
+                        item_check(element, path, out)
+                except CycleReached as exc:
+                    if out is None:
+                        exc.instance_path = f"/{i}{exc.instance_path}"
+                    raise
     return check
 
 
-def _discriminator(group: tuple[ResolvedNode, ...]) -> tuple[str, dict[str, ResolvedNode]] | None:
-    """``(name, tag -> branch)`` for the first name in the first branch's
-    ``required`` that every branch requires and declares as a non-cycle
-    child whose enum holds only strings, no string admitted by two branches;
-    None when no name qualifies."""
-    for name in group[0].required if group else ():
-        table: dict[str, ResolvedNode] = {}
-        for branch in group:
-            child = branch.child_map().get(name)
-            if (
-                name not in branch.required
-                or child is None
-                or child.kind == loader.CYCLE
-                or not child.enum_values
-                or not all(isinstance(v, str) for v in child.enum_values)
-                or not table.keys().isdisjoint(child.enum_values)
-            ):
-                break
-            table.update(dict.fromkeys(child.enum_values, branch))
-        else:
-            return name, table
+def _tag_table(group: tuple[ResolvedNode, ...], name: str) -> dict[str, ResolvedNode] | None:
+    """tag -> branch when every branch declares ``name`` as a non-cycle child
+    whose enum holds only strings, no string admitted by two branches;
+    otherwise None."""
+    table: dict[str, ResolvedNode] = {}
+    for branch in group:
+        child = branch.child_map().get(name)
+        if (
+            child is None
+            or child.kind == loader.CYCLE
+            or not child.enum_values
+            or not all(isinstance(v, str) for v in child.enum_values)
+            or not table.keys().isdisjoint(child.enum_values)
+        ):
+            return None
+        table.update(dict.fromkeys(child.enum_values, branch))
+    return table
+
+
+def _discriminator(
+    group: tuple[ResolvedNode, ...]
+) -> tuple[str, dict[str, ResolvedNode], bool] | None:
+    """``(name, tag -> branch, every branch requires name)`` for the group's
+    tag: the first name in the first branch's ``required`` that every branch
+    requires and that has a tag table (see ``_tag_table``), else the first
+    name the first branch declares that has one; None when no name
+    qualifies."""
+    if not group:
+        return None
+    first = group[0]
+    required = [name for name in first.required if all(name in branch.required for branch in group)]
+    for name in (*required, *(name for name, _ in first.children)):
+        table = _tag_table(group, name)
+        if table is not None:
+            return name, table, name in required
     return None
 
 
 def _one_of_check(group: tuple[ResolvedNode, ...], spath: str) -> Check:
-    name, table = _discriminator(group) or (None, None)
+    name, table, required = _discriminator(group) or (None, None, False)
     alternatives = f" of {len(group)} alternatives, expected exactly 1"
 
     def check(value: Any, ipath: str, out) -> None:
-        if table is not None and _is_object(value):
-            # Every branch requires the tag and lists the strings it admits,
-            # so an absent or non-string tag fails them all, and a string tag
-            # all but the branch it selects.
+        if table is not None and _is_object(value) and (required or name in value):
+            # Every branch lists the strings it admits for the tag, so a
+            # present non-string tag fails them all, and a string tag all but
+            # the branch it selects; an absent tag fails them all when every
+            # branch requires it.
             tag = value.get(name)
             branch = table.get(tag) if isinstance(tag, str) else None
             matched = 1 if branch is not None and _quiet_valid(value, branch, ipath) else 0

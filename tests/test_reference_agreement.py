@@ -61,6 +61,40 @@ def test_agreement_on_systematic_mutants(scenario_documents, lei_envelope, oracl
             assert reference is False, (path.name, label)
 
 
+def _item_mutants(animal):
+    """Items of LEI's itemType.json group: each body without a tag, with a
+    tag no branch admits, and with each branch's tag."""
+    bodies = [
+        ("animal", animal),
+        ("crop", {"cropType": "Wheat", "paddock": "North"}),
+        ("machinery", {"machineryType": "Tractor", "registration": "AB-123"}),
+    ]
+    items = [{key: body} for key, body in bodies]
+    for tag in (3, None, "Robots", "Animals", "Crops", "Machinery"):
+        items += [{"itemType": tag, key: body} for key, body in bodies]
+    return items
+
+
+def test_agreement_on_item_mutants(manifest, lei_corpus, scenario_documents, lei_envelope, oracle):
+    weight = next(doc for _, doc in scenario_documents if doc["message"]["eventName"] == "Weight")
+    item_schema = resolve(lei_corpus, "itemType.json")
+    item_oracle = reference_validator(manifest.schema_set("lei").corpus_dir, "itemType.json")
+    valid_items = []
+    for item in _item_mutants(weight["message"]["item"]["animal"]):
+        document = copy.deepcopy(weight)
+        document["message"]["item"] = item
+        native, reference = _agree(document, lei_envelope, oracle)
+        assert native is reference, item
+        native = validate(item, item_schema).valid
+        assert native is item_oracle.is_valid(item), item
+        if native:
+            valid_items.append(item)
+    assert [(item["itemType"], len(item)) for item in valid_items] == [
+        ("Animals", 2), ("Crops", 2), ("Machinery", 2)
+    ]
+    assert valid_items[0] == weight["message"]["item"]
+
+
 def test_agreement_on_random_variants(scenario_documents, lei_envelope, oracle):
     rng = random.Random(18250117)
     bases = [doc for _, doc in scenario_documents]

@@ -277,6 +277,23 @@ def test_weight_scenario_evaluates_one_message_branch(weight_instance, lei_envel
     assert evaluated[0].child_map()["eventName"].enum_values == ("Weight",)
 
 
+def test_weight_scenario_evaluates_one_item_branch(weight_instance, lei_envelope, monkeypatch):
+    (group,) = lei_envelope.child_map()["message"].child_map()["item"].one_of_groups
+    assert len(group) == 3
+    evaluated = []
+    quiet_valid = validator._quiet_valid
+
+    def counting(value, node, ipath=""):
+        if any(node is branch for branch in group):
+            evaluated.append(node)
+        return quiet_valid(value, node, ipath)
+
+    monkeypatch.setattr(validator, "_quiet_valid", counting)
+    assert validate(weight_instance, lei_envelope).valid
+    assert len(evaluated) == 1
+    assert evaluated[0].child_map()["itemType"].enum_values == ("Animals",)
+
+
 # ------------------------------------------------- discriminated oneOf groups
 
 def _branch(tag_values, body, required=("kind",)):
@@ -300,8 +317,13 @@ _INSTANCES = [
     {"kind": 1, "x": "s"},
     {"kind": True, "y": 2},
     {"kind": None, "x": "s"},
+    {"kind": "b"},
+    {"kind": "c", "x": "s", "y": "no"},
+    {"kind": "b", "x": "s", "y": "no"},
     {"x": "s"},
     {"y": 2},
+    {"y": "no"},
+    {"x": 1, "y": 2},
     {},
     "a",
     ["a"],
@@ -324,9 +346,18 @@ def test_discriminated_group_agrees_with_oracle(tmp_path):
     _assert_agrees_with_oracle(tmp_path, [_A, _BC], "kind")
 
 
-def test_branch_without_required_falls_back(tmp_path):
+def test_a_tag_every_branch_declares_discriminates(tmp_path):
     loose = _branch(["b", "c"], {"y": {"type": "integer"}}, required=None)
-    _assert_agrees_with_oracle(tmp_path, [_A, loose], None)
+    _assert_agrees_with_oracle(tmp_path, [_A, loose], "kind")
+
+
+def test_a_tag_every_branch_requires_is_preferred(tmp_path):
+    declared = {"properties": {"mode": {"enum": ["m"]}}}
+    branches = [
+        {**_A, "properties": {**declared["properties"], **_A["properties"]}},
+        {**_BC, "properties": {"mode": {"enum": ["n"]}, **_BC["properties"]}},
+    ]
+    _assert_agrees_with_oracle(tmp_path, branches, "kind")
 
 
 def test_duplicated_enum_value_falls_back(tmp_path):
@@ -413,8 +444,18 @@ def test_reaching_a_cycle_stub_is_refused(instance):
             {"a": {"b": {"c": 1}}},
             "/a/b/c",
         ),
+        (
+            {"properties": {"a": {"oneOf": [{"items": {"properties": {"c": {"$ref": "a.json"}}}}]}}},
+            {"a": [{}, {"c": 1}]},
+            "/a/1/c",
+        ),
+        (
+            {"properties": {"a": {"if": {"properties": {"b": {"items": {"properties": {"c": {"$ref": "a.json"}}}}}}}}},
+            {"a": {"b": [{}, {}, {"c": 1}]}},
+            "/a/b/2/c",
+        ),
     ],
-    ids=["oneOf", "if", "nested"],
+    ids=["oneOf", "if", "nested", "oneOf-items", "if-items"],
 )
 def test_reaching_a_cycle_stub_in_a_quiet_check_is_refused(document, instance, where):
     schema = resolve(make_corpus({"a.json": document}), "a.json")
