@@ -352,10 +352,10 @@ def test_a_tag_every_branch_declares_discriminates(tmp_path):
 
 
 def test_a_tag_every_branch_requires_is_preferred(tmp_path):
-    declared = {"properties": {"mode": {"enum": ["m"]}}}
+    # Every branch declares "mode" before "kind" but none requires it.
     branches = [
-        {**_A, "properties": {**declared["properties"], **_A["properties"]}},
-        {**_BC, "properties": {"mode": {"enum": ["n"]}, **_BC["properties"]}},
+        {**branch, "properties": {"mode": {"enum": [mode]}, **branch["properties"]}}
+        for branch, mode in ((_A, "m"), (_BC, "n"))
     ]
     _assert_agrees_with_oracle(tmp_path, branches, "kind")
 
