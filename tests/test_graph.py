@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import time
 from dataclasses import astuple
 
@@ -30,9 +31,16 @@ from harness import diamond_docs, enumerate_paths, make_corpus, random_cyclic_co
 # every type name they hold. Any change to node ids, sibling order, node
 # fields or a metric value changes it.
 GOLDEN_GRAPH_SHA256 = "773047b2a6e2c2765daf8d29df529b830afad6ebc4d6b2177d4967a2d97c2802"
+# sha256 over the to_dot text of the graphs named in
+# test_to_dot_matches_golden_digest: the bundled graphs under their titles,
+# random graphs (annotated ones among them), the ref and cyclic corpora, and
+# a depth-16 diamond, bare and with an annotated edge. Any change to node
+# ids, labels, edge order or edge labels changes it.
+GOLDEN_DOT_SHA256 = "56d18d0e0ae0be7aced28c6adab8cba46d431f4daf51bd0ac56234a08e5a1d03"
 N_REF_CORPORA = 40
 N_CYCLIC_CORPORA = 40
 N_RANDOM_GRAPHS = 20
+N_DOT_RANDOM_GRAPHS = 40
 
 
 def _resolve_single(schema_dict):
@@ -281,8 +289,9 @@ def _graph_record(graph):
     }
 
 
-def test_graph_and_metrics_match_golden_digest(manifest):
-    rows = []
+def _bundled_graphs(manifest):
+    """``(schema set, entry, graph)`` for the metric entry, the envelope and
+    every event body of each bundled schema set."""
     for name in manifest.schema_names():
         schema_set = manifest.schema_set(name)
         corpus = schema_set.corpus()
@@ -290,18 +299,41 @@ def test_graph_and_metrics_match_golden_digest(manifest):
             [schema_set.metric_entry, *filter(None, [schema_set.envelope]), *schema_set.events.values()]
         )
         for entry in entries:
-            rows.append([name, entry, _graph_record(build_graph({"weight": resolve(corpus, entry)}))])
+            yield schema_set, entry, build_graph({"weight": resolve(corpus, entry)})
+
+
+def _corpus_graphs():
+    """The graph of every document of the seeded ref and cyclic corpora,
+    one collection per document."""
     corpora = [random_ref_corpus(random.Random(seed)) for seed in range(N_REF_CORPORA)]
     corpora += [random_cyclic_corpus(random.Random(seed))[0] for seed in range(N_CYCLIC_CORPORA)]
     for corpus in corpora:
         entries = {doc_id.removesuffix(".json"): resolve(corpus, doc_id) for doc_id in sorted(corpus.documents)}
-        rows.append(_graph_record(build_graph(entries)))
+        yield build_graph(entries)
+
+
+def test_graph_and_metrics_match_golden_digest(manifest):
+    rows = []
+    for schema_set, entry, graph in _bundled_graphs(manifest):
+        rows.append([schema_set.name, entry, _graph_record(graph)])
+    rows += [_graph_record(graph) for graph in _corpus_graphs()]
     for seed in range(N_RANDOM_GRAPHS):
         graph, _ = random_graph(random.Random(seed))
         rows.append(_graph_record(graph))
     assert any(row["cardinalities"] for row in rows[-N_RANDOM_GRAPHS:])  # annotated graphs
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == GOLDEN_GRAPH_SHA256
+
+
+def test_to_dot_matches_golden_digest(manifest):
+    texts = [to_dot(graph, title=schema_set.title) for schema_set, _, graph in _bundled_graphs(manifest)]
+    texts += [to_dot(random_graph(random.Random(seed))[0]) for seed in range(N_DOT_RANDOM_GRAPHS)]
+    texts += [to_dot(graph) for graph in _corpus_graphs()]
+    texts += [to_dot(_diamond_graph(16)), to_dot(_diamond_graph(16, [CardinalityAnnotation("c", "leftPart", 3)]))]
+    labelled = [text for text in texts if re.search(r"-> n\d+ \[label=", text)]
+    assert len(labelled) > 1 and labelled[-1] is texts[-1]  # annotated edges, the diamond's among them
+    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert digest == GOLDEN_DOT_SHA256
 
 
 # ------------------------------------------ the DAG, and the tree on demand
