@@ -15,21 +15,21 @@ them (``ref_names``) so referencing metrics can count inlined references.
 
 The graph is defined as a tree: a resolved node shared by several $ref sites
 is a separate subtree at each site, and node ids number that tree in
-preorder. It is stored as the DAG ``resolve`` returns: one :class:`Spec` per
-member of each distinct resolved node, the members of a node shared by every
-spec that embeds it. ``build_graph`` makes that DAG, and ``MetricGraph(dag)``
-is the one way to make a graph. Metrics are dynamic programs over the DAG
-(:meth:`MetricGraph.fold`), so a ref diamond costs its depth, not 2^depth.
-The tree (``nodes``, ``children``, ``cardinalities``) is built on first use,
-and refused with GraphTooLarge above TREE_NODE_BUDGET nodes;
-``len(graph.nodes)`` is counted on the DAG and never builds it. Building,
-folding and unfolding all run on explicit stacks, so a ref chain of any
-length builds and measures.
+preorder. It is stored only as the DAG ``resolve`` returns: one :class:`Spec`
+per member of each distinct resolved node, the members of a node shared by
+every spec that embeds it. ``build_graph`` makes that DAG, and
+``MetricGraph(dag)`` is the one way to make a graph. Metrics are dynamic
+programs over the DAG (:meth:`MetricGraph.fold`), so a ref diamond costs its
+depth, not 2^depth; ``graph.nodes`` is the range of the tree's node ids,
+counted by the same fold. :func:`to_dot` walks the DAG in the tree's preorder
+and writes one line per tree node, so it refuses with GraphTooLarge a tree of
+more than TREE_NODE_BUDGET nodes. Building, folding and drawing all run on
+explicit stacks, so a ref chain of any length builds, measures and draws.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Any
@@ -49,30 +49,19 @@ DOCUMENT = "document"
 ARRAY_ATOMIC = "arrayAtomic"
 ARRAY_DOCUMENT = "arrayDocument"
 
-# Largest tree the tree view builds: a depth-17 ref diamond (655,359 nodes)
-# fits; a depth-30 one (5.4e9) is refused before any node is made.
+# Most tree nodes the DOT text may hold, one line each: a depth-17 ref
+# diamond (655,359 nodes) fits; a depth-30 one (5.4e9) is refused before any
+# line is written.
 TREE_NODE_BUDGET = 1_000_000
-
-
-@dataclass(frozen=True)
-class GraphNode:
-    id: int
-    kind: str
-    type_name: str
-    attr_class: str | None = None
-    ref_names: tuple[str, ...] = ()
-    required: bool = False
-    flagged: bool = False  # set when classification had to guess (mixed oneOf)
-
-    def matches(self, type_name: str) -> bool:
-        return self.type_name == type_name or type_name in self.ref_names
 
 
 @dataclass(slots=True, eq=False, repr=False)
 class Spec:
-    """One node of the graph's DAG: a GraphNode without its id, plus its
-    children and the cardinality of the edge into it (None when no
-    annotation set it; it then counts as 1).
+    """One node of the graph's DAG: its kind, type name, attribute class,
+    the ``$ref`` names that produced it, whether it is required and whether
+    its classification had to guess (a mixed oneOf), plus its children and
+    the cardinality of the edge into it (None when no annotation set it; it
+    then counts as 1).
 
     ``kids`` tuples are shared: every spec whose members are those of one
     resolved node holds the same tuple, so a spec stands for all the tree
@@ -93,10 +82,6 @@ class Spec:
 
     def matches(self, type_name: str) -> bool:
         return self.type_name == type_name or type_name in self.ref_names
-
-    def node(self, node_id: int) -> GraphNode:
-        return GraphNode(node_id, self.kind, self.type_name, self.attr_class,
-                         self.ref_names, self.required, self.flagged)
 
 
 _kids = attrgetter("kids")
@@ -123,42 +108,17 @@ class CardinalityAnnotation:
             raise ValueError("cardinality must be >= 1")
 
 
-_Tree = tuple[dict[int, GraphNode], dict[int, tuple[int, ...]], dict[tuple[int, int], int]]
-
-
-class _NodeView(Mapping):
-    """``graph.nodes`` of a graph whose tree is not built yet: its length is
-    counted on the DAG, and any other read builds the tree."""
-
-    def __init__(self, graph: "MetricGraph"):
-        self._graph = graph
-
-    def __len__(self) -> int:
-        return self._graph.node_count()
-
-    def __getitem__(self, node_id: int) -> GraphNode:
-        return self._graph.tree()[0][node_id]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._graph.tree()[0])
-
-
 class MetricGraph:
-    """A metric graph: the DAG of :class:`Spec` that metrics fold over, and
-    the tree it unfolds to, with preorder node ids.
+    """A metric graph: the DAG of :class:`Spec` that metrics fold over.
 
     ``MetricGraph(dag)`` takes the root spec of the DAG (``build_graph``
-    makes it); the tree is built on first use, and its root is node 0.
+    makes it). The tree it unfolds to is never built: its size is a fold,
+    and :func:`to_dot` writes it in one walk.
     """
-
-    root = 0
 
     def __init__(self, dag: Spec):
         self._dag = dag
-        self._tree: _Tree | None = None
         self._orders: dict[Spec, tuple[list[Spec], list[Spec]]] = {}
-
-    # ------------------------------------------------------------ the DAG
 
     def dag(self) -> Spec:
         """The root of the graph's DAG."""
@@ -189,15 +149,11 @@ class MetricGraph:
         """Number of nodes of the tree, counted without building it."""
         return self.fold(_subtree_size, 1)[self.dag()]
 
-    def collections(self) -> list[GraphNode]:
-        """The level-0 collection nodes of the tree."""
-        return [self.node(c) for c in self.child_ids(self.root)]
-
-    def collection_node(self, name: str) -> GraphNode:
-        for node in self.collections():
-            if node.type_name == name:
-                return node
-        raise UnknownCollection(f"no level-0 collection named {name!r}")
+    @property
+    def nodes(self) -> range:
+        """The tree's preorder node ids, which :func:`to_dot` writes as
+        ``n<id>``; the root is 0."""
+        return range(self.node_count())
 
     def collection_spec(self, name: str) -> Spec:
         """The DAG node of the first level-0 collection named ``name``."""
@@ -210,68 +166,12 @@ class MetricGraph:
             spec is not root and spec.matches(name) for specs in self.postorder() for spec in specs
         )
 
-    # ----------------------------------------------------------- the tree
-
-    def tree(self) -> _Tree:
-        """``(nodes, children, cardinalities)`` of the tree, built on first
-        use. Raises GraphTooLarge, before building anything, when the tree
-        has more than TREE_NODE_BUDGET nodes."""
-        if self._tree is None:
-            sizes = self.fold(_subtree_size, 1)
-            if sizes[self._dag] > TREE_NODE_BUDGET:
-                largest = max(self._dag.kids, key=sizes.__getitem__)
-                raise GraphTooLarge(largest.type_name, sizes[self._dag], TREE_NODE_BUDGET)
-            self._tree = _unfold(self._dag)
-        return self._tree
-
-    @property
-    def nodes(self) -> Mapping[int, GraphNode]:
-        return _NodeView(self) if self._tree is None else self._tree[0]
-
-    @property
-    def children(self) -> dict[int, tuple[int, ...]]:
-        return self.tree()[1]
-
-    @property
-    def cardinalities(self) -> dict[tuple[int, int], int]:
-        return self.tree()[2]
-
-    def node(self, node_id: int) -> GraphNode:
-        return (self._tree or self.tree())[0][node_id]
-
-    def child_ids(self, node_id: int) -> tuple[int, ...]:
-        return (self._tree or self.tree())[1].get(node_id, ())
-
-    def edge_cardinality(self, parent: int, child: int) -> int:
-        return (self._tree or self.tree())[2].get((parent, child), 1)
-
 
 def _collection_spec(top: Spec, name: str) -> Spec:
     for spec in top.kids:
         if spec.type_name == name:
             return spec
     raise UnknownCollection(f"no level-0 collection named {name!r}")
-
-
-def _unfold(top: Spec) -> _Tree:
-    """The tree ``top`` unfolds to, numbered in preorder."""
-    nodes: dict[int, GraphNode] = {}
-    children: dict[int, Any] = {}  # a list while building, a tuple when done
-    cardinalities: dict[tuple[int, int], int] = {}
-    stack: list[tuple[int, Spec]] = [(-1, top)]
-    while stack:
-        parent, spec = stack.pop()
-        nid = len(nodes)
-        nodes[nid] = spec.node(nid)
-        if parent >= 0:
-            children[parent].append(nid)
-            if spec.card is not None:
-                cardinalities[parent, nid] = spec.card
-        children[nid] = [] if spec.kids else ()
-        stack.extend([(nid, kid) for kid in reversed(spec.kids)])
-    for nid, ids in children.items():
-        children[nid] = tuple(ids)
-    return nodes, children, cardinalities
 
 
 def classify_attribute(node: ResolvedNode) -> str:
@@ -447,18 +347,39 @@ def _annotate(top: Spec, ann: CardinalityAnnotation) -> Spec:
 
 
 def to_dot(graph: MetricGraph, title: str = "schema") -> str:
-    """Render the graph as DOT text; node labels are ``kind:typeName``."""
-    nodes, children, cardinalities = graph.tree()
+    """Render the tree as DOT text; node labels are ``kind:typeName``.
+
+    One preorder walk of the DAG: a kid's id is its parent's plus one plus
+    the sizes of its earlier siblings' subtrees. Raises GraphTooLarge, before
+    writing anything, when the tree has more than TREE_NODE_BUDGET nodes.
+    """
+    top = graph.dag()
+    sizes = graph.fold(_subtree_size, 1)
+    if sizes[top] > TREE_NODE_BUDGET:
+        largest = max(top.kids, key=sizes.__getitem__)
+        raise GraphTooLarge(largest.type_name, sizes[top], TREE_NODE_BUDGET)
     lines = [f'digraph "{title}" {{', "  rankdir=LR;"]
-    for node in nodes.values():
-        label = f"{node.kind}:{node.type_name}" if node.type_name else node.kind
-        if node.attr_class:
-            label += f" [{node.attr_class}]"
-        lines.append(f'  n{node.id} [label="{label}"];')
-    for parent, kids in children.items():
-        for kid in kids:
-            card = cardinalities.get((parent, kid), 1)
-            attr = f' [label="{card}"]' if card != 1 else ""
-            lines.append(f"  n{parent} -> n{kid}{attr};")
+    edges: list[str] = []
+    labels: dict[Spec, str] = {}
+    stack = [(0, top)]
+    while stack:
+        nid, spec = stack.pop()
+        label = labels.get(spec)
+        if label is None:
+            label = f"{spec.kind}:{spec.type_name}" if spec.type_name else spec.kind
+            if spec.attr_class:
+                label += f" [{spec.attr_class}]"
+            labels[spec] = label
+        lines.append(f'  n{nid} [label="{label}"];')
+        if spec.kids:
+            placed = []
+            kid_id = nid + 1
+            for kid in spec.kids:
+                attr = f' [label="{kid.card}"]' if kid.card not in (None, 1) else ""
+                edges.append(f"  n{nid} -> n{kid_id}{attr};")
+                placed.append((kid_id, kid))
+                kid_id += sizes[kid]
+            stack.extend(reversed(placed))
+    lines += edges
     lines.append("}")
     return "\n".join(lines) + "\n"

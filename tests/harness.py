@@ -1,10 +1,11 @@
 """Shared test machinery: the reference-validator oracle, instance mutation
-generators, random schema/graph generators, and path-enumeration oracles for
-the metric equivalence suite.
+generators, random schema/graph generators, the tree a metric graph unfolds
+to, and path-enumeration oracles for the metric equivalence suite.
 
 Everything here recomputes results through routes independent of the code
 under test: validation goes through jsonschema with file-URI resolution, and
-metrics are recomputed from enumerate_paths output alone.
+metrics are recomputed from enumerate_paths output alone, over the unfolded
+tree rather than the DAG the metrics fold over.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import posixpath
 import random
 import re
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT201909
 from rfc3339_validator import validate_rfc3339
 
+from schemalens.errors import UnknownCollection
 from schemalens.graph import (
     ARRAY_ATOMIC,
     ARRAY_DOCUMENT,
@@ -30,8 +33,10 @@ from schemalens.graph import (
     ATTRIBUTE,
     EMBEDDED,
     REFERENCE,
+    TREE_NODE_BUDGET,
     CardinalityAnnotation,
     MetricGraph,
+    Spec,
     build_graph,
 )
 from schemalens.loader import CorpusHandle, SchemaDocument, parse_schema, resolve
@@ -334,18 +339,19 @@ def random_annotations(
     """For about half of the collections, a cardinality annotation on a random
     walk down the tree from the collection, ended at each step with
     probability ``stop``."""
+    tree = unfold(bare)
     annotations = []
     for name in collection_names:
         if rng.random() < 0.5:
-            node = bare.collection_node(name)
+            node = tree.collection_node(name)
             steps = []
             current = node.id
             while True:
-                kids = bare.child_ids(current)
+                kids = tree.child_ids(current)
                 if not kids or rng.random() < stop:
                     break
                 pick = rng.choice(kids)
-                steps.append(bare.node(pick).type_name)
+                steps.append(tree.node(pick).type_name)
                 current = pick
             if steps:
                 annotations.append(
@@ -443,21 +449,104 @@ def write_manifest_dir(root: Path, docs: dict, entry: str) -> str:
     return str(root)
 
 
+@dataclass(frozen=True)
+class TreeNode:
+    """A node of the unfolded tree: the fields of its :class:`Spec`, after
+    its preorder id."""
+
+    id: int
+    kind: str
+    type_name: str
+    attr_class: str | None = None
+    ref_names: tuple[str, ...] = ()
+    required: bool = False
+    flagged: bool = False  # set when classification had to guess (mixed oneOf)
+
+    def matches(self, type_name: str) -> bool:
+        return self.type_name == type_name or type_name in self.ref_names
+
+
+@dataclass(frozen=True)
+class Tree:
+    """The tree a metric graph unfolds to, numbered in preorder from its
+    root, node 0: a spec shared by several parents is a separate subtree
+    under each. ``children`` holds every node's kid ids, and
+    ``cardinalities`` the cardinality of each annotated edge."""
+
+    nodes: dict[int, TreeNode]
+    children: dict[int, tuple[int, ...]]
+    cardinalities: dict[tuple[int, int], int]
+    root = 0
+
+    def node(self, node_id: int) -> TreeNode:
+        return self.nodes[node_id]
+
+    def child_ids(self, node_id: int) -> tuple[int, ...]:
+        return self.children.get(node_id, ())
+
+    def edge_cardinality(self, parent: int, child: int) -> int:
+        return self.cardinalities.get((parent, child), 1)
+
+    def collections(self) -> list[TreeNode]:
+        """The level-0 collection nodes."""
+        return [self.nodes[c] for c in self.child_ids(self.root)]
+
+    def collection_node(self, name: str) -> TreeNode:
+        for node in self.collections():
+            if node.type_name == name:
+                return node
+        raise UnknownCollection(f"no level-0 collection named {name!r}")
+
+
+_TREES: weakref.WeakKeyDictionary[MetricGraph, Tree] = weakref.WeakKeyDictionary()
+
+
+def unfold(graph: MetricGraph) -> Tree:
+    """The tree ``graph`` unfolds to, built once per graph on an explicit
+    stack: the reference the DAG folds are checked against."""
+    if graph not in _TREES:
+        count = graph.node_count()
+        assert count <= TREE_NODE_BUDGET, f"{count} nodes is too large a tree to unfold"
+        _TREES[graph] = _unfold(graph.dag())
+    return _TREES[graph]
+
+
+def _unfold(top: Spec) -> Tree:
+    nodes: dict[int, TreeNode] = {}
+    children: dict[int, list[int] | tuple[int, ...]] = {}  # a list while building
+    cardinalities: dict[tuple[int, int], int] = {}
+    stack: list[tuple[int, Spec]] = [(-1, top)]
+    while stack:
+        parent, spec = stack.pop()
+        nid = len(nodes)
+        nodes[nid] = TreeNode(
+            nid, spec.kind, spec.type_name, spec.attr_class, spec.ref_names, spec.required, spec.flagged
+        )
+        if parent >= 0:
+            children[parent].append(nid)
+            if spec.card is not None:
+                cardinalities[parent, nid] = spec.card
+        children[nid] = [] if spec.kids else ()
+        stack.extend([(nid, kid) for kid in reversed(spec.kids)])
+    return Tree(nodes, {nid: tuple(ids) for nid, ids in children.items()}, cardinalities)
+
+
 def tree_walk(graph: MetricGraph, start: int):
     """``(node, level, copies)`` for every node strictly below ``start`` of
-    the built tree, in preorder: ``level`` is 1 for direct members plus one
-    per Embedded node strictly between, ``copies`` the product of the edge
-    cardinalities from ``start`` down to the node."""
+    the unfolded tree, in preorder: ``level`` is 1 for direct members plus
+    one per Embedded node strictly between, ``copies`` the product of the
+    edge cardinalities from ``start`` down to the node."""
+    tree = unfold(graph)
     stack = [(start, 1, 1)]
     while stack:
         node_id, level, copies = stack.pop()
         if node_id != start:
-            node = graph.node(node_id)
+            node = tree.node(node_id)
             yield node, level, copies
             if node.kind == EMBEDDED:
                 level += 1
-        for kid in reversed(graph.child_ids(node_id)):
-            stack.append((kid, level, copies * graph.edge_cardinality(node_id, kid)))
+        for kid in reversed(tree.child_ids(node_id)):
+            stack.append((kid, level, copies * tree.edge_cardinality(node_id, kid)))
 
 
 @dataclass(frozen=True)
@@ -472,14 +561,15 @@ def enumerate_paths(graph: MetricGraph, collection: str) -> list[PathDescriptor]
     """Every path from the named collection node down to a leaf, in
     preorder, with its count of Embedded nodes; a childless collection
     yields none. Walks on an explicit stack, so depth costs no recursion."""
-    start = graph.collection_node(collection).id
+    tree = unfold(graph)
+    start = tree.collection_node(collection).id
     paths: list[PathDescriptor] = []
-    pending = [(kid, (start,), 0) for kid in reversed(graph.child_ids(start))]
+    pending = [(kid, (start,), 0) for kid in reversed(tree.child_ids(start))]
     while pending:
         node_id, trail, embs = pending.pop()
         trail += (node_id,)
-        embs += 1 if graph.node(node_id).kind == EMBEDDED else 0
-        kids = graph.child_ids(node_id)
+        embs += 1 if tree.node(node_id).kind == EMBEDDED else 0
+        kids = tree.child_ids(node_id)
         if kids:
             pending.extend((kid, trail, embs) for kid in reversed(kids))
         else:
@@ -487,26 +577,27 @@ def enumerate_paths(graph: MetricGraph, collection: str) -> list[PathDescriptor]
     return paths
 
 
-def _path_edge_product(graph: MetricGraph, nodes: tuple[int, ...], upto: int) -> int:
+def _path_edge_product(tree: Tree, nodes: tuple[int, ...], upto: int) -> int:
     product = 1
     for i in range(upto):
-        product *= graph.edge_cardinality(nodes[i], nodes[i + 1])
+        product *= tree.edge_cardinality(nodes[i], nodes[i + 1])
     return product
 
 
 def _oracle_occurrences(graph, paths, type_name):
     """(node_id, level, copies) per unique occurrence, document order, from
     path data alone."""
+    tree = unfold(graph)
     seen = {}
     for path in paths:
         for i in range(1, len(path.nodes)):
-            node = graph.node(path.nodes[i])
+            node = tree.node(path.nodes[i])
             if not node.matches(type_name) or node.id in seen:
                 continue
             embs_between = sum(
-                1 for j in range(1, i) if graph.node(path.nodes[j]).kind == EMBEDDED
+                1 for j in range(1, i) if tree.node(path.nodes[j]).kind == EMBEDDED
             )
-            seen[node.id] = (embs_between + 1, _path_edge_product(graph, path.nodes, i))
+            seen[node.id] = (embs_between + 1, _path_edge_product(tree, path.nodes, i))
     return [(nid, lvl, cp) for nid, (lvl, cp) in seen.items()]
 
 
@@ -533,7 +624,8 @@ def oracle_doc_copies(graph, collection, type_name):
 
 def oracle_attribute_counts(graph, collection, type_name):
     paths = enumerate_paths(graph, collection)
-    col_node = graph.collection_node(collection)
+    tree = unfold(graph)
+    col_node = tree.collection_node(collection)
     if type_name == collection or col_node.matches(type_name):
         target = col_node.id
     else:
@@ -548,7 +640,7 @@ def oracle_attribute_counts(graph, collection, type_name):
                 children.append(path.nodes[i + 1])
     counts = {"atomic": 0, "document": 0, "arrayAtomic": 0, "arrayDocument": 0}
     for kid in children:
-        node = graph.node(kid)
+        node = tree.node(kid)
         if node.kind in (EMBEDDED, REFERENCE):
             counts["document"] += 1
         elif node.kind == ATTRIBUTE:
@@ -560,12 +652,13 @@ def oracle_attribute_counts(graph, collection, type_name):
 
 
 def oracle_ref_load(graph, name):
+    tree = unfold(graph)
     nodes = {}
-    for col in graph.collections():
+    for col in tree.collections():
         nodes[col.id] = col
         for path in enumerate_paths(graph, col.type_name):
             for nid in path.nodes:
-                nodes[nid] = graph.node(nid)
+                nodes[nid] = tree.node(nid)
     total = 0
     for node in nodes.values():
         total += node.ref_names.count(name)

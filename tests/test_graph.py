@@ -24,7 +24,15 @@ from schemalens.graph import (
 )
 from schemalens.loader import ResolvedNode, resolve
 
-from harness import diamond_docs, enumerate_paths, make_corpus, random_cyclic_corpus, random_graph, random_ref_corpus
+from harness import (
+    diamond_docs,
+    enumerate_paths,
+    make_corpus,
+    random_cyclic_corpus,
+    random_graph,
+    random_ref_corpus,
+    unfold,
+)
 
 # sha256 over every node, edge and cardinality of the graphs named in
 # test_graph_and_metrics_match_golden_digest, plus the type-scoped metrics of
@@ -48,8 +56,9 @@ def _resolve_single(schema_dict):
 
 
 def _level1(graph, collection="weight"):
-    node = graph.collection_node(collection)
-    return {graph.node(k).type_name: graph.node(k) for k in graph.child_ids(node.id)}
+    tree = unfold(graph)
+    node = tree.collection_node(collection)
+    return {tree.node(k).type_name: tree.node(k) for k in tree.child_ids(node.id)}
 
 
 def test_envelope_level1_members(envelope_graph):
@@ -62,10 +71,10 @@ def test_envelope_level1_members(envelope_graph):
 
 
 def test_entry_with_no_properties_yields_childless_collection():
-    graph = build_graph({"empty": _resolve_single({"type": "object"})})
-    node = graph.collection_node("empty")
+    tree = unfold(build_graph({"empty": _resolve_single({"type": "object"})}))
+    node = tree.collection_node("empty")
     assert node.kind == COLLECTION
-    assert graph.child_ids(node.id) == ()
+    assert tree.child_ids(node.id) == ()
 
 
 def test_collection_names_are_required():
@@ -86,11 +95,12 @@ def test_array_of_objects_is_array_document_with_embedded_item():
         }
     )
     graph = build_graph({"c": entry})
+    tree = unfold(graph)
     members = _level1(graph, "c")
     readings = members["readings"]
     assert readings.attr_class == ARRAY_DOCUMENT
-    (item_id,) = graph.child_ids(readings.id)
-    assert graph.node(item_id).kind == EMBEDDED
+    (item_id,) = tree.child_ids(readings.id)
+    assert tree.node(item_id).kind == EMBEDDED
 
 
 @pytest.mark.parametrize(
@@ -166,17 +176,19 @@ def test_enumerate_paths_single_chain():
 
 def test_enumerate_paths_is_exhaustive(envelope_graph):
     # independent oracle: count leaves by direct DFS over the adjacency
+    tree = unfold(envelope_graph)
+
     def leaves_below(node_id):
-        kids = envelope_graph.child_ids(node_id)
+        kids = tree.child_ids(node_id)
         if not kids:
             return 1
         return sum(leaves_below(k) for k in kids)
 
-    start = envelope_graph.collection_node("weight")
+    start = tree.collection_node("weight")
     paths = enumerate_paths(envelope_graph, "weight")
     assert len(paths) == leaves_below(start.id)
     for path in paths:
-        embs = sum(1 for nid in path.nodes if envelope_graph.node(nid).kind == EMBEDDED)
+        embs = sum(1 for nid in path.nodes if tree.node(nid).kind == EMBEDDED)
         assert path.emb_count == embs
 
 
@@ -195,10 +207,10 @@ def test_cardinality_annotation_is_applied():
         }
     )
     ann = CardinalityAnnotation(collection="c", path="herd", cardinality=7)
-    graph = build_graph({"c": entry}, [ann])
-    col = graph.collection_node("c")
-    (herd_id,) = graph.child_ids(col.id)
-    assert graph.edge_cardinality(col.id, herd_id) == 7
+    tree = unfold(build_graph({"c": entry}, [ann]))
+    col = tree.collection_node("c")
+    (herd_id,) = tree.child_ids(col.id)
+    assert tree.edge_cardinality(col.id, herd_id) == 7
 
 
 def test_cardinality_annotation_bad_path_raises():
@@ -214,9 +226,10 @@ def test_cardinality_must_be_positive():
 
 def test_graph_construction_is_pure(lei_envelope):
     def shape(graph):
+        tree = unfold(graph)
         return [
-            (graph.node(nid).kind, graph.node(nid).type_name, graph.child_ids(nid))
-            for nid in sorted(graph.nodes)
+            (tree.node(nid).kind, tree.node(nid).type_name, tree.child_ids(nid))
+            for nid in sorted(tree.nodes)
         ]
 
     first = build_graph({"weight": lei_envelope})
@@ -229,10 +242,8 @@ def test_required_membership_is_metadata_only(envelope_graph):
     assert members["source"].required
     # optionality must not change the shape: session exists under message
     message = members["message"]
-    message_kids = {
-        envelope_graph.node(k).type_name: envelope_graph.node(k)
-        for k in envelope_graph.child_ids(message.id)
-    }
+    tree = unfold(envelope_graph)
+    message_kids = {tree.node(k).type_name: tree.node(k) for k in tree.child_ids(message.id)}
     assert "session" in message_kids
     assert not message_kids["session"].required
 
@@ -241,7 +252,7 @@ def test_one_of_branch_children_are_expanded(envelope_graph):
     # the weight event body is only declared inside a oneOf branch, yet its
     # units reference must be visible in the graph
     found = [
-        n for n in envelope_graph.nodes.values() if "uncefactMassUnitsType" in n.ref_names
+        n for n in unfold(envelope_graph).nodes.values() if "uncefactMassUnitsType" in n.ref_names
     ]
     assert len(found) == 1
 
@@ -263,15 +274,16 @@ def _metric(call, *args):
 
 
 def _graph_record(graph):
+    tree = unfold(graph)
     names = sorted(
-        {n.type_name for n in graph.nodes.values() if n.id != graph.root}
-        | {r for n in graph.nodes.values() for r in n.ref_names}
+        {n.type_name for n in tree.nodes.values() if n.id != tree.root}
+        | {r for n in tree.nodes.values() for r in n.ref_names}
     )
-    collections = [c.type_name for c in graph.collections()]
+    collections = [c.type_name for c in tree.collections()]
     return {
-        "nodes": [astuple(n) for n in graph.nodes.values()],
-        "children": list(graph.children.items()),
-        "cardinalities": sorted(graph.cardinalities.items()),
+        "nodes": [astuple(n) for n in tree.nodes.values()],
+        "children": list(tree.children.items()),
+        "cardinalities": sorted(tree.cardinalities.items()),
         "col_depth": [_metric(metrics.col_depth, graph, c) for c in collections],
         "ref_load": [
             [_metric(metrics.ref_load, graph, t), _metric(metrics.ref_load, graph, t, "outgoing")]
@@ -336,25 +348,22 @@ def test_to_dot_matches_golden_digest(manifest):
     assert digest == GOLDEN_DOT_SHA256
 
 
-# ------------------------------------------ the DAG, and the tree on demand
+# ------------------------------------------ the DAG, and the tree it draws
 
 def _diamond_graph(depth, annotations=()):
     docs, entry = diamond_docs(depth, fragments=False)
     return build_graph({"c": resolve(make_corpus(docs), entry)}, annotations)
 
 
-def test_node_count_of_a_depth_30_diamond_builds_no_node(monkeypatch):
-    made = []
-    monkeypatch.setattr(graph_module, "GraphNode", lambda *args: made.append(args))
+def test_node_count_of_a_depth_30_diamond_builds_no_node():
     graph = _diamond_graph(30)
-    assert len(graph.nodes) == 5 * 2**30 - 1
-    assert made == []
+    assert len(graph.nodes) == graph.node_count() == 5 * 2**30 - 1
 
 
 def test_a_tree_over_the_budget_is_refused_and_metrics_still_answer():
     graph = _diamond_graph(30)
     with pytest.raises(GraphTooLarge, match=f"'c'.*{5 * 2**30 - 1}"):
-        graph.children
+        to_dot(graph)
     assert metrics.col_depth(graph, "c") == 30
     assert metrics.doc_copies_in_col(graph, "t17", "c") == 2**17
     assert metrics.ref_load(graph, "t30") == 2**30
@@ -395,7 +404,8 @@ def test_a_depth_40_one_of_diamond_classifies_each_level_once():
     started = time.perf_counter()
     graph = _head_graph({**links, f"t{depth}.json": _LAST_LINK})
     assert time.perf_counter() - started < 1.0
-    head = graph.node(graph.child_ids(1)[0])
+    tree = unfold(graph)
+    head = tree.node(tree.child_ids(1)[0])
     assert (head.kind, head.type_name, head.flagged) == (EMBEDDED, "head", True)  # mixed at every level
     assert len(graph.nodes) == 3
 
@@ -417,7 +427,7 @@ def test_a_one_of_chain_of_3000_documents_builds():
     # last two: the last but one takes the last's members from its oneOf
     assert len(graph.nodes) == CHAIN_LENGTH + 4
     assert metrics.col_depth(graph, "c") == CHAIN_LENGTH
-    assert not any(node.flagged for node in graph.nodes.values())
+    assert not any(node.flagged for node in unfold(graph).nodes.values())
 
 
 def test_an_array_chain_of_3000_documents_builds():
@@ -425,17 +435,19 @@ def test_an_array_chain_of_3000_documents_builds():
     # the last link is an object.
     links = {f"t{k}.json": {"type": "array", "items": {"$ref": f"t{k + 1}.json"}} for k in range(CHAIN_LENGTH - 1)}
     graph = _head_graph({**links, f"t{CHAIN_LENGTH - 1}.json": _LAST_LINK})
-    head_id = graph.child_ids(1)[0]
-    assert graph.node(head_id).attr_class == ARRAY_DOCUMENT
+    tree = unfold(graph)
+    head_id = tree.child_ids(1)[0]
+    assert tree.node(head_id).attr_class == ARRAY_DOCUMENT
     # root, c, head and head's item, an array with no members
-    assert [graph.node(k).type_name for k in graph.child_ids(head_id)] == ["t1"]
+    assert [tree.node(k).type_name for k in tree.child_ids(head_id)] == ["t1"]
     assert len(graph.nodes) == 4
     assert metrics.col_depth(graph, "c") == 1
 
 
 def test_a_depth_16_diamond_still_builds_its_tree():
     graph = _diamond_graph(16)
-    assert len(graph.children) == len(graph.nodes) == 5 * 2**16 - 1
-    assert [graph.node(k).type_name for k in graph.child_ids(1)] == ["leftPart", "rightPart", "tag"]
+    tree = unfold(graph)
+    assert len(tree.children) == len(tree.nodes) == len(graph.nodes) == 5 * 2**16 - 1
+    assert [tree.node(k).type_name for k in tree.child_ids(1)] == ["leftPart", "rightPart", "tag"]
     # preorder: each half below the collection holds 5 * 2^15 - 2 nodes
-    assert graph.child_ids(1) == (2, 5 * 2**15, 5 * 2**16 - 2)
+    assert tree.child_ids(1) == (2, 5 * 2**15, 5 * 2**16 - 2)

@@ -12,7 +12,7 @@ from schemalens.graph import (
 from schemalens.loader import resolve
 from schemalens.metrics import AttributeCounts, WidthCoefficients
 
-from harness import diamond_docs, enumerate_paths, make_corpus, random_annotations, tree_walk
+from harness import diamond_docs, enumerate_paths, make_corpus, random_annotations, tree_walk, unfold
 
 
 def _resolve_single(schema_dict):
@@ -256,7 +256,8 @@ def test_two_collections_of_one_name_are_each_measured(holder_first):
     flat = Spec(COLLECTION, "c", kids=(Spec(ATTRIBUTE, "flat", ATOMIC),))
     holder = Spec(COLLECTION, "c", kids=(Spec(EMBEDDED, "box", kids=(Spec(ATTRIBUTE, "inner", ATOMIC),)),))
     graph = MetricGraph(Spec(ROOT, "root", kids=(holder, flat) if holder_first else (flat, holder)))
-    walks = [list(tree_walk(graph, c)) for c in graph.child_ids(graph.root)]
+    tree = unfold(graph)
+    walks = [list(tree_walk(graph, c)) for c in tree.child_ids(tree.root)]
     depths = [max((level - (node.kind != EMBEDDED) for node, level, _ in walk), default=0) for walk in walks]
     levels = [max(found) for walk in walks if (found := [level for node, level, _ in walk if node.matches("inner")])]
     assert sorted(depths) == [0, 1] and levels == [2]
@@ -364,15 +365,16 @@ def test_doc_copies_zero_iff_doc_existence_zero(graphs):
 # ------------------------------------------- the DAG programs against the tree
 
 def _tree_oracle(graph, collection, names):
-    """Every metric of the graph's collection recomputed on its built tree:
-    the occurrences come from a plain preorder walk, colDepth from
+    """Every metric of the graph's collection recomputed on its unfolded
+    tree: the occurrences come from a plain preorder walk, colDepth from
     enumerate_paths."""
-    start = graph.collection_node(collection)
+    tree = unfold(graph)
+    start = tree.collection_node(collection)
     walked = list(tree_walk(graph, start.id))
     values = {
         "col_depth": max((p.emb_count for p in enumerate_paths(graph, collection)), default=0),
         "global_depth": max((p.emb_count for p in enumerate_paths(graph, collection)), default=0),
-        "nbr_col": len(graph.child_ids(graph.root)),
+        "nbr_col": len(tree.child_ids(tree.root)),
         "ref_out": sum(
             len(node.ref_names) if node.kind != "Reference" else max(len(node.ref_names), 1)
             for node, _, _ in walked
@@ -381,7 +383,7 @@ def _tree_oracle(graph, collection, names):
     for name in names:
         found = [(node, level, copies) for node, level, copies in walked if node.matches(name)]
         target = start if start.matches(name) or name == collection else (found[0][0] if found else None)
-        kids = [graph.node(k) for k in graph.child_ids(target.id)] if target else []
+        kids = [tree.node(k) for k in tree.child_ids(target.id)] if target else []
         values[name] = {
             "exists": int(bool(found)),
             "copies": sum(copies for _, _, copies in found),
@@ -390,9 +392,9 @@ def _tree_oracle(graph, collection, names):
                 sum(
                     node.ref_names.count(name)
                     + (node.kind == "Reference" and node.type_name == name and name not in node.ref_names)
-                    for node in graph.nodes.values()
+                    for node in tree.nodes.values()
                 )
-                if any(node.matches(name) for node in graph.nodes.values() if node.id != graph.root)
+                if any(node.matches(name) for node in tree.nodes.values() if node.id != tree.root)
                 else "UnknownCollection"
             ),
             "counts": (
@@ -456,17 +458,20 @@ def test_dag_metrics_match_the_tree_on_diamonds(depth, fragments, arrays, one_of
         specs = [spec for group in graph.postorder() for spec in group]
         names = sorted({r for spec in specs for r in (spec.type_name, *spec.ref_names)} | {"ghost"})
         count = len(graph.nodes)
-        dag = _dag_values(graph, "c", names)  # before the tree is built
+        dag = _dag_values(graph, "c", names)
         assert dag == _tree_oracle(graph, "c", names)
-        assert count == len(graph.nodes) == len(graph.children)
+        assert count == len(unfold(graph).nodes) == len(unfold(graph).children)
         assert count == 5 * 2**depth - 1 or arrays
     # The annotations set exactly the edges their paths name in the bare
     # tree, and change nothing else.
     edges = {}
+    bare_tree, annotated_tree = unfold(bare), unfold(annotated)
     for ann in annotations:
-        current = bare.collection_node("c").id
+        current = bare_tree.collection_node("c").id
         for step in ann.path.split("/"):
-            parent, current = current, next(k for k in bare.child_ids(current) if bare.node(k).type_name == step)
+            parent, current = current, next(
+                k for k in bare_tree.child_ids(current) if bare_tree.node(k).type_name == step
+            )
         edges[parent, current] = ann.cardinality
-    assert annotated.cardinalities == edges
-    assert annotated.nodes == bare.nodes and annotated.children == bare.children
+    assert annotated_tree.cardinalities == edges
+    assert annotated_tree.nodes == bare_tree.nodes and annotated_tree.children == bare_tree.children

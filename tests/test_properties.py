@@ -34,6 +34,7 @@ from harness import (
     random_graph,
     random_multi_file_corpus,
     random_ref_corpus,
+    unfold,
 )
 
 N_GRAPHS = 500
@@ -248,15 +249,16 @@ def test_path_enumeration_counts_leaves(data):
     graph, collections = random_graph(random.Random(seed), max_nodes=25)
     for collection in collections:
         paths = enumerate_paths(graph, collection)
-        start = graph.collection_node(collection)
+        tree = unfold(graph)
+        start = tree.collection_node(collection)
 
         def leaves(nid):
-            kids = graph.child_ids(nid)
+            kids = tree.child_ids(nid)
             return 1 if not kids else sum(leaves(k) for k in kids)
 
-        expected = 0 if not graph.child_ids(start.id) else leaves(start.id)
+        expected = 0 if not tree.child_ids(start.id) else leaves(start.id)
         assert len(paths) == expected
         for path in paths:
-            embs = sum(1 for nid in path.nodes if graph.node(nid).kind == "Embedded")
+            embs = sum(1 for nid in path.nodes if tree.node(nid).kind == "Embedded")
             assert path.emb_count == embs
             assert 0 <= path.emb_count <= len(graph.nodes)
