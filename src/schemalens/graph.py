@@ -347,7 +347,8 @@ def _annotate(top: Spec, ann: CardinalityAnnotation) -> Spec:
 
 
 def to_dot(graph: MetricGraph, title: str = "schema") -> str:
-    """Render the tree as DOT text; node labels are ``kind:typeName``.
+    """Render the tree as DOT text; node labels are ``kind:typeName``, and
+    the title and labels are DOT strings, with ``\\`` and ``"`` escaped.
 
     One preorder walk of the DAG: a kid's id is its parent's plus one plus
     the sizes of its earlier siblings' subtrees. Raises GraphTooLarge, before
@@ -358,7 +359,7 @@ def to_dot(graph: MetricGraph, title: str = "schema") -> str:
     if sizes[top] > TREE_NODE_BUDGET:
         largest = max(top.kids, key=sizes.__getitem__)
         raise GraphTooLarge(largest.type_name, sizes[top], TREE_NODE_BUDGET)
-    lines = [f'digraph "{title}" {{', "  rankdir=LR;"]
+    lines = [f"digraph {_dot_string(title)} {{", "  rankdir=LR;"]
     edges: list[str] = []
     labels: dict[Spec, str] = {}
     stack = [(0, top)]
@@ -366,11 +367,11 @@ def to_dot(graph: MetricGraph, title: str = "schema") -> str:
         nid, spec = stack.pop()
         label = labels.get(spec)
         if label is None:
-            label = f"{spec.kind}:{spec.type_name}" if spec.type_name else spec.kind
+            text = f"{spec.kind}:{spec.type_name}" if spec.type_name else spec.kind
             if spec.attr_class:
-                label += f" [{spec.attr_class}]"
-            labels[spec] = label
-        lines.append(f'  n{nid} [label="{label}"];')
+                text += f" [{spec.attr_class}]"
+            label = labels[spec] = _dot_string(text)
+        lines.append(f"  n{nid} [label={label}];")
         if spec.kids:
             placed = []
             kid_id = nid + 1
@@ -383,3 +384,8 @@ def to_dot(graph: MetricGraph, title: str = "schema") -> str:
     lines += edges
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_string(text: str) -> str:
+    """``text`` as a double-quoted DOT string."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'

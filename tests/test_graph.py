@@ -265,6 +265,15 @@ def test_to_dot_labels_nodes_with_kind_and_type(envelope_graph):
     assert "->" in dot
 
 
+def test_to_dot_escapes_quotes_and_backslashes_in_strings():
+    entry = _resolve_single(
+        {"type": "object", "properties": {'a"b': {"type": "string"}, "c\\d": {"type": "object"}}}
+    )
+    lines = to_dot(build_graph({"c": entry}), title='my "LEI" \\ 2').splitlines()
+    assert lines[0] == 'digraph "my \\"LEI\\" \\\\ 2" {'
+    assert lines[4:6] == ['  n2 [label="Attribute:a\\"b [atomic]"];', '  n3 [label="Embedded:c\\\\d"];']
+
+
 def _metric(call, *args):
     try:
         value = call(*args)
