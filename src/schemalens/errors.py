@@ -24,13 +24,13 @@ class CorpusError(SchemaLensError):
 
 
 class GraphTooLarge(CorpusError):
-    """A metric graph's tree view would hold more nodes than the budget
-    allows. Metrics still answer: they run on the shared DAG."""
+    """A metric graph unfolds to more tree nodes than its DOT text may hold,
+    one line each. Metrics still answer: they run on the shared DAG."""
 
     def __init__(self, collection: str, nodes: int, budget: int):
         super().__init__(
             f"collection {collection!r}: the metric graph unfolds to {nodes} nodes,"
-            f" more than the {budget} a tree view may build"
+            f" more than the {budget} its DOT text may hold"
         )
         self.collection, self.nodes = collection, nodes
 
