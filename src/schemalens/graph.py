@@ -361,26 +361,21 @@ def to_dot(graph: MetricGraph, title: str = "schema") -> str:
         raise GraphTooLarge(largest.type_name, sizes[top], TREE_NODE_BUDGET)
     lines = [f"digraph {_dot_string(title)} {{", "  rankdir=LR;"]
     edges: list[str] = []
-    labels: dict[Spec, str] = {}
     stack = [(0, top)]
     while stack:
         nid, spec = stack.pop()
-        label = labels.get(spec)
-        if label is None:
-            text = f"{spec.kind}:{spec.type_name}" if spec.type_name else spec.kind
-            if spec.attr_class:
-                text += f" [{spec.attr_class}]"
-            label = labels[spec] = _dot_string(text)
-        lines.append(f"  n{nid} [label={label}];")
-        if spec.kids:
-            placed = []
-            kid_id = nid + 1
-            for kid in spec.kids:
-                attr = f' [label="{kid.card}"]' if kid.card not in (None, 1) else ""
-                edges.append(f"  n{nid} -> n{kid_id}{attr};")
-                placed.append((kid_id, kid))
-                kid_id += sizes[kid]
-            stack.extend(reversed(placed))
+        label = f"{spec.kind}:{spec.type_name}" if spec.type_name else spec.kind
+        if spec.attr_class:
+            label += f" [{spec.attr_class}]"
+        lines.append(f"  n{nid} [label={_dot_string(label)}];")
+        placed = []
+        kid_id = nid + 1
+        for kid in spec.kids:
+            attr = f' [label="{kid.card}"]' if kid.card not in (None, 1) else ""
+            edges.append(f"  n{nid} -> n{kid_id}{attr};")
+            placed.append((kid_id, kid))
+            kid_id += sizes[kid]
+        stack.extend(reversed(placed))
     lines += edges
     lines.append("}")
     return "\n".join(lines) + "\n"
