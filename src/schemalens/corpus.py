@@ -14,7 +14,6 @@ A manifest with the same layout can be pointed at on disk instead (the CLI's
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
@@ -111,10 +110,7 @@ class CorpusManifest:
         return self.scenarios[scenario_id]
 
     def scenario_instances(self, scenario_id: int) -> list[dict[str, Any]]:
-        return [
-            json.loads(path.read_text(encoding="utf-8"))
-            for path in self.scenario_files(scenario_id)
-        ]
+        return [read_config(path) for path in self.scenario_files(scenario_id)]
 
     def all_scenario_files(self) -> list[Path]:
         return [path for sid in sorted(self.scenarios) for path in self.scenarios[sid]]

@@ -121,8 +121,8 @@ _JSON_TYPE_NAMES = {
 
 def read_config(path: str | Path) -> Any:
     """The JSON document in the file ``path``: a criteria, weights or
-    manifest file. A ConfigError naming the path when the file is not UTF-8,
-    not JSON, or nested too deeply to decode."""
+    manifest file, or a scenario instance. A ConfigError naming the path
+    when the file is not UTF-8, not JSON, or nested too deeply to decode."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:

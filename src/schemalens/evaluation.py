@@ -63,7 +63,7 @@ class WeightCase:
     """A named criterion-to-points assignment.
 
     Configured cases must distribute 100 points (checked by
-    ``validate_total`` when loading; tolerance admits 3 x 6.667 rounding).
+    ``load_weight_cases``; tolerance admits 3 x 6.667 rounding).
     Ad-hoc cases built in code, e.g. for linearity checks, are free."""
 
     name: str
@@ -74,11 +74,6 @@ class WeightCase:
 
     def total(self) -> float:
         return sum(self.weights.values())
-
-    def validate_total(self) -> "WeightCase":
-        if abs(self.total() - 100.0) > WEIGHT_SUM_TOLERANCE:
-            raise ValueError(f"weights of case {self.name!r} sum to {self.total()}, not 100")
-        return self
 
 
 @dataclass
@@ -242,13 +237,16 @@ def load_weight_cases(path: str | Path) -> list[WeightCase]:
     entries = require(data, "cases", path, list)
     if not entries:
         raise ConfigError(f"{path}: key 'cases' must hold at least one weight case")
-    return [
-        WeightCase(
+    cases = []
+    for entry in entries:
+        case = WeightCase(
             name=require(entry, "name", path, str),
             weights={
                 as_number(k, int, path, k): as_number(v, float, path, k)
                 for k, v in require(entry, "weights", path, dict).items()
             },
-        ).validate_total()
-        for entry in entries
-    ]
+        )
+        if abs(case.total() - 100.0) > WEIGHT_SUM_TOLERANCE:
+            raise ConfigError(f"{path}: weights of case {case.name!r} sum to {case.total()}, not 100")
+        cases.append(case)
+    return cases

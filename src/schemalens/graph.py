@@ -189,17 +189,17 @@ def classify_attribute(node: ResolvedNode) -> str:
 _COMPOUND = frozenset([loader.ARRAY, loader.ONEOF, loader.CONDITIONAL])
 
 
-def _classify(node: ResolvedNode, memo: dict[int, tuple[str, bool]]) -> tuple[str, bool]:
+def _classify(node: ResolvedNode, memo: dict[ResolvedNode, tuple[str, bool]]) -> tuple[str, bool]:
     """``node``'s class, and whether it is a oneOf that mixes document and
     atomic branches. A compound node's pair is computed once per ``memo``,
-    kept under ``id(node)``, after its parts' in one postorder, so a oneOf
-    or array diamond costs its depth and a chain of any length classifies."""
+    kept under the node, after its parts' in one postorder, so a oneOf or
+    array diamond costs its depth and a chain of any length classifies."""
     kind = node.kind
     if kind not in _COMPOUND:
         return (DOCUMENT if kind in (loader.CYCLE, loader.OBJECT) else ATOMIC), False
-    if id(node) not in memo:
-        done = lambda sub: sub.kind not in _COMPOUND or id(sub) in memo
-        for sub in loader.postorder(node, _class_parts, id, done):
+    if node not in memo:
+        done = lambda sub: sub.kind not in _COMPOUND or sub in memo
+        for sub in loader.postorder(node, _class_parts, done):
             classes = {_classify(part, memo)[0] for part in _class_parts(sub)}
             if sub.kind == loader.ARRAY:
                 found = (ARRAY_DOCUMENT if classes & {DOCUMENT, ARRAY_DOCUMENT} else ARRAY_ATOMIC), False
@@ -209,8 +209,8 @@ def _classify(node: ResolvedNode, memo: dict[int, tuple[str, bool]]) -> tuple[st
                 found = (ATOMIC if classes and classes <= {ATOMIC} else DOCUMENT), mixed
             else:
                 found = (DOCUMENT if classes == {DOCUMENT} else ATOMIC), False
-            memo[id(sub)] = found
-    return memo[id(node)]
+            memo[sub] = found
+    return memo[node]
 
 
 def _class_parts(node: ResolvedNode) -> tuple[ResolvedNode, ...] | list[ResolvedNode]:
@@ -258,7 +258,7 @@ def effective_children(node: ResolvedNode) -> list[tuple[str, ResolvedNode]]:
 
 
 def _member_specs(
-    node: ResolvedNode, below: list[tuple[Spec, ResolvedNode]], classes: dict[int, tuple[str, bool]]
+    node: ResolvedNode, below: list[tuple[Spec, ResolvedNode]], classes: dict[ResolvedNode, tuple[str, bool]]
 ) -> tuple[Spec, ...]:
     """What each effective property of ``node`` becomes. A cycle stub becomes
     a Reference, a document an Embedded node, anything else an Attribute,
@@ -308,17 +308,17 @@ def build_graph(
         raise UnknownCollection("at least one collection name is required")
     below = [(Spec(COLLECTION, name, None, entry.ref_names), entry) for name, entry in collections.items()]
     top = Spec(ROOT, "root", kids=tuple(spec for spec, _ in below))
-    members: dict[int, tuple[Spec, ...]] = {}
-    classes: dict[int, tuple[str, bool]] = {}
+    members: dict[ResolvedNode, tuple[Spec, ...]] = {}
+    classes: dict[ResolvedNode, tuple[str, bool]] = {}
     todo = list(collections.values())
     while todo:
         node = todo.pop()
-        if id(node) not in members:
+        if node not in members:
             start = len(below)
-            members[id(node)] = _member_specs(node, below, classes)
+            members[node] = _member_specs(node, below, classes)
             todo.extend(sub for _, sub in below[start:])
     for spec, node in below:
-        spec.kids = members[id(node)]
+        spec.kids = members[node]
     for ann in annotations:
         top = _annotate(top, ann)
     return MetricGraph(top)

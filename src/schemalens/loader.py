@@ -117,7 +117,7 @@ class RawNode(NamedTuple):
     format_tag: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class ResolvedNode:
     """Reference-free, immutable schema node.
 
@@ -127,31 +127,46 @@ class ResolvedNode:
     are shared: within one ``resolve`` call, every site that references the
     same target outside a cycle holds the same object, so the nodes form a
     DAG. A walk that follows children as a tree visits a shared subtree once
-    per path; memoise on ``id(node)`` to visit it once. ``==`` and ``hash``
-    compare fields recursively and so also walk the unfolded tree; to test
-    shapes for equality on large DAGs, compare :meth:`structural_key`,
-    which each node computes once. allOf is gone: object branches are
-    merged into ``children`` and residual constraint branches live in
-    ``conditionals`` / ``one_of_groups``. Besides the structural key, a
-    node caches one derived value, :attr:`checks`; how a oneOf group
-    selects a branch is the validator's business, compiled there.
+    per path; key a memo or seen-set on the node to visit it once. ``==``,
+    ``hash`` and ``repr`` are ``object``'s: nodes compare by identity, in
+    constant time however large the DAG. To compare shapes, compare
+    :meth:`structural_key`, which each node computes once. allOf is gone:
+    object branches are merged into ``children`` and residual constraint
+    branches live in ``conditionals`` / ``one_of_groups``. Besides the
+    structural key, a node caches one derived value, :attr:`checks`; how a
+    oneOf group selects a branch is the validator's business, compiled
+    there.
     """
 
     kind: str
     doc_id: str
     path: str
-    type_tag: str | None = None
-    children: tuple[tuple[str, "ResolvedNode"], ...] = ()
-    item: "ResolvedNode | None" = None
-    required: tuple[str, ...] = ()
-    additional_allowed: bool = True
-    one_of_groups: tuple[tuple["ResolvedNode", ...], ...] = ()
-    conditionals: tuple[tuple["ResolvedNode", "ResolvedNode | None", "ResolvedNode | None"], ...] = ()
-    enum_values: tuple[Any, ...] = ()
-    format_tag: str | None = None
-    ref_names: tuple[str, ...] = ()
-    ref_docs: tuple[str, ...] = ()
-    cycle_target: str | None = None
+    type_tag: str | None
+    children: tuple[tuple[str, "ResolvedNode"], ...]
+    item: "ResolvedNode | None"
+    required: tuple[str, ...]
+    additional_allowed: bool
+    one_of_groups: tuple[tuple["ResolvedNode", ...], ...]
+    conditionals: tuple[tuple["ResolvedNode", "ResolvedNode | None", "ResolvedNode | None"], ...]
+    enum_values: tuple[Any, ...]
+    format_tag: str | None
+    ref_names: tuple[str, ...]
+    ref_docs: tuple[str, ...]
+    cycle_target: str | None
+
+    def __init__(
+        self, kind, doc_id, path, type_tag=None, children=(), item=None, required=(), additional_allowed=True,
+        one_of_groups=(), conditionals=(), enum_values=(), format_tag=None, ref_names=(), ref_docs=(),
+        cycle_target=None,
+    ):
+        # Frozen: the fields go straight into the instance dict, in one update.
+        self.__dict__.update({
+            "kind": kind, "doc_id": doc_id, "path": path, "type_tag": type_tag, "children": children,
+            "item": item, "required": required, "additional_allowed": additional_allowed,
+            "one_of_groups": one_of_groups, "conditionals": conditionals, "enum_values": enum_values,
+            "format_tag": format_tag, "ref_names": ref_names, "ref_docs": ref_docs,
+            "cycle_target": cycle_target,
+        })
 
     def child_map(self) -> dict[str, "ResolvedNode"]:
         return dict(self.children)
@@ -160,7 +175,8 @@ class ResolvedNode:
     def checks(self) -> tuple:
         """The validator's checks for this node (``validator.compile_checks``),
         compiled on the node's first validation, never by ``resolve``. Not a
-        field, so eq, hash and :meth:`structural_key` ignore it."""
+        field, so :func:`~dataclasses.fields`, ``replace`` and
+        :meth:`structural_key` ignore it."""
         from .validator import compile_checks
 
         return compile_checks(self)
@@ -192,25 +208,21 @@ def _sub_nodes(node: ResolvedNode) -> Iterator[ResolvedNode]:
                 yield part
 
 
-def postorder(root: Any, subs: Callable[[Any], Iterable[Any]], key: Callable[[Any], Any] | None = None,
-              done: Callable[[Any], bool] | None = None) -> list:
+def postorder(root: Any, subs: Callable[[Any], Iterable[Any]], done: Callable[[Any], bool] | None = None) -> list:
     """The distinct nodes reachable from ``root`` through ``subs``, each
     after every node ``subs`` gives it, in depth-first site order; the
-    graph must be acyclic. Nodes are told apart by ``key(node)``, or by
-    value when ``key`` is None, which keeps the per-edge loop free of
-    Python calls; a ResolvedNode needs ``key=id``, because its ``==`` walks
-    the unfolded tree. A node below ``root`` for which ``done`` holds is
-    left out, and so is everything reachable only through it. Iterative, so
-    a chain of any length orders."""
+    graph must be acyclic. Nodes are told apart by ``==`` and ``hash``,
+    which for a ResolvedNode or a graph Spec is identity. A node below
+    ``root`` for which ``done`` holds is left out, and so is everything
+    reachable only through it. Iterative, so a chain of any length orders."""
     order = []
-    seen = {root if key is None else key(root)}
+    seen = {root}
     stack = [(root, iter(subs(root)))]
     while stack:
         node, pending = stack[-1]
         for sub in pending:
-            mark = sub if key is None else key(sub)
-            if mark not in seen:
-                seen.add(mark)
+            if sub not in seen:
+                seen.add(sub)
                 if done is None or not done(sub):
                     stack.append((sub, iter(subs(sub))))
                     break
@@ -228,7 +240,7 @@ def _structural_key(root: ResolvedNode) -> Any:
     def key(sub: ResolvedNode) -> Any:
         return sub.__dict__["_structural_key"]
 
-    for node in postorder(root, _sub_nodes, id, lambda node: "_structural_key" in node.__dict__):
+    for node in postorder(root, _sub_nodes, lambda node: "_structural_key" in node.__dict__):
         node.__dict__["_structural_key"] = (
             node.kind,
             node.type_tag,
@@ -262,25 +274,6 @@ def _same_shape(a: ResolvedNode, b: ResolvedNode) -> bool:
         else:
             pending.extend(zip(x, y))
     return True
-
-
-def _resolved_node(
-    kind, doc_id, path, type_tag, children, item, required, additional_allowed,
-    one_of_groups, conditionals, enum_values, format_tag, ref_names, ref_docs, cycle_target,
-) -> ResolvedNode:
-    """``ResolvedNode(...)`` with every field given, in field order, at about
-    a quarter of the cost: the generated frozen ``__init__`` sets each field
-    through ``object.__setattr__``, this fills the instance dict in one
-    update. The result is the same frozen dataclass."""
-    node = object.__new__(ResolvedNode)
-    node.__dict__.update({
-        "kind": kind, "doc_id": doc_id, "path": path, "type_tag": type_tag, "children": children,
-        "item": item, "required": required, "additional_allowed": additional_allowed,
-        "one_of_groups": one_of_groups, "conditionals": conditionals, "enum_values": enum_values,
-        "format_tag": format_tag, "ref_names": ref_names, "ref_docs": ref_docs,
-        "cycle_target": cycle_target,
-    })
-    return node
 
 
 class SchemaDocument(NamedTuple):
@@ -798,7 +791,7 @@ class _Resolver:
                     self._node(raw.otherwise, doc_id, f"{path}/else", stack) if raw.otherwise else None,
                 ),
             )
-        return _resolved_node(
+        return ResolvedNode(
             raw.kind, doc_id, path, raw.type_tag, children, item, raw.required, raw.additional_allowed,
             one_of_groups, conditionals, raw.enum_values, raw.format_tag, ref_names, ref_docs, None,
         )
@@ -808,7 +801,7 @@ class _Resolver:
         state = self._state(key, stack)
         if state is None:
             target_id, fragment = key
-            return _resolved_node(
+            return ResolvedNode(
                 CYCLE, doc_id, path, None, (), None, (), True, (), (), (), None,
                 (_type_name_for_target(target_id, fragment),), (target_id,), target_id,
             )
@@ -890,7 +883,7 @@ class _Resolver:
 
         if merged_children or type_tag == "object":
             kind = OBJECT
-        return _resolved_node(
+        return ResolvedNode(
             kind, doc_id, path, type_tag, tuple(merged_children), item, tuple(required),
             all(p.additional_allowed for _, p in participants), tuple(one_of_groups),
             tuple(conditionals), enum_values or (), format_tag, tuple(ref_names), tuple(ref_docs), None,

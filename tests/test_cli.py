@@ -399,6 +399,12 @@ def _validate_recursive(tmp_path, instance):
         (lambda tmp: _metrics_on_manifest(tmp, "{nope"), "manifest.json: not valid JSON"),
         (lambda tmp: _metrics_with_criteria(tmp, "{nope"), "c.json: not valid JSON"),
         (lambda tmp: ["evaluate", "--weights", _write(tmp / "w.json", "{nope")], "w.json: not valid JSON"),
+        (
+            lambda tmp: [
+                "evaluate", "--weights", _write(tmp / "w.json", {"cases": [{"name": "skewed", "weights": {"1": 90}}]})
+            ],
+            "w.json: weights of case 'skewed' sum to 90.0, not 100",
+        ),
         (lambda tmp: _metrics_on_manifest_bytes(tmp, b'{"title": "caf\xe9"}'), "manifest.json: not UTF-8"),
         (lambda tmp: _validate_bytes(tmp, b"\xff{}"), "i.json: not UTF-8: invalid start byte at byte offset 0"),
         (
@@ -426,7 +432,7 @@ def _validate_recursive(tmp_path, instance):
         "criterion-type-type", "criterion-collection-type", "criterion-label-type",
         "criterion-direction", "criterion-direction-type", "criteria-collection-type",
         "criterion-id-repeated", "cases-empty", "cycle-stub", "oneOf-type", "envelope-type", "event-file-type",
-        "manifest-not-json", "criteria-not-json", "weights-not-json", "manifest-not-utf8",
+        "manifest-not-json", "criteria-not-json", "weights-not-json", "weights-not-100", "manifest-not-utf8",
         "instance-not-utf8", "instance-too-deep", "validate-schema-empty", "graph-schema-comma",
         "metrics-schema-empty", "evaluate-schema-blank", "coefficients-infinite", "coefficients-negative-infinite",
         "coefficients-not-int", "coefficients-not-float",

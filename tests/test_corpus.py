@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import pytest
@@ -12,7 +13,7 @@ from schemalens.corpus import (
     capability_records,
     load_manifest,
 )
-from schemalens.errors import CorpusError, UnknownSchema, UnknownScenario
+from schemalens.errors import ConfigError, CorpusError, UnknownSchema, UnknownScenario
 from schemalens.loader import resolve
 from schemalens.validator import validate
 
@@ -165,6 +166,15 @@ def test_capability_records_shape(manifest):
 def test_manifest_missing_directory_raises(tmp_path):
     with pytest.raises(CorpusError):
         load_manifest(tmp_path)
+
+
+def test_a_scenario_file_that_is_not_json_is_named(tmp_path):
+    (tmp_path / "good.json").write_text("{}")
+    (tmp_path / "bad.json").write_text("{nope")
+    manifest = {"schemas": {}, "scenarios": {"1": ["good.json", "bad.json"]}}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match=r"bad\.json: not valid JSON: "):
+        load_manifest(tmp_path).scenario_instances(1)
 
 
 def test_manifest_from_explicit_root_matches_bundled(manifest):

@@ -4,7 +4,7 @@ import pytest
 
 from schemalens import corpus as corpus_mod
 from schemalens import metrics
-from schemalens.errors import TypeAbsent, UnknownCriterionMetric
+from schemalens.errors import ConfigError, TypeAbsent, UnknownCriterionMetric
 from schemalens.evaluation import (
     MAXIMIZE,
     MINIMIZE,
@@ -214,7 +214,7 @@ def test_misweighted_case_file_is_rejected(tmp_path):
     bad = {"cases": [{"name": "skewed", "weights": {"1": 90.0}}]}
     path = tmp_path / "weights.json"
     path.write_text(json.dumps(bad))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"weights\.json: weights of case 'skewed' sum to 90\.0, not 100$"):
         load_weight_cases(path)
 
 

@@ -16,6 +16,7 @@ from schemalens.validator import validate
 from harness import (
     chain_docs as _chain_docs,
     clique_docs,
+    diamond_docs,
     make_corpus,
     random_cyclic_corpus,
     random_ref_corpus,
@@ -465,9 +466,11 @@ def test_resolved_nodes_are_the_frozen_dataclass_the_constructor_builds(lei_enve
     assert len(nodes) > 100
     for node in nodes:
         rebuilt = ResolvedNode(**{f.name: getattr(node, f.name) for f in fields(node)})
-        assert rebuilt == node and hash(rebuilt) == hash(node)
+        assert all(getattr(rebuilt, f.name) is getattr(node, f.name) for f in fields(node))
         moved = replace(node, path="x")
-        assert moved.path == "x" and replace(moved, path=node.path) == node
+        assert moved.path == "x"
+        back = replace(moved, path=node.path)
+        assert all(getattr(back, f.name) is getattr(node, f.name) for f in fields(node))
         with pytest.raises(FrozenInstanceError):
             node.path = "x"
         with pytest.raises(FrozenInstanceError):
@@ -475,6 +478,22 @@ def test_resolved_nodes_are_the_frozen_dataclass_the_constructor_builds(lei_enve
         assert node.checks is node.checks
         assert node.structural_key() is node.structural_key()
         assert node.structural_key() == rebuilt.structural_key()
+
+
+def test_resolved_nodes_are_identities(lei_corpus):
+    first, second = resolve(lei_corpus, "eventCore.json"), resolve(lei_corpus, "eventCore.json")
+    assert first != second
+    assert first.structural_key() == second.structural_key()
+    assert len({first, second}) == 2
+    for method in ("__eq__", "__hash__", "__repr__"):
+        assert getattr(ResolvedNode, method) is getattr(object, method)
+    # On a depth-30 diamond a field-wise ==, hash or repr would unfold 2^30
+    # paths; by identity each is constant work.
+    docs, entry = diamond_docs(30, False)
+    corpus = make_corpus(docs)
+    root, again = resolve(corpus, entry), resolve(corpus, entry)
+    assert hash(root) == hash(root) and root != again
+    assert len(repr(root)) < 100
 
 
 def test_relative_refs_resolve_against_the_referencing_document(lei_corpus):
@@ -799,8 +818,10 @@ def test_the_budget_counts_the_states_under_a_cycle_stack(monkeypatch, docs, ent
 @pytest.mark.parametrize("k", [13, 16])
 def test_a_clique_over_the_budget_is_refused_before_any_node_is_built(monkeypatch, k):
     built = []
-    original = loader._resolved_node
-    monkeypatch.setattr(loader, "_resolved_node", lambda *fields: built.append(fields[:3]) or original(*fields))
+    original = ResolvedNode.__init__
+    monkeypatch.setattr(
+        ResolvedNode, "__init__", lambda node, *args, **kw: built.append(args[:3]) or original(node, *args, **kw)
+    )
     with pytest.raises(ResolutionTooLarge, match=f"^node0.json: .* more than {loader.STATE_BUDGET} "):
         resolve(make_corpus(clique_docs(k)), "node0.json")
     assert built == []
