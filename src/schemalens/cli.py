@@ -5,7 +5,7 @@ validation, 2 usage/corpus/config errors. The corpus directory defaults to
 the bundled data tree; override with --corpus or the SCHEMALENS_CORPUS
 environment variable (the directory must hold a manifest.json). Each
 command reads every input the user names -- flags, config files, instance
-paths -- before it loads a corpus, so a bad one is refused at no cost.
+files -- before it loads a corpus, so a bad one is refused at no cost.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .corpus import (
     capability_records,
     load_manifest,
 )
-from .errors import SchemaLensError
+from .errors import SchemaLensError, read_config
 from .evaluation import load_criteria, load_weight_cases, run_comparison
 from .graph import to_dot
 from .loader import _schema_files, resolve
@@ -196,17 +196,6 @@ def _instance_paths(raw_paths: list[str]) -> list[Path]:
     return paths
 
 
-def _read_instance(path: Path):
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise SchemaLensError(f"{path}: not UTF-8: {exc.reason} at byte offset {exc.start}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaLensError(f"{path}: not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise SchemaLensError(f"{path}: nested too deeply for the recursion limit") from None
-
-
 def cmd_validate(args) -> int:
     manifest = _manifest(args)
     name = _schema_names(args, manifest, default_all=False)[0]
@@ -214,32 +203,32 @@ def cmd_validate(args) -> int:
     if schema_set.envelope is None:
         raise SchemaLensError(f"schema set {name!r} has no instance envelope to validate against")
     paths = _instance_paths(args.files)
+    instances = [read_config(path) for path in paths]
     envelope = resolve(schema_set.corpus(), schema_set.envelope)
-    outcomes, totals = validate_batch(map(_read_instance, paths), envelope)
-    records = [
-        {
-            "file": str(path),
-            "valid": outcome.valid,
-            "violations": [
-                {
-                    "instancePath": v.instance_path,
-                    "schemaPath": v.schema_path,
-                    "keyword": v.keyword,
-                    "message": v.message,
-                }
-                for v in outcome.violations
-            ],
-        }
-        for path, outcome in zip(paths, outcomes)
-    ]
+    outcomes, totals = validate_batch(instances, envelope)
     if args.format == "records":
+        records = [
+            {
+                "file": str(path),
+                "valid": outcome.valid,
+                "violations": [
+                    {
+                        "instancePath": v.instance_path,
+                        "schemaPath": v.schema_path,
+                        "keyword": v.keyword,
+                        "message": v.message,
+                    }
+                    for v in outcome.violations
+                ],
+            }
+            for path, outcome in zip(paths, outcomes)
+        ]
         print(json.dumps(records, indent=2))
     else:
-        for record in records:
-            status = "valid" if record["valid"] else "INVALID"
-            print(f"{record['file']}: {status}")
-            for violation in record["violations"]:
-                print(f"  {violation['instancePath'] or '/'} [{violation['keyword']}] {violation['message']}")
+        for path, outcome in zip(paths, outcomes):
+            print(f"{path}: {'valid' if outcome.valid else 'INVALID'}")
+            for v in outcome.violations:
+                print(f"  {v.instance_path or '/'} [{v.keyword}] {v.message}")
     return 1 if totals["invalid"] else 0
 
 

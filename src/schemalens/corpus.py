@@ -128,6 +128,8 @@ def load_manifest(root: str | Path | None = None) -> CorpusManifest:
     for name in schemas:
         entry = require(schemas, name, manifest_path, dict)
         title = optional(entry, "title", manifest_path, str, name.upper())
+        if any(other.title == title for other in schema_sets.values()):
+            raise ConfigError(f"{manifest_path}: key 'title' repeats schema-set title {title!r}")
         corpus_dir = root_dir / require(entry, "corpus", manifest_path, str)
         metric_entry = require(entry, "metric_entry", manifest_path, str)
         envelope = entry.get("envelope")  # null: no envelope

@@ -110,7 +110,8 @@ class UnknownScenario(SchemaLensError):
 
 class ConfigError(SchemaLensError):
     """A criteria, weights or manifest document lacks a required key, or
-    holds one of the wrong JSON type."""
+    holds one of the wrong JSON type; or a config or instance file is not
+    UTF-8, not JSON, or nested too deeply to decode."""
 
 
 _JSON_TYPE_NAMES = {
@@ -121,8 +122,8 @@ _JSON_TYPE_NAMES = {
 
 def read_config(path: str | Path) -> Any:
     """The JSON document in the file ``path``: a criteria, weights or
-    manifest file, or a scenario instance. A ConfigError naming the path
-    when the file is not UTF-8, not JSON, or nested too deeply to decode."""
+    manifest file, or an instance file. A ConfigError naming the path when
+    the file is not UTF-8, not JSON, or nested too deeply to decode."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
@@ -130,7 +131,7 @@ def read_config(path: str | Path) -> Any:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
     except RecursionError:
-        raise ConfigError(f"{path}: nested too deeply") from None
+        raise ConfigError(f"{path}: nested too deeply for the recursion limit") from None
 
 
 def require(data: Any, key: str, source: object, expected: type = object) -> Any:

@@ -248,5 +248,7 @@ def load_weight_cases(path: str | Path) -> list[WeightCase]:
         )
         if abs(case.total() - 100.0) > WEIGHT_SUM_TOLERANCE:
             raise ConfigError(f"{path}: weights of case {case.name!r} sum to {case.total()}, not 100")
+        if any(c.name == case.name for c in cases):
+            raise ConfigError(f"{path}: key 'name' repeats case {case.name!r}")
         cases.append(case)
     return cases

@@ -72,7 +72,7 @@ class WidthCoefficients:
         values = []
         for part in parts:
             try:
-                values.append(float(part) if "." in part else int(part))
+                values.append(float(part))
             except ValueError:
                 raise ValueError(f"{part!r} is not a number") from None
         return cls(*values)

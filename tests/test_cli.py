@@ -91,6 +91,12 @@ def test_metrics_unit_coefficients_equal_raw_attribute_totals(capsys):
     assert ["4", "8", "12"] == width_row.split()[-3:]
 
 
+def test_coefficients_in_exponent_form_read_as_plain_ones(capsys):
+    plain = run_cli(capsys, "metrics", "--coefficients", "1,2,1,3")
+    assert plain[0] == 0
+    assert run_cli(capsys, "metrics", "--coefficients", "1e0,2,1,3") == plain
+
+
 def test_metrics_records_round_trip(capsys, manifest, graphs, criteria):
     code, out, _ = run_cli(capsys, "metrics", "--format", "records")
     assert code == 0
@@ -311,6 +317,12 @@ def _manifest_with_entry(**slots):
     return {"schemas": {"lei": {"corpus": "corpora/lei", "metric_entry": "m.json", "events": {}, **slots}}}
 
 
+def _manifest_with_sets(**sets):
+    """One schema set per keyword, holding that keyword's extra slots."""
+    entry = {"corpus": "corpora/lei", "metric_entry": "m.json", "events": {}}
+    return {"schemas": {name: {**entry, **slots} for name, slots in sets.items()}}
+
+
 def _metrics_on_schema(tmp_path, schema):
     (tmp_path / "k").mkdir()
     _write(tmp_path / "k" / "k.json", schema)
@@ -422,6 +434,20 @@ def _validate_recursive(tmp_path, instance):
         (lambda tmp: ["evaluate", "--coefficients", "1,1,-1.0e999,1"], "--coefficients '1,1,-1.0e999,1': "),
         (lambda tmp: ["metrics", "--coefficients", "a,1,1,1"], "--coefficients 'a,1,1,1': 'a' is not a number"),
         (lambda tmp: ["evaluate", "--coefficients", "1,2,x.5,3"], "--coefficients '1,2,x.5,3': 'x.5' is not a number"),
+        (
+            lambda tmp: _metrics_with_criteria(tmp, "[" * 100_000 + "]" * 100_000),
+            "c.json: nested too deeply for the recursion limit",
+        ),
+        (
+            lambda tmp: [
+                "evaluate", "--weights", _write(tmp / "w.json", {"cases": [{"name": "Case 1", "weights": {"1": 100}}] * 2})
+            ],
+            "w.json: key 'name' repeats case 'Case 1'",
+        ),
+        (
+            lambda tmp: _metrics_on_manifest(tmp, _manifest_with_sets(isc={}, icar={"title": "ISC"})),
+            "manifest.json: key 'title' repeats schema-set title 'ISC'",
+        ),
     ],
     ids=[
         "criteria", "criterion-metric", "cases", "case-name", "schemas",
@@ -435,7 +461,8 @@ def _validate_recursive(tmp_path, instance):
         "manifest-not-json", "criteria-not-json", "weights-not-json", "weights-not-100", "manifest-not-utf8",
         "instance-not-utf8", "instance-too-deep", "validate-schema-empty", "graph-schema-comma",
         "metrics-schema-empty", "evaluate-schema-blank", "coefficients-infinite", "coefficients-negative-infinite",
-        "coefficients-not-int", "coefficients-not-float",
+        "coefficients-not-int", "coefficients-not-float", "criteria-too-deep", "case-name-repeated",
+        "title-repeated",
     ],
 )
 def test_malformed_inputs_exit_2_with_one_line(capsys, tmp_path, make_argv, expected):

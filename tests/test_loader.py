@@ -1057,14 +1057,19 @@ def test_a_file_deleted_after_loading_fails_only_where_it_is_referenced(tmp_path
         (["metrics", "--criteria", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
         (["evaluate", "--weights", "{missing}"], "[Errno 2] No such file or directory: '{missing}'"),
         (["validate", "{missing}"], "no such file or directory: {missing}"),
+        (
+            ["validate", "{bad}"],
+            "{bad}: not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+        ),
     ],
-    ids=["metrics-coefficients", "metrics-criteria", "evaluate-weights", "validate-files"],
+    ids=["metrics-coefficients", "metrics-criteria", "evaluate-weights", "validate-files", "validate-not-json"],
 )
 def test_a_bad_user_input_is_refused_before_any_document_is_parsed(capsys, monkeypatch, tmp_path, argv, message):
-    missing = str(tmp_path / "missing.json")
+    paths = {"missing": str(tmp_path / "missing.json"), "bad": str(tmp_path / "bad.json")}
+    (tmp_path / "bad.json").write_text("{nope")
     parsed = _count_parses(monkeypatch)
-    assert main([arg.format(missing=missing) for arg in argv]) == 2
-    assert capsys.readouterr().err == f"schemalens: error: {message.format(missing=missing)}\n"
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"schemalens: error: {message.format(**paths)}\n"
     assert parsed == []
 
 
