@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import report
@@ -107,6 +106,15 @@ def _schema_names(args, manifest: CorpusManifest, default_all: bool) -> list[str
     return names
 
 
+def _schema_name(args, manifest: CorpusManifest) -> str:
+    """The one schema set a command that reads one takes (default: lei); a
+    second distinct ``--schema`` name is refused, not ignored."""
+    names = _schema_names(args, manifest, default_all=False)
+    if len(names) > 1:
+        raise SchemaLensError(f"{args.command} takes one schema set; --schema names {', '.join(names)}")
+    return names[0]
+
+
 def _coefficients(args) -> WidthCoefficients:
     if not args.coefficients:
         return DEFAULT_COEFFICIENTS
@@ -130,8 +138,7 @@ def _criteria(args, manifest: CorpusManifest):
     override = args.collection
     if override and default_collection and override != default_collection:
         criteria = [
-            replace(
-                c,
+            c._replace(
                 type_name=override if c.type_name == default_collection else c.type_name,
                 collection=override if c.collection == default_collection else c.collection,
             )
@@ -198,7 +205,7 @@ def _instance_paths(raw_paths: list[str]) -> list[Path]:
 
 def cmd_validate(args) -> int:
     manifest = _manifest(args)
-    name = _schema_names(args, manifest, default_all=False)[0]
+    name = _schema_name(args, manifest)
     schema_set = manifest.schema_set(name)
     if schema_set.envelope is None:
         raise SchemaLensError(f"schema set {name!r} has no instance envelope to validate against")
@@ -244,7 +251,7 @@ def cmd_capability(args) -> int:
 
 def cmd_graph(args) -> int:
     manifest = _manifest(args)
-    name = _schema_names(args, manifest, default_all=False)[0]
+    name = _schema_name(args, manifest)
     graph = manifest.graph(name, args.collection)
     dot = to_dot(graph, title=manifest.schema_set(name).title)
     if args.graph_dot:

@@ -14,11 +14,12 @@ A manifest with the same layout can be pointed at on disk instead (the CLI's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from pathlib import Path
-from typing import Any, Sequence
 
-from .errors import ConfigError, CorpusError, UnknownSchema, UnknownScenario, as_number, optional, read_config, require
+from .errors import (
+    ConfigError, CorpusError, Record, UnknownSchema, UnknownScenario, as_number, optional, read_config, require,
+)
 from .graph import MetricGraph, build_graph, effective_children
 from .loader import CorpusHandle, load_corpus, resolve
 
@@ -43,17 +44,28 @@ def default_weights_path() -> Path:
     return bundled_data_dir() / "configs" / "weights.json"
 
 
-@dataclass
-class SchemaSet:
+class SchemaSet(Record):
     """One named corpus in the manifest plus its event map."""
 
-    name: str
-    title: str
-    corpus_dir: Path
-    metric_entry: str
-    envelope: str | None
-    events: dict[str, str]
-    _corpus: CorpusHandle | None = field(default=None, repr=False)
+    __slots__ = ("name", "title", "corpus_dir", "metric_entry", "envelope", "events", "_corpus")
+
+    def __init__(
+        self,
+        name: str,
+        title: str,
+        corpus_dir: Path,
+        metric_entry: str,
+        envelope: str | None,
+        events: dict[str, str],
+        _corpus: CorpusHandle | None = None,
+    ):
+        self.name = name
+        self.title = title
+        self.corpus_dir = corpus_dir
+        self.metric_entry = metric_entry
+        self.envelope = envelope
+        self.events = events
+        self._corpus = _corpus
 
     def corpus(self) -> CorpusHandle:
         if self._corpus is None:
@@ -61,25 +73,36 @@ class SchemaSet:
         return self._corpus
 
 
-@dataclass
-class CapabilityVerdict:
-    schema: str
-    event: str
-    level: str
-    missing: list[str] = field(default_factory=list)
+class CapabilityVerdict(Record):
+    __slots__ = ("schema", "event", "level", "missing")
+
+    def __init__(self, schema: str, event: str, level: str, missing: list[str] | None = None):
+        self.schema = schema
+        self.event = event
+        self.level = level
+        self.missing = [] if missing is None else missing
 
     @property
     def glyph(self) -> str:
         return CAPABILITY_GLYPHS[self.level]
 
 
-@dataclass
-class CorpusManifest:
-    root: Path
-    collection: str
-    schema_sets: dict[str, SchemaSet]
-    case_study_events: list[tuple[str, str]]
-    scenarios: dict[int, list[Path]]
+class CorpusManifest(Record):
+    __slots__ = ("root", "collection", "schema_sets", "case_study_events", "scenarios")
+
+    def __init__(
+        self,
+        root: Path,
+        collection: str,
+        schema_sets: dict[str, SchemaSet],
+        case_study_events: list[tuple[str, str]],
+        scenarios: dict[int, list[Path]],
+    ):
+        self.root = root
+        self.collection = collection
+        self.schema_sets = schema_sets
+        self.case_study_events = case_study_events
+        self.scenarios = scenarios
 
     def schema_names(self) -> list[str]:
         return list(self.schema_sets)
@@ -109,7 +132,7 @@ class CorpusManifest:
             raise UnknownScenario(f"scenario id must be 1..{len(self.scenarios)}, got {scenario_id}")
         return self.scenarios[scenario_id]
 
-    def scenario_instances(self, scenario_id: int) -> list[dict[str, Any]]:
+    def scenario_instances(self, scenario_id: int) -> list[dict[str, object]]:
         return [read_config(path) for path in self.scenario_files(scenario_id)]
 
     def all_scenario_files(self) -> list[Path]:
@@ -203,7 +226,7 @@ def capability_grid(
     return header, rows
 
 
-def capability_records(verdicts: Sequence[CapabilityVerdict]) -> list[dict[str, Any]]:
+def capability_records(verdicts: Sequence[CapabilityVerdict]) -> list[dict[str, object]]:
     return [
         {"schema": v.schema, "event": v.event, "level": v.level, "missing": v.missing}
         for v in verdicts

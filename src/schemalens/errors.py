@@ -2,13 +2,14 @@
 
 Every error raised on a contract boundary derives from SchemaLensError so
 callers (and the CLI) can catch one base type and map it to exit code 2.
+The readers of config files and :class:`Record`, the base of the toolkit's
+mutable result classes, live here too.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
 
 
 class SchemaLensError(Exception):
@@ -120,7 +121,7 @@ _JSON_TYPE_NAMES = {
 }
 
 
-def read_config(path: str | Path) -> Any:
+def read_config(path: str | Path) -> object:
     """The JSON document in the file ``path``: a criteria, weights or
     manifest file, or an instance file. A ConfigError naming the path when
     the file is not UTF-8, not JSON, or nested too deeply to decode."""
@@ -134,7 +135,7 @@ def read_config(path: str | Path) -> Any:
         raise ConfigError(f"{path}: nested too deeply for the recursion limit") from None
 
 
-def require(data: Any, key: str, source: object, expected: type = object) -> Any:
+def require(data: object, key: str, source: object, expected: type = object) -> object:
     """``data[key]``, or a ConfigError naming ``source`` and the key when the
     key is missing or its value is not an ``expected`` (a JSON container or
     string type; the default accepts any value)."""
@@ -149,12 +150,12 @@ def require(data: Any, key: str, source: object, expected: type = object) -> Any
     return value
 
 
-def optional(data: dict, key: str, source: object, expected: type, default: Any) -> Any:
+def optional(data: dict, key: str, source: object, expected: type, default: object) -> object:
     """``require`` for a key that may be absent: ``default`` when it is."""
     return require(data, key, source, expected) if key in data else default
 
 
-def as_number(value: Any, to: type, source: object, key: str) -> Any:
+def as_number(value: object, to: type, source: object, key: str) -> object:
     """``to(value)`` for ``to`` in (int, float), or a ConfigError naming
     ``source`` and the key when the value does not convert (a container,
     null, or a non-numeric string)."""
@@ -165,3 +166,23 @@ def as_number(value: Any, to: type, source: object, key: str) -> Any:
             f"{source}: key {key!r} must be a number, "
             f"not {_JSON_TYPE_NAMES.get(type(value), type(value).__name__)}"
         ) from None
+
+
+class Record:
+    """Base of a mutable result class: a subclass names its fields in
+    ``__slots__`` and assigns each in ``__init__``. Two instances of one
+    class are ``==`` when their fields are, instances are unhashable, and
+    ``repr`` shows each field whose name does not start with ``_``."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self.__slots__
+        return [getattr(self, name) for name in names] == [getattr(other, name) for name in names]
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_")
+        return f"{self.__class__.__qualname__}({shown})"

@@ -19,14 +19,15 @@ reciprocal "potential value"):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Mapping, Sequence
 
 from . import metrics
 from .errors import (
-    ConfigError, TypeAbsent, UnknownCollection, UnknownCriterionMetric, as_number, optional, read_config, require,
+    ConfigError, Record, TypeAbsent, UnknownCollection, UnknownCriterionMetric, as_number, optional, read_config,
+    require,
 )
 from .graph import MetricGraph
 from .metrics import ABSENT, Absent, MetricValue, WidthCoefficients
@@ -39,14 +40,10 @@ DIRECTIONS = (PRESENCE, MAXIMIZE, MINIMIZE)
 WEIGHT_SUM_TOLERANCE = 0.01  # admits 3 x 6.667 rounding in the bundled cases
 
 
-@dataclass(frozen=True)
-class CriterionSpec:
-    id: int
-    metric: str
-    type_name: str | None = None
-    collection: str | None = None
-    direction: str = PRESENCE
-    label: str = ""
+class CriterionSpec(
+    namedtuple("CriterionSpec", "id metric type_name collection direction label", defaults=(None, None, PRESENCE, ""))
+):
+    __slots__ = ()
 
     def target_label(self) -> str:
         if self.type_name and self.collection:
@@ -58,16 +55,15 @@ class CriterionSpec:
         return f"{self.metric}()"
 
 
-@dataclass(frozen=True)
-class WeightCase:
-    """A named criterion-to-points assignment.
+class WeightCase(namedtuple("WeightCase", "name weights")):
+    """A named criterion-to-points assignment: ``weights`` maps criterion
+    ids to points.
 
     Configured cases must distribute 100 points (checked by
     ``load_weight_cases``; tolerance admits 3 x 6.667 rounding).
     Ad-hoc cases built in code, e.g. for linearity checks, are free."""
 
-    name: str
-    weights: Mapping[int, float]
+    __slots__ = ()
 
     def weight(self, criterion_id: int) -> float:
         return self.weights.get(criterion_id, 0.0)
@@ -76,21 +72,38 @@ class WeightCase:
         return sum(self.weights.values())
 
 
-@dataclass
-class EvaluationResult:
-    schema_name: str
-    per_criterion: dict[int, float] = field(default_factory=dict)
-    per_case: dict[str, float] = field(default_factory=dict)
+class EvaluationResult(Record):
+    __slots__ = ("schema_name", "per_criterion", "per_case")
+
+    def __init__(
+        self,
+        schema_name: str,
+        per_criterion: dict[int, float] | None = None,
+        per_case: dict[str, float] | None = None,
+    ):
+        self.schema_name = schema_name
+        self.per_criterion = {} if per_criterion is None else per_criterion
+        self.per_case = {} if per_case is None else per_case
 
 
-@dataclass
-class ComparisonResult:
-    schemas: list[str]
-    cases: list[str]
-    criteria: list[CriterionSpec]
-    raw: dict[str, dict[int, MetricValue]]
-    normalized: dict[str, dict[int, float]]
-    totals: dict[str, dict[str, float]]
+class ComparisonResult(Record):
+    __slots__ = ("schemas", "cases", "criteria", "raw", "normalized", "totals")
+
+    def __init__(
+        self,
+        schemas: list[str],
+        cases: list[str],
+        criteria: list[CriterionSpec],
+        raw: dict[str, dict[int, MetricValue]],
+        normalized: dict[str, dict[int, float]],
+        totals: dict[str, dict[str, float]],
+    ):
+        self.schemas = schemas
+        self.cases = cases
+        self.criteria = criteria
+        self.raw = raw
+        self.normalized = normalized
+        self.totals = totals
 
     def chart_data(self) -> dict[str, dict[str, float]]:
         """case -> schema -> rounded score, ready for external plotting."""

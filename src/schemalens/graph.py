@@ -29,10 +29,9 @@ explicit stacks, so a ref chain of any length builds, measures and draws.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Any
 
 from . import loader
 from .errors import GraphTooLarge, UnknownCollection
@@ -55,7 +54,6 @@ ARRAY_DOCUMENT = "arrayDocument"
 TREE_NODE_BUDGET = 1_000_000
 
 
-@dataclass(slots=True, eq=False, repr=False)
 class Spec:
     """One node of the graph's DAG: its kind, type name, attribute class,
     the ``$ref`` names that produced it, whether it is required and whether
@@ -66,19 +64,31 @@ class Spec:
     ``kids`` tuples are shared: every spec whose members are those of one
     resolved node holds the same tuple, so a spec stands for all the tree
     nodes it unfolds to. Treat specs as immutable once ``build_graph``
-    returns; an annotation copies the specs along its path instead of
-    changing them. Equality and hashing are by identity, because comparing
-    fields would unfold the DAG.
+    returns; an annotation copies the specs along its path (:meth:`_replace`)
+    instead of changing them. Equality and hashing are by identity, because
+    comparing fields would unfold the DAG.
     """
 
-    kind: str
-    type_name: str
-    attr_class: str | None = None
-    ref_names: tuple[str, ...] = ()
-    required: bool = False
-    flagged: bool = False
-    kids: tuple["Spec", ...] = ()
-    card: int | None = None
+    __slots__ = ("kind", "type_name", "attr_class", "ref_names", "required", "flagged", "kids", "card")
+
+    def __init__(
+        self, kind: str, type_name: str, attr_class: str | None = None, ref_names: tuple[str, ...] = (),
+        required: bool = False, flagged: bool = False, kids: tuple[Spec, ...] = (), card: int | None = None,
+    ):
+        self.kind = kind
+        self.type_name = type_name
+        self.attr_class = attr_class
+        self.ref_names = ref_names
+        self.required = required
+        self.flagged = flagged
+        self.kids = kids
+        self.card = card
+
+    def _replace(self, **changes: object) -> Spec:
+        """A copy of this spec with ``changes`` to some of its fields."""
+        values = {name: getattr(self, name) for name in self.__slots__}
+        values.update(changes)
+        return Spec(**values)
 
     def matches(self, type_name: str) -> bool:
         return self.type_name == type_name or type_name in self.ref_names
@@ -91,21 +101,23 @@ def _subtree_size(spec: Spec, sizes: list[int]) -> int:
     return 1 + sum(sizes)
 
 
-@dataclass(frozen=True)
-class CardinalityAnnotation:
+class CardinalityAnnotation(namedtuple("CardinalityAnnotation", "collection path cardinality")):
     """Overrides the default cardinality 1 on one embedding edge.
 
     ``path`` is the slash-joined property-name path from the collection node,
-    e.g. ``"message/session"``.
+    e.g. ``"message/session"``; ``cardinality`` is at least 1.
     """
 
-    collection: str
-    path: str
-    cardinality: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.cardinality < 1:
+    def __new__(cls, collection: str, path: str, cardinality: int):
+        if cardinality < 1:
             raise ValueError("cardinality must be >= 1")
+        return super().__new__(cls, collection, path, cardinality)
+
+    @classmethod
+    def _make(cls, values) -> CardinalityAnnotation:
+        return cls(*values)  # so a _replace copy is checked too
 
 
 class MetricGraph:
@@ -134,13 +146,15 @@ class MetricGraph:
             self._orders[start] = [s for s in order if not s.kids], [s for s in order if s.kids]
         return self._orders[start]
 
-    def fold(self, combine: Callable[[Spec, list], Any], leaf: Any, start: Spec | None = None) -> dict[Spec, Any]:
+    def fold(
+        self, combine: Callable[[Spec, list], object], leaf: object, start: Spec | None = None
+    ) -> dict[Spec, object]:
         """A dynamic program over the DAG below ``start`` (default: the
         root): the value of every spec. A spec without kids has value
         ``leaf``; for any other, ``combine(spec, values)`` receives the
         values of ``spec.kids`` in order, once per distinct spec."""
         leaves, inner = self.postorder(start)
-        values: dict[Spec, Any] = dict.fromkeys(leaves, leaf)
+        values: dict[Spec, object] = dict.fromkeys(leaves, leaf)
         for spec in inner:
             values[spec] = combine(spec, [values[kid] for kid in spec.kids])
         return values
@@ -340,9 +354,9 @@ def _annotate(top: Spec, ann: CardinalityAnnotation) -> Spec:
             raise UnknownCollection(
                 f"annotation path {ann.path!r} has no member {step!r} under {ann.collection!r}"
             )
-    spec = replace(trail.pop(), card=ann.cardinality)
+    spec = trail.pop()._replace(card=ann.cardinality)
     for parent, i in zip(reversed(trail), reversed(indices)):
-        spec = replace(parent, kids=parent.kids[:i] + (spec,) + parent.kids[i + 1:])
+        spec = parent._replace(kids=parent.kids[:i] + (spec,) + parent.kids[i + 1:])
     return spec
 
 

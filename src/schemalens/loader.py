@@ -44,10 +44,10 @@ from __future__ import annotations
 import json
 import os
 import posixpath
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import CorpusError, IoError, MergeConflict, ParseError, ResolutionTooLarge, UnknownRef
 
@@ -82,16 +82,25 @@ ANY = "any"
 CYCLE = "cycle"
 
 
-class RawNode(NamedTuple):
+class RawNode(namedtuple(
+    "RawNode",
+    "kind type_tag children item refs required additional_allowed one_of all_of condition then otherwise"
+    " enum_values format_tag",
+    defaults=(None, (), None, (), (), True, (), (), None, None, None, (), None),
+)):
     """One schema object as parsed, before reference resolution.
 
     ``kind`` is a primary classification (reference > oneOf > conditional >
     object > array > enum > atomic > any) of the node without its ``allOf``;
     the remaining facets coexist the way JSON Schema keywords do. A named
-    tuple rather than a frozen dataclass: one is built per schema node of
-    every file, and a tuple builds about ten times faster; ``parse_schema``
-    builds it with ``tuple.__new__``, which skips the keyword-matching
-    ``__new__`` as well.
+    tuple: one is built per schema node of every file, and a tuple builds
+    about ten times faster than a frozen class; ``parse_schema`` builds it
+    with ``tuple.__new__``, which skips the keyword-matching ``__new__`` as
+    well.
+
+    ``children`` holds ``(name, RawNode)`` pairs; ``item``, ``condition``,
+    ``then`` and ``otherwise`` a RawNode or None; ``one_of`` and ``all_of``
+    tuples of RawNodes.
 
     ``refs`` holds the ``$ref`` targets of the node and of every node below
     it, in the order the resolver reaches them: properties, items, oneOf
@@ -101,23 +110,9 @@ class RawNode(NamedTuple):
     reads the whole of ``refs`` only on a target's root node.
     """
 
-    kind: str
-    type_tag: str | None = None
-    children: tuple[tuple[str, "RawNode"], ...] = ()
-    item: "RawNode | None" = None
-    refs: tuple[str, ...] = ()
-    required: tuple[str, ...] = ()
-    additional_allowed: bool = True
-    one_of: tuple["RawNode", ...] = ()
-    all_of: tuple["RawNode", ...] = ()
-    condition: "RawNode | None" = None
-    then: "RawNode | None" = None
-    otherwise: "RawNode | None" = None
-    enum_values: tuple[Any, ...] = ()
-    format_tag: str | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
 class ResolvedNode:
     """Reference-free, immutable schema node.
 
@@ -135,7 +130,8 @@ class ResolvedNode:
     branches live in ``conditionals`` / ``one_of_groups``. Besides the
     structural key, a node caches one derived value, :attr:`checks`; how a
     oneOf group selects a branch is the validator's business, compiled
-    there.
+    there. Fields cannot be set or deleted; :meth:`_replace` makes a
+    changed copy.
     """
 
     kind: str
@@ -148,18 +144,23 @@ class ResolvedNode:
     additional_allowed: bool
     one_of_groups: tuple[tuple["ResolvedNode", ...], ...]
     conditionals: tuple[tuple["ResolvedNode", "ResolvedNode | None", "ResolvedNode | None"], ...]
-    enum_values: tuple[Any, ...]
+    enum_values: tuple[object, ...]
     format_tag: str | None
     ref_names: tuple[str, ...]
     ref_docs: tuple[str, ...]
     cycle_target: str | None
+
+    _fields = (
+        "kind", "doc_id", "path", "type_tag", "children", "item", "required", "additional_allowed",
+        "one_of_groups", "conditionals", "enum_values", "format_tag", "ref_names", "ref_docs", "cycle_target",
+    )
 
     def __init__(
         self, kind, doc_id, path, type_tag=None, children=(), item=None, required=(), additional_allowed=True,
         one_of_groups=(), conditionals=(), enum_values=(), format_tag=None, ref_names=(), ref_docs=(),
         cycle_target=None,
     ):
-        # Frozen: the fields go straight into the instance dict, in one update.
+        # Immutable: the fields go straight into the instance dict, in one update.
         self.__dict__.update({
             "kind": kind, "doc_id": doc_id, "path": path, "type_tag": type_tag, "children": children,
             "item": item, "required": required, "additional_allowed": additional_allowed,
@@ -168,6 +169,20 @@ class ResolvedNode:
             "cycle_target": cycle_target,
         })
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _replace(self, **changes: object) -> ResolvedNode:
+        """A copy of this node with ``changes`` to some of its fields. The
+        copy caches neither the structural key nor the checks."""
+        fields = self.__dict__
+        values = {name: fields[name] for name in self._fields}
+        values.update(changes)
+        return ResolvedNode(**values)
+
     def child_map(self) -> dict[str, "ResolvedNode"]:
         return dict(self.children)
 
@@ -175,8 +190,8 @@ class ResolvedNode:
     def checks(self) -> tuple:
         """The validator's checks for this node (``validator.compile_checks``),
         compiled on the node's first validation, never by ``resolve``. Not a
-        field, so :func:`~dataclasses.fields`, ``replace`` and
-        :meth:`structural_key` ignore it."""
+        field, so ``_fields``, :meth:`_replace` and :meth:`structural_key`
+        ignore it."""
         from .validator import compile_checks
 
         return compile_checks(self)
@@ -186,7 +201,7 @@ class ResolvedNode:
         independent exactly-one constraint; this is for structural walks)."""
         return tuple(b for group in self.one_of_groups for b in group)
 
-    def structural_key(self) -> Any:
+    def structural_key(self) -> object:
         """Provenance-free shape, used for merge-conflict checks and the
         determinism invariant. Computed once per node, so a shared subtree
         costs one walk however many paths lead to it, and on an explicit
@@ -208,7 +223,9 @@ def _sub_nodes(node: ResolvedNode) -> Iterator[ResolvedNode]:
                 yield part
 
 
-def postorder(root: Any, subs: Callable[[Any], Iterable[Any]], done: Callable[[Any], bool] | None = None) -> list:
+def postorder(
+    root: object, subs: Callable[[object], Iterable[object]], done: Callable[[object], bool] | None = None
+) -> list:
     """The distinct nodes reachable from ``root`` through ``subs``, each
     after every node ``subs`` gives it, in depth-first site order; the
     graph must be acyclic. Nodes are told apart by ``==`` and ``hash``,
@@ -232,12 +249,12 @@ def postorder(root: Any, subs: Callable[[Any], Iterable[Any]], done: Callable[[A
     return order
 
 
-def _structural_key(root: ResolvedNode) -> Any:
+def _structural_key(root: ResolvedNode) -> object:
     """Compute ``root``'s structural key in one postorder pass: each node
     without one gets its key, memoised in its instance dict (not a field),
     after every node under it."""
 
-    def key(sub: ResolvedNode) -> Any:
+    def key(sub: ResolvedNode) -> object:
         return sub.__dict__["_structural_key"]
 
     for node in postorder(root, _sub_nodes, lambda node: "_structural_key" in node.__dict__):
@@ -276,13 +293,11 @@ def _same_shape(a: ResolvedNode, b: ResolvedNode) -> bool:
     return True
 
 
-class SchemaDocument(NamedTuple):
-    """A parsed schema file: corpus-relative id, raw JSON, parsed root."""
+class SchemaDocument(namedtuple("SchemaDocument", "id raw root draft")):
+    """A parsed schema file: its corpus-relative id, its raw JSON object, its
+    parsed root RawNode and its ``$schema`` tag."""
 
-    id: str
-    raw: Mapping[str, Any]
-    root: RawNode
-    draft: str
+    __slots__ = ()
 
 
 class CorpusHandle:
@@ -329,7 +344,7 @@ class CorpusHandle:
 _MISSING = object()
 
 
-def parse_schema(value: Any, where: str = "<inline>") -> RawNode:
+def parse_schema(value: object, where: str = "<inline>") -> RawNode:
     """Parse one schema value (a dict, or booleans true/false) into a RawNode."""
     if value is True:
         return RawNode(ANY)
@@ -410,7 +425,7 @@ def parse_schema(value: Any, where: str = "<inline>") -> RawNode:
             otherwise = parse_schema(value["else"], f"{where}/else")
 
     enum = get("enum", _MISSING)
-    enum_values: tuple[Any, ...] = ()
+    enum_values: tuple[object, ...] = ()
     if enum is not _MISSING:
         if not isinstance(enum, list):
             raise ParseError(where, "enum must be a list")
@@ -556,7 +571,7 @@ def load_corpus(directory: str | Path) -> CorpusHandle:
     return CorpusHandle(root, files)
 
 
-def json_equal(a: Any, b: Any) -> bool:
+def json_equal(a: object, b: object) -> bool:
     """JSON-semantics equality: booleans are distinct from numbers."""
     if isinstance(a, bool) or isinstance(b, bool):
         return isinstance(a, bool) and isinstance(b, bool) and a is b
@@ -582,10 +597,10 @@ def _resolve_target_id(base_dir: str, base_doc: str, path_part: str) -> str:
     return joined
 
 
-def _navigate_fragment(doc: SchemaDocument, fragment: str) -> Any:
+def _navigate_fragment(doc: SchemaDocument, fragment: str) -> object:
     if not fragment.startswith("/"):
         raise UnknownRef(f"unsupported fragment {fragment!r} in {doc.id} (plain-name anchors not supported)")
-    current: Any = doc.raw
+    current: object = doc.raw
     for token in fragment[1:].split("/"):
         token = token.replace("~1", "/").replace("~0", "~")
         if isinstance(current, dict) and token in current:
@@ -767,9 +782,7 @@ class _Resolver:
             if not ref_names:
                 return resolved
             # a reference target that is itself a reference
-            return replace(
-                resolved, ref_names=ref_names + resolved.ref_names, ref_docs=ref_docs + resolved.ref_docs
-            )
+            return resolved._replace(ref_names=ref_names + resolved.ref_names, ref_docs=ref_docs + resolved.ref_docs)
         if raw.all_of:
             return self._merge_all_of(raw, doc_id, path, stack, ref_names, ref_docs)
 

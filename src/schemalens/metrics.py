@@ -23,7 +23,7 @@ for the number of paths. All functions are pure reads of an immutable graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import TypeAbsent, UnknownCollection
 from .graph import ATTRIBUTE, ARRAY_ATOMIC, ARRAY_DOCUMENT, ATOMIC, EMBEDDED, REFERENCE, MetricGraph, Spec
@@ -51,21 +51,25 @@ ABSENT = Absent()
 MetricValue = float | int | Absent
 
 
-@dataclass(frozen=True)
-class WidthCoefficients:
+class WidthCoefficients(
+    namedtuple("WidthCoefficients", "cf_atom cf_doc cf_tbl_atom cf_tbl_doc", defaults=(1, 2, 1, 3))
+):
     """Weights for the four attribute classes in docWidth."""
 
-    cf_atom: float = 1
-    cf_doc: float = 2
-    cf_tbl_atom: float = 1
-    cf_tbl_doc: float = 3
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(0 < c < math.inf for c in (self.cf_atom, self.cf_doc, self.cf_tbl_atom, self.cf_tbl_doc)):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not all(0 < c < math.inf for c in self):
             raise ValueError("width coefficients must be positive and finite")
+        return self
 
     @classmethod
-    def parse(cls, text: str) -> "WidthCoefficients":
+    def _make(cls, values) -> WidthCoefficients:
+        return cls(*values)  # so a _replace copy is checked too
+
+    @classmethod
+    def parse(cls, text: str) -> WidthCoefficients:
         parts = [p.strip() for p in text.split(",")]
         if len(parts) != 4:
             raise ValueError("expected four comma-separated coefficients")
@@ -81,12 +85,10 @@ class WidthCoefficients:
 DEFAULT_COEFFICIENTS = WidthCoefficients()
 
 
-@dataclass(frozen=True)
-class AttributeCounts:
-    atomic: int = 0
-    document: int = 0
-    array_atomic: int = 0
-    array_document: int = 0
+class AttributeCounts(
+    namedtuple("AttributeCounts", "atomic document array_atomic array_document", defaults=(0, 0, 0, 0))
+):
+    __slots__ = ()
 
     @property
     def total(self) -> int:

@@ -44,12 +44,11 @@ informational.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
-from typing import Any
 
 from . import loader
-from .errors import AmbiguousBranch, CycleReached, NoBranch, SchemaUnresolved
+from .errors import AmbiguousBranch, CycleReached, NoBranch, Record, SchemaUnresolved
 from .loader import ResolvedNode, json_equal
 
 _DATE_TIME_RE = re.compile(
@@ -90,21 +89,21 @@ def is_ipv4(value: str) -> bool:
 _FORMAT_CHECKS = {"date-time": is_date_time, "ipv4": is_ipv4}
 
 
-def _is_object(value: Any) -> bool:
+def _is_object(value: object) -> bool:
     return type(value) is dict or isinstance(value, Mapping)
 
 
-def _is_number(value: Any) -> bool:
+def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _is_integer(value: Any) -> bool:
+def _is_integer(value: object) -> bool:
     if isinstance(value, bool):
         return False
     return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
 
 
-_TYPE_TESTS: dict[str, Callable[[Any], bool]] = {
+_TYPE_TESTS: dict[str, Callable[[object], bool]] = {
     "string": lambda value: isinstance(value, str),
     "number": _is_number,
     "integer": _is_integer,
@@ -115,18 +114,16 @@ _TYPE_TESTS: dict[str, Callable[[Any], bool]] = {
 }
 
 
-@dataclass(frozen=True)
-class Violation:
-    instance_path: str
-    schema_path: str
-    keyword: str
-    message: str
+class Violation(namedtuple("Violation", "instance_path schema_path keyword message")):
+    __slots__ = ()
 
 
-@dataclass
-class ValidationOutcome:
-    valid: bool
-    violations: list[Violation] = field(default_factory=list)
+class ValidationOutcome(Record):
+    __slots__ = ("valid", "violations")
+
+    def __init__(self, valid: bool, violations: list[Violation] | None = None):
+        self.valid = valid
+        self.violations = [] if violations is None else violations
 
 
 class _Invalid(Exception):
@@ -135,7 +132,7 @@ class _Invalid(Exception):
 
 # One check: (value, instance path, violation sink) -> None. A quiet check
 # gets the sink None and raises _Invalid where it would append a violation.
-Check = Callable[[Any, str, "list[Violation] | None"], None]
+Check = Callable[[object, str, "list[Violation] | None"], None]
 
 
 def compile_checks(node: ResolvedNode) -> tuple[Check, ...]:
@@ -147,7 +144,7 @@ def compile_checks(node: ResolvedNode) -> tuple[Check, ...]:
     if node.kind == loader.CYCLE:
         target = node.cycle_target
 
-        def cycle(value: Any, ipath: str, out) -> None:
+        def cycle(value: object, ipath: str, out) -> None:
             raise CycleReached(ipath, target)
 
         return (cycle,)
@@ -173,42 +170,42 @@ def compile_checks(node: ResolvedNode) -> tuple[Check, ...]:
 def _type_check(tag: str, spath: str) -> Check:
     expected = f"expected {tag}, got "
 
-    def fail(value: Any, ipath: str, out) -> None:
+    def fail(value: object, ipath: str, out) -> None:
         if out is None:
             raise _Invalid
         out.append(Violation(ipath, spath, "type", expected + type(value).__name__))
 
     # The two commonest tags test inline, saving a call per check.
     if tag == "string":
-        def check(value: Any, ipath: str, out) -> None:
+        def check(value: object, ipath: str, out) -> None:
             if not isinstance(value, str):
                 fail(value, ipath, out)
     elif tag == "object":
-        def check(value: Any, ipath: str, out) -> None:
+        def check(value: object, ipath: str, out) -> None:
             if type(value) is not dict and not isinstance(value, Mapping):
                 fail(value, ipath, out)
     else:
         test = _TYPE_TESTS[tag]
 
-        def check(value: Any, ipath: str, out) -> None:
+        def check(value: object, ipath: str, out) -> None:
             if not test(value):
                 fail(value, ipath, out)
     return check
 
 
-def _enum_check(values: tuple[Any, ...], spath: str) -> Check:
+def _enum_check(values: tuple[object, ...], spath: str) -> Check:
     if values and all(type(v) is str for v in values):
         # json_equal holds between a string and only an equal string.
         strings = frozenset(values)
 
-        def check(value: Any, ipath: str, out) -> None:
+        def check(value: object, ipath: str, out) -> None:
             if type(value) is not str or value not in strings:
                 if out is None:
                     raise _Invalid
                 out.append(Violation(ipath, spath, "enum", f"{value!r} is not one of the allowed values"))
         return check
 
-    def check(value: Any, ipath: str, out) -> None:
+    def check(value: object, ipath: str, out) -> None:
         if not any(json_equal(value, allowed) for allowed in values):
             if out is None:
                 raise _Invalid
@@ -219,7 +216,7 @@ def _enum_check(values: tuple[Any, ...], spath: str) -> Check:
 def _format_check(tag: str, spath: str) -> Check:
     test = _FORMAT_CHECKS[tag]
 
-    def check(value: Any, ipath: str, out) -> None:
+    def check(value: object, ipath: str, out) -> None:
         if isinstance(value, str) and not test(value):
             if out is None:
                 raise _Invalid
@@ -232,7 +229,7 @@ def _object_check(node: ResolvedNode, spath: str) -> Check:
     children = tuple((name, f"/{name}", child) for name, child in node.children)
     declared = None if node.additional_allowed else frozenset(name for name, _ in node.children)
 
-    def check(value: Any, ipath: str, out) -> None:
+    def check(value: object, ipath: str, out) -> None:
         if type(value) is not dict and not isinstance(value, Mapping):
             return
         for name in required:
@@ -266,7 +263,7 @@ def _object_check(node: ResolvedNode, spath: str) -> Check:
 
 
 def _items_check(item: ResolvedNode) -> Check:
-    def check(value: Any, ipath: str, out) -> None:
+    def check(value: object, ipath: str, out) -> None:
         if isinstance(value, list):
             item_checks = item.checks
             for i, element in enumerate(value):
@@ -323,7 +320,7 @@ def _one_of_check(group: tuple[ResolvedNode, ...], spath: str) -> Check:
     name, table, required = _discriminator(group) or (None, None, False)
     alternatives = f" of {len(group)} alternatives, expected exactly 1"
 
-    def check(value: Any, ipath: str, out) -> None:
+    def check(value: object, ipath: str, out) -> None:
         if table is not None and _is_object(value) and (required or name in value):
             # Every branch lists the strings it admits for the tag, so a
             # present non-string tag fails them all, and a string tag all but
@@ -344,7 +341,7 @@ def _one_of_check(group: tuple[ResolvedNode, ...], spath: str) -> Check:
 def _conditional_check(
     condition: ResolvedNode, then: ResolvedNode | None, otherwise: ResolvedNode | None
 ) -> Check:
-    def check(value: Any, ipath: str, out) -> None:
+    def check(value: object, ipath: str, out) -> None:
         arm = then if _quiet_valid(value, condition, ipath) else otherwise
         if arm is not None:
             for arm_check in arm.checks:
@@ -352,7 +349,7 @@ def _conditional_check(
     return check
 
 
-def _quiet_valid(value: Any, node: ResolvedNode, ipath: str = "") -> bool:
+def _quiet_valid(value: object, node: ResolvedNode, ipath: str = "") -> bool:
     """Whether ``value`` passes ``node``'s checks, recording no violation.
     The checks run from instance path "", so a CycleReached they raise gets
     ``ipath``, the value's own path, prefixed here."""
@@ -367,7 +364,7 @@ def _quiet_valid(value: Any, node: ResolvedNode, ipath: str = "") -> bool:
     return True
 
 
-def validate(instance: Any, schema: ResolvedNode) -> ValidationOutcome:
+def validate(instance: object, schema: ResolvedNode) -> ValidationOutcome:
     """Validate one instance document against a resolved schema tree."""
     if not isinstance(schema, ResolvedNode):
         raise SchemaUnresolved("validate() needs a resolved schema tree (see loader.resolve)")
@@ -377,7 +374,7 @@ def validate(instance: Any, schema: ResolvedNode) -> ValidationOutcome:
     return ValidationOutcome(valid=not violations, violations=violations)
 
 
-def dispatch_event_schema(schema: ResolvedNode, message: Mapping[str, Any]) -> str:
+def dispatch_event_schema(schema: ResolvedNode, message: Mapping[str, object]) -> str:
     """Pick the event sub-schema a message dispatches to.
 
     Uses the message node's conditional (itemType gates which event names are
@@ -421,7 +418,7 @@ def dispatch_event_schema(schema: ResolvedNode, message: Mapping[str, Any]) -> s
 
 
 def validate_batch(
-    instances: Sequence[Any] | Iterable[Any], schema: ResolvedNode
+    instances: Sequence[object] | Iterable[object], schema: ResolvedNode
 ) -> tuple[list[ValidationOutcome], dict[str, int]]:
     """Validate many instances; outcomes keep input order, plus totals."""
     outcomes = [validate(instance, schema) for instance in instances]

@@ -3,11 +3,12 @@ compare by identity, and which constructor arguments they refuse."""
 
 import pytest
 
-from schemalens.evaluation import CriterionSpec, WeightCase
+from schemalens.corpus import CapabilityVerdict
+from schemalens.evaluation import CriterionSpec, EvaluationResult, WeightCase
 from schemalens.graph import COLLECTION, ROOT, CardinalityAnnotation, Spec
 from schemalens.loader import ResolvedNode
 from schemalens.metrics import AttributeCounts, WidthCoefficients
-from schemalens.validator import Violation
+from schemalens.validator import ValidationOutcome, Violation
 
 # (value, an equal value built anew, a different value, its repr)
 _VALUES = {
@@ -75,9 +76,11 @@ def test_value_classes_are_immutable_and_compare_by_value(name):
     [
         lambda: WidthCoefficients(0, 2, 1, 3),
         lambda: WidthCoefficients(1, 2, 1, float("inf")),
+        lambda: WidthCoefficients()._replace(cf_doc=-1),
         lambda: CardinalityAnnotation("c", "p", 0),
+        lambda: CardinalityAnnotation("c", "p", 2)._replace(cardinality=0),
     ],
-    ids=["zero-coefficient", "infinite-coefficient", "zero-cardinality"],
+    ids=["zero-coefficient", "infinite-coefficient", "replaced-coefficient", "zero-cardinality", "replaced-cardinality"],
 )
 def test_value_classes_refuse_out_of_range_fields(build):
     with pytest.raises(ValueError):
@@ -103,3 +106,27 @@ def test_specs_compare_by_identity():
         assert getattr(Spec, method) is getattr(object, method)
     top = Spec(ROOT, "root", kids=(first,))
     assert top.kids[0] is first and top.card is None
+
+
+def test_value_copies_change_only_the_fields_named():
+    spec = CriterionSpec(3, "docWidth", "Weight", "weight", "minimize")
+    moved = spec._replace(type_name="Event", collection="event")
+    assert moved == CriterionSpec(3, "docWidth", "Event", "event", "minimize")
+    assert type(moved) is CriterionSpec and spec.type_name == "Weight"
+
+
+def test_result_records_compare_by_value_and_have_no_hash():
+    violation = Violation("/a", "s.json#", "type", "expected string, got int")
+    outcome = ValidationOutcome(False, [violation])
+    assert outcome == ValidationOutcome(False, [violation])
+    assert outcome != ValidationOutcome(True) and ValidationOutcome(True).violations == []
+    assert repr(ValidationOutcome(True)) == "ValidationOutcome(valid=True, violations=[])"
+    verdict = CapabilityVerdict("lei", "Weight", "Partial", ["owner"])
+    assert verdict == CapabilityVerdict(schema="lei", event="Weight", level="Partial", missing=["owner"])
+    assert verdict != EvaluationResult("lei")
+    assert repr(verdict) == "CapabilityVerdict(schema='lei', event='Weight', level='Partial', missing=['owner'])"
+    for record in (outcome, verdict, EvaluationResult("lei")):
+        with pytest.raises(TypeError):
+            hash(record)
+        with pytest.raises(AttributeError):
+            record.extra = None

@@ -59,7 +59,7 @@ def test_metrics_single_schema(capsys):
     assert "LEI" in out and "ICAR" not in out
 
 
-@pytest.mark.parametrize("command", ["metrics", "evaluate"])
+@pytest.mark.parametrize("command", ["metrics", "evaluate", "graph"])
 def test_a_repeated_schema_name_is_resolved_once(capsys, monkeypatch, command):
     _, once, _ = run_cli(capsys, command, "--schema", "lei")
     calls = []
@@ -205,6 +205,13 @@ def test_validate_walks_a_directory_as_the_loader_does(capsys, manifest, tmp_pat
     assert (code, err) == (0, "")
     assert out.splitlines() == [f"{path}: valid" for path in expected]
     assert root / "sub.json" / "inner.json" in expected
+
+
+def test_validate_accepts_a_repeated_schema_name(capsys, manifest):
+    files = [str(p) for p in manifest.scenario_files(1)]
+    once = run_cli(capsys, "validate", *files)
+    assert once[0] == 0
+    assert run_cli(capsys, "validate", "--schema", "lei,lei", "--schema", "lei", *files) == once
 
 
 def test_validate_records_format(capsys, manifest):
@@ -427,6 +434,11 @@ def _validate_recursive(tmp_path, instance):
         (lambda tmp: ["graph", "--schema", ","], "--schema ',' names no schema set"),
         (lambda tmp: ["metrics", "--schema", ""], "--schema '' names no schema set"),
         (lambda tmp: ["evaluate", "--schema", " , "], "--schema ' , ' names no schema set"),
+        (lambda tmp: ["graph", "--schema", "lei,isc"], "graph takes one schema set; --schema names lei, isc"),
+        (
+            lambda tmp: ["validate", "--schema", "lei", "--schema", "icar,lei", _write(tmp / "i.json", {})],
+            "validate takes one schema set; --schema names lei, icar",
+        ),
         (
             lambda tmp: ["metrics", "--coefficients", "1.0e999,1,1,1"],
             "--coefficients '1.0e999,1,1,1': width coefficients must be positive and finite",
@@ -460,7 +472,8 @@ def _validate_recursive(tmp_path, instance):
         "criterion-id-repeated", "cases-empty", "cycle-stub", "oneOf-type", "envelope-type", "event-file-type",
         "manifest-not-json", "criteria-not-json", "weights-not-json", "weights-not-100", "manifest-not-utf8",
         "instance-not-utf8", "instance-too-deep", "validate-schema-empty", "graph-schema-comma",
-        "metrics-schema-empty", "evaluate-schema-blank", "coefficients-infinite", "coefficients-negative-infinite",
+        "metrics-schema-empty", "evaluate-schema-blank", "graph-schema-two", "validate-schema-two",
+        "coefficients-infinite", "coefficients-negative-infinite",
         "coefficients-not-int", "coefficients-not-float", "criteria-too-deep", "case-name-repeated",
         "title-repeated",
     ],
@@ -627,6 +640,29 @@ def test_the_runtime_imports_only_the_stdlib():
     new = json.loads(proc.stdout)
     assert "schemalens" in new
     assert [m for m in new if m != "schemalens" and m not in sys.stdlib_module_names] == []
+
+
+_STDLIB_NO_COMMAND_NEEDS = """
+import json, sys
+import schemalens
+package = sorted(sys.modules)
+import schemalens.cli
+print(json.dumps([package, sorted(sys.modules)]))
+"""
+
+
+def test_neither_import_loads_dataclasses_inspect_or_typing():
+    # -S: a site hook may import typing before the program does
+    src = str(Path(schemalens.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _STDLIB_NO_COMMAND_NEEDS], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    package, cli = json.loads(proc.stdout)
+    assert "schemalens.metrics" in package and "schemalens.validator" in cli
+    for loaded in (package, cli):
+        assert [m for m in ("dataclasses", "inspect", "typing") if m in loaded] == []
 
 
 def test_every_public_name_imports():

@@ -279,7 +279,7 @@ def _metric(call, *args):
         value = call(*args)
     except SchemaLensError as exc:
         return type(exc).__name__
-    return astuple(value) if isinstance(value, metrics.AttributeCounts) else value
+    return tuple(value) if isinstance(value, metrics.AttributeCounts) else value
 
 
 def _graph_record(graph):

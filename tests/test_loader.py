@@ -2,7 +2,6 @@ import hashlib
 import json
 import random
 import re
-from dataclasses import FrozenInstanceError, fields, replace
 
 import jsonschema
 import pytest
@@ -461,19 +460,19 @@ def _distinct_nodes(root: ResolvedNode) -> list[ResolvedNode]:
     return list(seen.values())
 
 
-def test_resolved_nodes_are_the_frozen_dataclass_the_constructor_builds(lei_envelope):
+def test_resolved_nodes_are_the_immutable_records_the_constructor_builds(lei_envelope):
     nodes = _distinct_nodes(lei_envelope)
     assert len(nodes) > 100
     for node in nodes:
-        rebuilt = ResolvedNode(**{f.name: getattr(node, f.name) for f in fields(node)})
-        assert all(getattr(rebuilt, f.name) is getattr(node, f.name) for f in fields(node))
-        moved = replace(node, path="x")
+        rebuilt = ResolvedNode(**{name: getattr(node, name) for name in node._fields})
+        assert all(getattr(rebuilt, name) is getattr(node, name) for name in node._fields)
+        moved = node._replace(path="x")
         assert moved.path == "x"
-        back = replace(moved, path=node.path)
-        assert all(getattr(back, f.name) is getattr(node, f.name) for f in fields(node))
-        with pytest.raises(FrozenInstanceError):
+        back = moved._replace(path=node.path)
+        assert all(getattr(back, name) is getattr(node, name) for name in node._fields)
+        with pytest.raises(AttributeError):
             node.path = "x"
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             node.kind = "x"
         assert node.checks is node.checks
         assert node.structural_key() is node.structural_key()
@@ -510,23 +509,23 @@ def test_draft_tag_is_recorded(lei_corpus):
 
 
 def _node_digest(node: ResolvedNode | None, memo: dict) -> str | None:
-    """Merkle digest of a resolved tree over every dataclass field. Shared
+    """Merkle digest of a resolved tree over every field. Shared
     subtrees hash once, and a tree and a DAG of the same shape digest alike."""
     if node is None:
         return None
     if id(node) not in memo:
         record = {}
-        for f in fields(node):
-            value = getattr(node, f.name)
-            if f.name == "children":
+        for field in node._fields:
+            value = getattr(node, field)
+            if field == "children":
                 value = [[name, _node_digest(child, memo)] for name, child in value]
-            elif f.name == "item":
+            elif field == "item":
                 value = _node_digest(value, memo)
-            elif f.name == "one_of_groups":
+            elif field == "one_of_groups":
                 value = [[_node_digest(b, memo) for b in group] for group in value]
-            elif f.name == "conditionals":
+            elif field == "conditionals":
                 value = [[_node_digest(part, memo) for part in cond] for cond in value]
-            record[f.name] = value
+            record[field] = value
         digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
         memo[id(node)] = (node, digest)  # the node keeps its id() from being reused
     return memo[id(node)][1]
@@ -657,8 +656,8 @@ def test_a_wide_one_of_copies_no_node_and_joins_each_directory_ref_once(monkeypa
         }
     corpus = make_corpus(docs)
     copies, joins = [], []
-    original_replace, original_join = loader.replace, loader._resolve_target_id
-    monkeypatch.setattr(loader, "replace", lambda *a, **k: copies.append(a) or original_replace(*a, **k))
+    original_replace, original_join = ResolvedNode._replace, loader._resolve_target_id
+    monkeypatch.setattr(ResolvedNode, "_replace", lambda *a, **k: copies.append(a) or original_replace(*a, **k))
     monkeypatch.setattr(loader, "_resolve_target_id", lambda *a: joins.append(a) or original_join(*a))
     event = resolve(corpus, "root.json").child_map()["event"]
     assert copies == []
