@@ -642,7 +642,7 @@ def test_the_runtime_imports_only_the_stdlib():
     assert [m for m in new if m != "schemalens" and m not in sys.stdlib_module_names] == []
 
 
-_STDLIB_NO_COMMAND_NEEDS = """
+_MODULES_AFTER_EACH_IMPORT = """
 import json, sys
 import schemalens
 package = sorted(sys.modules)
@@ -656,7 +656,7 @@ def test_neither_import_loads_dataclasses_inspect_or_typing():
     src = str(Path(schemalens.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", _STDLIB_NO_COMMAND_NEEDS], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-S", "-c", _MODULES_AFTER_EACH_IMPORT], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     package, cli = json.loads(proc.stdout)
