@@ -227,11 +227,14 @@ def postorder(
     root: object, subs: Callable[[object], Iterable[object]], done: Callable[[object], bool] | None = None
 ) -> list:
     """The distinct nodes reachable from ``root`` through ``subs``, each
-    after every node ``subs`` gives it, in depth-first site order; the
-    graph must be acyclic. Nodes are told apart by ``==`` and ``hash``,
-    which for a ResolvedNode or a graph Spec is identity. A node below
-    ``root`` for which ``done`` holds is left out, and so is everything
-    reachable only through it. Iterative, so a chain of any length orders."""
+    after every node ``subs`` gives it, in depth-first site order; on a
+    cyclic graph, the depth-first finishing order, where a node may precede
+    one it gives that is still open on the walk's path. ``subs`` is called
+    once per node, its iterable drawn lazily as the walk descends. Nodes
+    are told apart by ``==`` and ``hash``, which for a ResolvedNode or a
+    graph Spec is identity. A node below ``root`` for which ``done`` holds
+    is left out, and so is everything reachable only through it.
+    Iterative, so a chain of any length orders."""
     order = []
     seen = {root}
     stack = [(root, iter(subs(root)))]
@@ -692,43 +695,25 @@ class _Resolver:
 
     def _components(self, entry: _Key) -> None:
         """Place every key of the ref graph reachable from ``entry`` in its
-        strongly connected component (Tarjan's algorithm): ``_place[key]``
-        is the component's id and the key's bit, ``1 << i`` for the i-th
-        member in discovery order. Iterative, so chain length does not
-        touch the recursion limit. Targets are discovered depth-first in
-        site order, so of several broken references the one a depth-first
-        resolution reaches first is reported."""
-        index: dict[_Key, int] = {}
-        low: dict[_Key, int] = {}
-        path: list[_Key] = []
-        on_path: dict[_Key, int] = {}  # key -> its position in path
-
-        def visit(key: _Key) -> tuple[_Key, Iterator[_Key]]:
-            index[key] = low[key] = len(index)
-            on_path[key] = len(path)
-            path.append(key)
-            return key, self._discover(key)
-
-        work = [visit(entry)]
-        while work:
-            key, targets = work[-1]
-            for target in targets:
-                if target not in index:
-                    work.append(visit(target))
-                    break
-                if target in on_path:
-                    low[key] = min(low[key], index[target])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[key])
-                if low[key] == index[key]:
-                    start = on_path[key]
-                    for i, member in enumerate(path[start:]):
-                        del on_path[member]
-                        self._place[member] = (index[key], 1 << i)
-                    del path[start:]
+        strongly connected component (Kosaraju-Sharir: two depth-first
+        :func:`postorder` passes): ``_place[key]`` is the component's id and
+        the key's bit, ``1 << i`` for the i-th member. The first pass
+        discovers the keys depth-first in site order, so of several broken
+        references the one a depth-first resolution reaches first is
+        reported; the second walks the reversed references from each key
+        not yet placed, latest finished first, and reaches exactly its
+        component."""
+        order = postorder(entry, self._discover)
+        sources: dict[_Key, list[_Key]] = {key: [] for key in order}
+        for key in order:
+            for target in self._targets[key]:
+                sources[target].append(key)
+        place = self._place
+        for key in reversed(order):
+            if key not in place:
+                component = len(place)
+                for i, member in enumerate(postorder(key, sources.__getitem__, place.__contains__)):
+                    place[member] = (component, 1 << i)
 
     def _discover(self, key: _Key) -> Iterator[_Key]:
         """Parse the target of ``key`` and yield the key of each of its
