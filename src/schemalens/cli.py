@@ -52,8 +52,8 @@ def _add_schema_flag(parser: argparse.ArgumentParser, default_all: bool):
     parser.add_argument(
         "--schema",
         action="append",
-        help="schema set name from the manifest; repeatable"
-        + (" (default: all)" if default_all else " (default: lei)"),
+        help="schema set name from the manifest; repeatable (default: all)" if default_all
+        else "one schema set name from the manifest (default: lei)",
     )
 
 

@@ -19,9 +19,10 @@ Nodes are immutable, which makes the sharing safe.
 Supported dialect subset: type (one type name), properties, items,
 required, additionalProperties, enum, format, $ref, oneOf, allOf,
 if/then/else. Every other Draft 2019-09 assertion keyword (anyOf, not,
-const, minLength, ...), a list of types and an empty enum beside other
-constraints are refused with ParseError, because ignoring them would accept
-instances the schema rejects. Annotations and unknown keys ($schema, $id,
+const, minLength, ...), a list of types, a type name outside the seven of
+JSON Schema, an empty oneOf and an empty enum beside other constraints are
+refused with ParseError, because ignoring them would accept instances the
+schema rejects. Annotations and unknown keys ($schema, $id,
 $defs, description, x-...) are ignored.
 
 All reference targets are file-local, resolved relative to the referencing
@@ -69,6 +70,7 @@ _REFUSED_KEYWORDS = frozenset(
 )
 
 _SCALAR_TYPES = frozenset(["string", "number", "integer", "boolean", "null"])
+_TYPE_NAMES = _SCALAR_TYPES | {"object", "array"}
 
 # Node kind tags shared by raw and resolved trees.
 REFERENCE = "reference"
@@ -373,8 +375,11 @@ def parse_schema(value: object, where: str = "<inline>") -> RawNode:
         return RawNode(REFERENCE, None, (), None, (ref,))
 
     type_tag = get("type")
-    if type_tag is not None and not isinstance(type_tag, str):
-        raise ParseError(where, "type must be one type name; a list of types is outside the supported subset")
+    if type_tag is not None:
+        if not isinstance(type_tag, str):
+            raise ParseError(where, "type must be one type name; a list of types is outside the supported subset")
+        if type_tag not in _TYPE_NAMES:
+            raise ParseError(where, f"type {type_tag!r} is not a JSON Schema type name")
     children: tuple[tuple[str, RawNode], ...] = ()
     props = get("properties")
     if props is not None:
@@ -409,6 +414,8 @@ def parse_schema(value: object, where: str = "<inline>") -> RawNode:
         one_of = ()
     elif not isinstance(one_of, list):
         raise ParseError(where, "oneOf must be a list")
+    elif not one_of:
+        raise ParseError(where, "oneOf must hold at least one schema")
     else:
         one_of = tuple([parse_schema(b, f"{where}/oneOf/{i}") for i, b in enumerate(one_of)])
     all_of = get("allOf", _MISSING)

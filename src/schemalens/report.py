@@ -20,8 +20,6 @@ ABSENT_GLYPH = "-"
 def _cell(value: MetricValue) -> str:
     if isinstance(value, Absent):
         return ABSENT_GLYPH
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
     return str(value)
 
 

@@ -305,8 +305,6 @@ def _discriminator(
     requires and that has a tag table (see ``_tag_table``), else the first
     name the first branch declares that has one; None when no name
     qualifies."""
-    if not group:
-        return None
     first = group[0]
     required = [name for name in first.required if all(name in branch.required for branch in group)]
     for name in (*required, *(name for name, _ in first.children)):

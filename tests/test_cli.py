@@ -460,6 +460,11 @@ def _validate_recursive(tmp_path, instance):
             lambda tmp: _metrics_on_manifest(tmp, _manifest_with_sets(isc={}, icar={"title": "ISC"})),
             "manifest.json: key 'title' repeats schema-set title 'ISC'",
         ),
+        (lambda tmp: ["validate", str(Path(_write(tmp / "notes.txt", "{}")).parent)], "no instance files found"),
+        (
+            lambda tmp: _on_manifest(tmp, _manifest_with_entry(envelope=None), "validate", _write(tmp / "i.json", {})),
+            "schema set 'lei' has no instance envelope to validate against",
+        ),
     ],
     ids=[
         "criteria", "criterion-metric", "cases", "case-name", "schemas",
@@ -475,7 +480,7 @@ def _validate_recursive(tmp_path, instance):
         "metrics-schema-empty", "evaluate-schema-blank", "graph-schema-two", "validate-schema-two",
         "coefficients-infinite", "coefficients-negative-infinite",
         "coefficients-not-int", "coefficients-not-float", "criteria-too-deep", "case-name-repeated",
-        "title-repeated",
+        "title-repeated", "validate-no-instance-files", "envelope-null",
     ],
 )
 def test_malformed_inputs_exit_2_with_one_line(capsys, tmp_path, make_argv, expected):

@@ -884,6 +884,7 @@ _MALFORMED = [
         "k.json",
         "type must be one type name; a list of types is outside the supported subset",
     ),
+    ({"type": "foo"}, "k.json", "type 'foo' is not a JSON Schema type name"),
     ({"properties": []}, "k.json", "properties must be an object"),
     ({"items": [{"type": "string"}]}, "k.json", "tuple-form items is outside the supported subset"),
     ({"required": "a"}, "k.json", "required must be a list of names"),
@@ -909,6 +910,7 @@ _MALFORMED = [
         "k.json/properties/a/properties/b",
         "schema must be an object, got int",
     ),
+    ({"oneOf": []}, "k.json", "oneOf must hold at least one schema"),
     ({"oneOf": [{}, 3]}, "k.json/oneOf/1", "schema must be an object, got int"),
     ({"if": {"maxItems": 1}, "then": 5}, "k.json/if", "keywords ['maxItems'] are outside the supported subset"),
     ({"if": {}, "then": {}, "else": {"$ref": 1}}, "k.json/else", "$ref must be a string"),
@@ -920,6 +922,7 @@ _MALFORMED = [
         "k.json",
         "type must be one type name; a list of types is outside the supported subset",
     ),
+    ({"type": "Object", "properties": 1}, "k.json", "type 'Object' is not a JSON Schema type name"),
     (
         {"properties": {"a": {"const": 1}}, "allOf": [{"type": 1}]},
         "k.json/properties/a",
@@ -985,6 +988,18 @@ def test_a_refused_document_is_reported_where_it_is_referenced(tmp_path):
     assert [e.file_id for e in handle.errors] == ["b.json"]
     with pytest.raises(ParseError, match="b.json: keywords \\['anyOf'\\]"):
         resolve(handle, "a.json")
+
+
+@pytest.mark.parametrize(
+    "schema, message",
+    [({"oneOf": []}, "oneOf must hold at least one schema"), ({"type": "foo"}, "type 'foo' is not a JSON Schema")],
+    ids=["empty-oneOf", "unknown-type"],
+)
+def test_resolve_refuses_an_empty_one_of_and_an_unknown_type_name(tmp_path, schema, message):
+    (tmp_path / "a.json").write_text(json.dumps({"type": "object", "properties": {"b": {"$ref": "b.json"}}}))
+    (tmp_path / "b.json").write_text(json.dumps(schema))
+    with pytest.raises(ParseError, match=f"b.json: {re.escape(message)}"):
+        resolve(load_corpus(tmp_path), "a.json")
 
 
 def _count_parses(monkeypatch):

@@ -172,6 +172,17 @@ def test_dispatch_unknown_event_name(lei_envelope):
         dispatch_event_schema(lei_envelope, {"eventName": "Nonexistent", "item": {"itemType": "Animals"}})
 
 
+def test_dispatch_requires_a_resolved_schema():
+    with pytest.raises(SchemaUnresolved, match="dispatch needs a resolved schema tree"):
+        dispatch_event_schema({"type": "object"}, {"eventName": "Weight"})
+
+
+def test_dispatch_requires_a_message_member():
+    schema = resolve(make_corpus({"a.json": {"type": "object", "properties": {"id": {"type": "string"}}}}), "a.json")
+    with pytest.raises(SchemaUnresolved, match="schema has no 'message' member to dispatch on"):
+        dispatch_event_schema(schema, {"eventName": "Weight"})
+
+
 def test_dispatch_ambiguous_branch_reported():
     corpus = make_corpus(
         {
@@ -409,9 +420,11 @@ def test_keywords_agree_with_oracle(tmp_path, schema, instances):
         ({"type": "object", "minProperties": 1}, {}),
         ({"const": 3}, 4),
         ({"anyOf": [{"type": "string"}]}, 1),
+        ({"oneOf": []}, 1),
+        ({"type": "foo"}, 1),
     ],
     ids=["object-empty-enum", "properties-empty-enum", "allof-host-empty-enum", "string-empty-enum",
-         "type-list", "not", "minProperties", "const", "anyOf"],
+         "type-list", "not", "minProperties", "const", "anyOf", "empty-oneOf", "unknown-type"],
 )
 def test_schemas_at_the_subset_edge_are_refused_or_agree_with_oracle(tmp_path, schema, instance):
     try:
