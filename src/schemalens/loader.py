@@ -22,8 +22,8 @@ if/then/else. Every other Draft 2019-09 assertion keyword (anyOf, not,
 const, minLength, ...), a list of types, a type name outside the seven of
 JSON Schema, an empty oneOf and an empty enum beside other constraints are
 refused with ParseError, because ignoring them would accept instances the
-schema rejects. Annotations and unknown keys ($schema, $id,
-$defs, description, x-...) are ignored.
+schema rejects. Annotations and unknown keys ($schema, $id, $defs,
+description, x-...) are ignored.
 
 All reference targets are file-local, resolved relative to the referencing
 document's directory; absolute URLs and paths escaping the corpus root are

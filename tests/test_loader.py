@@ -990,18 +990,6 @@ def test_a_refused_document_is_reported_where_it_is_referenced(tmp_path):
         resolve(handle, "a.json")
 
 
-@pytest.mark.parametrize(
-    "schema, message",
-    [({"oneOf": []}, "oneOf must hold at least one schema"), ({"type": "foo"}, "type 'foo' is not a JSON Schema")],
-    ids=["empty-oneOf", "unknown-type"],
-)
-def test_resolve_refuses_an_empty_one_of_and_an_unknown_type_name(tmp_path, schema, message):
-    (tmp_path / "a.json").write_text(json.dumps({"type": "object", "properties": {"b": {"$ref": "b.json"}}}))
-    (tmp_path / "b.json").write_text(json.dumps(schema))
-    with pytest.raises(ParseError, match=f"b.json: {re.escape(message)}"):
-        resolve(load_corpus(tmp_path), "a.json")
-
-
 def _count_parses(monkeypatch):
     parsed = []
     parse_file = loader._parse_file
