@@ -10,11 +10,13 @@ resolved once per call, its one node shared by every site that references
 it. The result is a DAG whose unfolding is the fully inlined tree, so a ref
 diamond of depth d costs d resolutions rather than 2^d. Targets are built
 in postorder, each after the targets it references, so a ref chain or
-cycle of any length resolves without deep recursion. Inside a reference
-cycle a target is expanded once per cycle stack that reaches it, which can
-be exponentially many; when more than ``STATE_BUDGET`` such expansions are
-discovered, ``resolve`` raises ResolutionTooLarge before it builds any.
-Nodes are immutable, which makes the sharing safe.
+cycle of any length resolves without deep recursion. A reference graph
+with no cycle is built straight from the order of the one walk that
+discovers its targets. Inside a reference cycle a target is expanded once
+per cycle stack that reaches it, which can be exponentially many; when
+more than ``STATE_BUDGET`` such expansions are discovered, ``resolve``
+raises ResolutionTooLarge before it builds any. Nodes are immutable, which
+makes the sharing safe.
 
 Supported dialect subset: type (one type name), properties, items,
 required, additionalProperties, enum, format, $ref, oneOf, allOf,
@@ -22,7 +24,8 @@ if/then/else. Every other Draft 2019-09 assertion keyword (anyOf, not,
 const, minLength, ...), a list of types, a type name outside the seven of
 JSON Schema, an empty oneOf and an empty enum beside other constraints are
 refused with ParseError, because ignoring them would accept instances the
-schema rejects. Annotations and unknown keys ($schema, $id, $defs,
+schema rejects; behind a ``$ref`` fragment too, located at
+``<document>#<fragment>``. Annotations and unknown keys ($schema, $id, $defs,
 description, x-...) are ignored.
 
 All reference targets are file-local, resolved relative to the referencing
@@ -659,7 +662,11 @@ class _Resolver:
     and builds them in that order, so each reference is a memo hit and the
     only recursion is the nesting inside one document. States with a
     non-empty mask are counted as they are discovered, before any is built;
-    above STATE_BUDGET, resolution is refused.
+    above STATE_BUDGET, resolution is refused. A ref graph with no cycle
+    through two keys, as every bundled corpus is, has only empty-mask
+    states, listed in the order the walk that discovers the keys finishes
+    them, so it is built straight from that walk: no second pass over the
+    references and no walk over the states.
     """
 
     def __init__(self, corpus: CorpusHandle):
@@ -673,7 +680,7 @@ class _Resolver:
 
     def resolve(self, entry_id: str) -> ResolvedNode:
         entry = (entry_id, "")
-        self._components(entry)
+        order = self._components(entry)  # None when a cycle joins two keys
         place, targets, state_of = self._place, self._targets, self._state
         cyclic = 0
 
@@ -689,7 +696,7 @@ class _Resolver:
             stack = (component, mask | bit)
             return [need for target in targets[key] if (need := state_of(target, stack)) is not None]
 
-        states = postorder((entry, 0), needs)
+        states = [(key, 0) for key in order] if order else postorder((entry, 0), needs)
         states.pop()  # the entry, which no other state needs
         for key, mask in states:
             component, bit = place[key]
@@ -700,27 +707,43 @@ class _Resolver:
             )
         return self._node(self._raw[entry], entry_id, "", place[entry])  # its bit is its stack
 
-    def _components(self, entry: _Key) -> None:
+    def _components(self, entry: _Key) -> list[_Key] | None:
         """Place every key of the ref graph reachable from ``entry`` in its
         strongly connected component (Kosaraju-Sharir: two depth-first
         :func:`postorder` passes): ``_place[key]`` is the component's id and
         the key's bit, ``1 << i`` for the i-th member. The first pass
         discovers the keys depth-first in site order, so of several broken
         references the one a depth-first resolution reaches first is
-        reported; the second walks the reversed references from each key
-        not yet placed, latest finished first, and reaches exactly its
-        component."""
+        reported.
+
+        In that finishing order only a back edge points from a key to one
+        that finishes later (Tarjan 1972), and every cycle through two or
+        more keys has one. When no reference does, each key is a component
+        of its own, ``(i, 1)``, a self-reference being stubbed by the key's
+        own bit; every state then has the empty mask, the state walk would
+        repeat the first pass, and its order is returned to be built as it
+        is. Otherwise the second pass walks the reversed references from
+        each key not yet placed, latest finished first, reaches exactly its
+        component, and None is returned."""
         order = postorder(entry, self._discover)
+        place, targets = self._place, self._targets
+        for i, key in enumerate(order):
+            place[key] = (i, 1)
+            if not all(map(place.__contains__, targets[key])):
+                place.clear()
+                break
+        else:
+            return order
         sources: dict[_Key, list[_Key]] = {key: [] for key in order}
         for key in order:
-            for target in self._targets[key]:
+            for target in targets[key]:
                 sources[target].append(key)
-        place = self._place
         for key in reversed(order):
             if key not in place:
                 component = len(place)
                 for i, member in enumerate(postorder(key, sources.__getitem__, place.__contains__)):
                     place[member] = (component, 1 << i)
+        return None
 
     def _discover(self, key: _Key) -> Iterator[_Key]:
         """Parse the target of ``key`` and yield the key of each of its
@@ -731,9 +754,12 @@ class _Resolver:
         if fragment in ("", "/"):
             raw = doc.root
         else:
+            target = _navigate_fragment(doc, fragment)
             try:
-                raw = parse_schema(_navigate_fragment(doc, fragment), f"{doc_id}#{fragment}")
+                raw = parse_schema(target, f"{doc_id}#{fragment}")
             except ParseError as exc:
+                if isinstance(target, (dict, bool)):
+                    raise  # a schema outside the subset, refused as in a file of its own
                 raise UnknownRef(f"reference target is not a schema: {exc}") from exc
         self._raw[key] = raw
         targets = self._targets[key] = []

@@ -223,6 +223,18 @@ def test_validate_records_format(capsys, manifest):
     assert records[0]["violations"] == []
 
 
+def test_validate_prints_each_path_in_its_normal_form(capsys, manifest, monkeypatch, tmp_path):
+    source = manifest.root / "scenarios" / "scenario-01" / "arrival.json"
+    (tmp_path / "d").mkdir()
+    shutil.copy(source, tmp_path / "a.json")
+    shutil.copy(source, tmp_path / "d" / "b.json")
+    monkeypatch.chdir(tmp_path)
+    paths = ["./a.json", "d//b.json"]
+    assert run_cli(capsys, "validate", *paths) == (0, "a.json: valid\nd/b.json: valid\n", "")
+    code, out, err = run_cli(capsys, "validate", "--format", "records", *paths)
+    assert (code, [record["file"] for record in json.loads(out)], err) == (0, ["a.json", "d/b.json"], "")
+
+
 def test_validate_nonexistent_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "validate", "/nonexistent/instance.json")
     assert code == 2

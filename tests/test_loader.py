@@ -357,6 +357,36 @@ def test_a_reference_outside_the_subset_is_unknown_ref(ref, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "docs, message",
+    [
+        (
+            {"e.json": {"properties": {"x": {"$ref": "#/$defs/x"}}, "$defs": {"x": {"type": "foo"}}}},
+            "e.json#/$defs/x: type 'foo' is not a JSON Schema type name",
+        ),
+        (
+            {"e.json": {"properties": {"x": {"$ref": "#/$defs/x"}}, "$defs": {"x": {"anyOf": [{"type": "string"}]}}}},
+            "e.json#/$defs/x: keywords ['anyOf'] are outside the supported subset",
+        ),
+        (
+            {
+                "e.json": {"properties": {"x": {"$ref": "b.json#/$defs/x"}}},
+                "b.json": {"$defs": {"x": {"not": {"type": "string"}}}},
+            },
+            "b.json#/$defs/x: keywords ['not'] are outside the supported subset",
+        ),
+    ],
+    ids=["unknown-type", "any-of", "not-in-another-file"],
+)
+def test_a_schema_outside_the_subset_behind_a_fragment_is_a_parse_error(docs, message):
+    """The refusal a schema gets in a file of its own, located at the
+    fragment: a target that is a schema but outside the subset is no
+    broken reference."""
+    with pytest.raises(ParseError) as info:
+        resolve(make_corpus(docs), "e.json")
+    assert (str(info.value), info.value.file_id) == (message, message.partition(":")[0])
+
+
 def test_an_all_of_branch_that_refers_to_its_own_document_is_a_merge_conflict():
     corpus = make_corpus({"e.json": {"type": "object", "allOf": [{"$ref": "e.json"}]}})
     with pytest.raises(MergeConflict, match="^e.json: allOf branch 0 is a cyclic reference and cannot be merged$"):
@@ -736,6 +766,55 @@ def test_an_all_of_merge_of_two_unequal_long_ref_chains_is_a_conflict(length):
     }
     with pytest.raises(MergeConflict, match="disagrees on property 's'"):
         resolve(make_corpus(docs), "merged.json")
+
+
+_FRAGMENT_RING = {
+    "ring.json": {
+        "$ref": "#/$defs/r0",
+        "$defs": {
+            f"r{k}": {"type": "object", "properties": {"tag": {"type": "string"}, "next": {"$ref": f"#/$defs/r{(k + 1) % 3}"}}}
+            for k in range(3)
+        },
+    }
+}
+
+
+@pytest.mark.parametrize(
+    "tail_ref, cycle_docs, hops, cycle_target",
+    [
+        ("ring0.json", ring_docs(3), 4, "ring0.json"),
+        ("ring.json#/$defs/r0", _FRAGMENT_RING, 4, "ring.json"),
+        ("link299.json", {}, 1, "link299.json"),
+    ],
+    ids=["ring", "ring-through-a-fragment", "self-reference"],
+)
+def test_a_cycle_behind_a_long_chain_resolves_as_it_does_alone(tail_ref, cycle_docs, hops, cycle_target):
+    """The one back edge of the reference graph is found behind 299
+    references that form none, and the cycle beyond them resolves to the
+    shape it has with the chain removed."""
+    docs = {**_chain_docs(300), **cycle_docs}
+    docs["link299.json"]["properties"]["next"] = {"$ref": tail_ref}
+    last = resolve(make_corpus(docs), "link0.json")
+    for _ in range(299):
+        last = last.child_map()["next"]
+    alone = resolve(make_corpus({"link299.json": docs["link299.json"], **cycle_docs}), "link299.json")
+    assert loader._same_shape(last.child_map()["next"], alone.child_map()["next"])
+    node = last
+    for _ in range(hops):
+        node = node.child_map()["next"]
+    assert (node.kind, node.cycle_target) == (CYCLE, cycle_target)
+
+
+def test_a_cycle_through_the_entry_closed_at_the_end_of_a_long_chain():
+    """``link1`` refers back to the entry, so the one back edge leaves the
+    second-last key to finish, behind 298 keys that close no cycle."""
+    docs = _chain_docs(300)
+    docs["link1.json"]["properties"]["back"] = {"$ref": "link0.json"}
+    link1 = resolve(make_corpus(docs), "link0.json").child_map()["next"]
+    back = link1.child_map()["back"]
+    assert (back.kind, back.cycle_target) == (CYCLE, "link0.json")
+    alone = resolve(make_corpus(_chain_docs(300)), "link2.json")
+    assert loader._same_shape(link1.child_map()["next"], alone)
 
 
 @pytest.fixture(scope="module")

@@ -28,6 +28,7 @@ from harness import (
     int_parsing_is_date_time,
     int_parsing_is_ipv4,
     make_corpus,
+    oracle_for_docs,
     random_variant,
     reference_validator,
 )
@@ -405,6 +406,17 @@ def _oracle_and_schema(tmp_path, schema):
 def test_keywords_agree_with_oracle(tmp_path, schema, instances):
     oracle, resolved = _oracle_and_schema(tmp_path, schema)
     for instance in instances:
+        assert validate(instance, resolved).valid is oracle.is_valid(instance), instance
+
+
+@pytest.mark.parametrize("format_value", [5, True], ids=["number", "boolean"])
+@pytest.mark.parametrize("schema", [{}, {"type": "string"}], ids=["untyped", "string"])
+def test_a_format_that_is_not_a_string_is_dropped(schema, format_value):
+    docs = {"a.json": {**schema, "format": format_value}}
+    resolved = resolve(make_corpus(docs), "a.json")
+    assert resolved.format_tag is None
+    oracle = oracle_for_docs(docs, "a.json")
+    for instance in ["x", "not-a-date", "2020-01-01T00:00:00Z", 3]:
         assert validate(instance, resolved).valid is oracle.is_valid(instance), instance
 
 
