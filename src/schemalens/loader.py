@@ -716,15 +716,15 @@ class _Resolver:
         references the one a depth-first resolution reaches first is
         reported.
 
-        In that finishing order only a back edge points from a key to one
-        that finishes later (Tarjan 1972), and every cycle through two or
-        more keys has one. When no reference does, each key is a component
-        of its own, ``(i, 1)``, a self-reference being stubbed by the key's
-        own bit; every state then has the empty mask, the state walk would
-        repeat the first pass, and its order is returned to be built as it
-        is. Otherwise the second pass walks the reversed references from
-        each key not yet placed, latest finished first, reaches exactly its
-        component, and None is returned."""
+        In that finishing order only a back edge points to a key that
+        finishes later than its source (Tarjan 1972), and every cycle
+        through two or more keys has one. Without one, each key is a
+        component of its own, ``(i, 1)`` (a self-reference is stubbed by
+        the key's own bit), every state has the empty mask, and the state
+        walk would repeat the first pass: its order is returned, to be
+        built as it is. Otherwise the second pass walks the reversed
+        references from each key not yet placed, latest finished first,
+        reaches exactly its component, and None is returned."""
         order = postorder(entry, self._discover)
         place, targets = self._place, self._targets
         for i, key in enumerate(order):

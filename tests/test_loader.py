@@ -772,7 +772,10 @@ _FRAGMENT_RING = {
     "ring.json": {
         "$ref": "#/$defs/r0",
         "$defs": {
-            f"r{k}": {"type": "object", "properties": {"tag": {"type": "string"}, "next": {"$ref": f"#/$defs/r{(k + 1) % 3}"}}}
+            f"r{k}": {
+                "type": "object",
+                "properties": {"tag": {"type": "string"}, "next": {"$ref": f"#/$defs/r{(k + 1) % 3}"}},
+            }
             for k in range(3)
         },
     }
@@ -789,9 +792,9 @@ _FRAGMENT_RING = {
     ids=["ring", "ring-through-a-fragment", "self-reference"],
 )
 def test_a_cycle_behind_a_long_chain_resolves_as_it_does_alone(tail_ref, cycle_docs, hops, cycle_target):
-    """The one back edge of the reference graph is found behind 299
-    references that form none, and the cycle beyond them resolves to the
-    shape it has with the chain removed."""
+    """The one cycle of the reference graph lies behind 299 references
+    that close none, and resolves to the shape it has with the chain
+    removed."""
     docs = {**_chain_docs(300), **cycle_docs}
     docs["link299.json"]["properties"]["next"] = {"$ref": tail_ref}
     last = resolve(make_corpus(docs), "link0.json")
