@@ -118,7 +118,12 @@ class RawNode(namedtuple(
     __slots__ = ()
 
 
-class ResolvedNode:
+class ResolvedNode(namedtuple(
+    "ResolvedNode",
+    "kind doc_id path type_tag children item required additional_allowed one_of_groups conditionals"
+    " enum_values format_tag ref_names ref_docs cycle_target",
+    defaults=(None, (), None, (), True, (), (), (), None, (), (), None),
+)):
     """Reference-free, immutable schema node.
 
     Every ``$ref`` stands for its target's node (``ref_names`` /
@@ -127,66 +132,33 @@ class ResolvedNode:
     are shared: within one ``resolve`` call, every site that references the
     same target outside a cycle holds the same object, so the nodes form a
     DAG. A walk that follows children as a tree visits a shared subtree once
-    per path; key a memo or seen-set on the node to visit it once. ``==``,
-    ``hash`` and ``repr`` are ``object``'s: nodes compare by identity, in
-    constant time however large the DAG. To compare shapes, compare
-    :meth:`structural_key`, which each node computes once. allOf is gone:
-    object branches are merged into ``children`` and residual constraint
-    branches live in ``conditionals`` / ``one_of_groups``. Besides the
-    structural key, a node caches one derived value, :attr:`checks`; how a
-    oneOf group selects a branch is the validator's business, compiled
-    there. Fields cannot be set or deleted; :meth:`_replace` makes a
-    changed copy.
+    per path; key a memo or seen-set on the node to visit it once. allOf is
+    gone: object branches are merged into ``children`` and residual
+    constraint branches live in ``conditionals`` / ``one_of_groups``.
+
+    A named tuple, as RawNode is, built by the resolver with
+    ``tuple.__new__``: one allocation per node. It keeps the tuple protocol
+    (``len``, iteration and indexing over ``_fields``), but not the tuple's
+    value semantics: ``==``, ``!=``, ``hash``, ``repr`` and ordering are
+    ``object``'s, so nodes compare by identity, in constant time however
+    large the DAG, and ``<`` raises TypeError. To compare shapes, compare
+    :meth:`structural_key`, which each node computes once. Fields cannot be
+    set or deleted; ``_replace`` makes a changed copy.
+
+    Unlike RawNode it has an instance dict, made only when first needed, for
+    the two values a node caches: its structural key and :attr:`checks`,
+    the validator's business, compiled there (how a oneOf group selects a
+    branch included). A ``_replace`` copy caches neither.
     """
 
-    kind: str
-    doc_id: str
-    path: str
-    type_tag: str | None
-    children: tuple[tuple[str, "ResolvedNode"], ...]
-    item: "ResolvedNode | None"
-    required: tuple[str, ...]
-    additional_allowed: bool
-    one_of_groups: tuple[tuple["ResolvedNode", ...], ...]
-    conditionals: tuple[tuple["ResolvedNode", "ResolvedNode | None", "ResolvedNode | None"], ...]
-    enum_values: tuple[object, ...]
-    format_tag: str | None
-    ref_names: tuple[str, ...]
-    ref_docs: tuple[str, ...]
-    cycle_target: str | None
-
-    _fields = (
-        "kind", "doc_id", "path", "type_tag", "children", "item", "required", "additional_allowed",
-        "one_of_groups", "conditionals", "enum_values", "format_tag", "ref_names", "ref_docs", "cycle_target",
-    )
-
-    def __init__(
-        self, kind, doc_id, path, type_tag=None, children=(), item=None, required=(), additional_allowed=True,
-        one_of_groups=(), conditionals=(), enum_values=(), format_tag=None, ref_names=(), ref_docs=(),
-        cycle_target=None,
-    ):
-        # Immutable: the fields go straight into the instance dict, in one update.
-        self.__dict__.update({
-            "kind": kind, "doc_id": doc_id, "path": path, "type_tag": type_tag, "children": children,
-            "item": item, "required": required, "additional_allowed": additional_allowed,
-            "one_of_groups": one_of_groups, "conditionals": conditionals, "enum_values": enum_values,
-            "format_tag": format_tag, "ref_names": ref_names, "ref_docs": ref_docs,
-            "cycle_target": cycle_target,
-        })
+    __eq__, __ne__, __hash__, __repr__ = object.__eq__, object.__ne__, object.__hash__, object.__repr__
+    __lt__, __le__, __gt__, __ge__ = object.__lt__, object.__le__, object.__gt__, object.__ge__
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def _replace(self, **changes: object) -> ResolvedNode:
-        """A copy of this node with ``changes`` to some of its fields. The
-        copy caches neither the structural key nor the checks."""
-        fields = self.__dict__
-        values = {name: fields[name] for name in self._fields}
-        values.update(changes)
-        return ResolvedNode(**values)
 
     def child_map(self) -> dict[str, "ResolvedNode"]:
         return dict(self.children)
@@ -350,98 +322,121 @@ class CorpusHandle:
 
 
 _MISSING = object()
+_TRUE_SCHEMA = RawNode(ANY)
+_FALSE_SCHEMA = RawNode(ENUM)  # unsatisfiable: modelled as an empty enum
 
 
-def parse_schema(value: object, where: str = "<inline>") -> RawNode:
-    """Parse one schema value (a dict, or booleans true/false) into a RawNode."""
+def _location(where: str | tuple) -> str:
+    """The text of a parse location: a string, or for a child schema a tuple
+    of its parent's location and the keys that lead from there to the child,
+    spelled as the parent's text followed by each key after a slash, as in
+    ``"a.json/properties/x/oneOf/0"``."""
+    keys = []
+    while type(where) is tuple:
+        keys += where[:0:-1]
+        where = where[0]
+    keys.append(where)
+    return "/".join(map(str, reversed(keys)))
+
+
+def parse_schema(value: object, where: str | tuple = "<inline>") -> RawNode:
+    """Parse one schema value (a dict, or booleans true/false) into a RawNode.
+
+    ``where`` locates ``value`` for a ParseError. A child schema is parsed
+    with its parent's location and its keys in a tuple, which
+    :func:`_location` turns into text only if a ParseError is raised: most
+    schema nodes raise none, so most locations are never spelled out.
+    RawNodes are built with ``tuple.__new__``; the two boolean schemas are
+    shared constants."""
     if value is True:
-        return RawNode(ANY)
+        return _TRUE_SCHEMA
     if value is False:
-        # Unsatisfiable schema: modelled as an empty enum.
-        return RawNode(ENUM)
+        return _FALSE_SCHEMA
     if not isinstance(value, dict):
-        raise ParseError(where, f"schema must be an object, got {type(value).__name__}")
+        raise ParseError(_location(where), f"schema must be an object, got {type(value).__name__}")
     if not _REFUSED_KEYWORDS.isdisjoint(value):
         refused = _REFUSED_KEYWORDS.intersection(value)
-        raise ParseError(where, f"keywords {sorted(refused)} are outside the supported subset")
+        raise ParseError(_location(where), f"keywords {sorted(refused)} are outside the supported subset")
     get = value.get
 
     ref = get("$ref", _MISSING)
     if ref is not _MISSING:
         if not isinstance(ref, str):
-            raise ParseError(where, "$ref must be a string")
+            raise ParseError(_location(where), "$ref must be a string")
         if not _CONSTRAINT_KEYWORDS.isdisjoint(value):
             siblings = _CONSTRAINT_KEYWORDS.intersection(value)
             raise ParseError(
-                where, f"$ref with constraint siblings {sorted(siblings)} is outside the supported subset"
+                _location(where), f"$ref with constraint siblings {sorted(siblings)} is outside the supported subset"
             )
-        return RawNode(REFERENCE, None, (), None, (ref,))
+        return tuple.__new__(RawNode, (REFERENCE, None, (), None, (ref,), (), True, (), (), None, None, None, (), None))
 
     type_tag = get("type")
     if type_tag is not None:
         if not isinstance(type_tag, str):
-            raise ParseError(where, "type must be one type name; a list of types is outside the supported subset")
+            raise ParseError(
+                _location(where), "type must be one type name; a list of types is outside the supported subset"
+            )
         if type_tag not in _TYPE_NAMES:
-            raise ParseError(where, f"type {type_tag!r} is not a JSON Schema type name")
+            raise ParseError(_location(where), f"type {type_tag!r} is not a JSON Schema type name")
     children: tuple[tuple[str, RawNode], ...] = ()
     props = get("properties")
     if props is not None:
         if not isinstance(props, dict):
-            raise ParseError(where, "properties must be an object")
+            raise ParseError(_location(where), "properties must be an object")
         children = tuple(
-            [(name, parse_schema(sub, f"{where}/properties/{name}")) for name, sub in props.items()]
+            [(name, parse_schema(sub, (where, "properties", name))) for name, sub in props.items()]
         )
 
     item = get("items", _MISSING)
     if item is _MISSING:
         item = None
     elif isinstance(item, list):
-        raise ParseError(where, "tuple-form items is outside the supported subset")
+        raise ParseError(_location(where), "tuple-form items is outside the supported subset")
     else:
-        item = parse_schema(item, f"{where}/items")
+        item = parse_schema(item, (where, "items"))
 
     required = get("required", _MISSING)
     if required is _MISSING:
         required = ()
     elif not isinstance(required, list) or not all(isinstance(n, str) for n in required):
-        raise ParseError(where, "required must be a list of names")
+        raise ParseError(_location(where), "required must be a list of names")
     else:
         required = tuple(required)
 
     additional = get("additionalProperties", True)
     if additional is not True and additional is not False:
-        raise ParseError(where, "schema-valued additionalProperties is outside the supported subset")
+        raise ParseError(_location(where), "schema-valued additionalProperties is outside the supported subset")
 
     one_of = get("oneOf", _MISSING)
     if one_of is _MISSING:
         one_of = ()
     elif not isinstance(one_of, list):
-        raise ParseError(where, "oneOf must be a list")
+        raise ParseError(_location(where), "oneOf must be a list")
     elif not one_of:
-        raise ParseError(where, "oneOf must hold at least one schema")
+        raise ParseError(_location(where), "oneOf must hold at least one schema")
     else:
-        one_of = tuple([parse_schema(b, f"{where}/oneOf/{i}") for i, b in enumerate(one_of)])
+        one_of = tuple([parse_schema(b, (where, "oneOf", i)) for i, b in enumerate(one_of)])
     all_of = get("allOf", _MISSING)
     if all_of is _MISSING:
         all_of = ()
     elif not isinstance(all_of, list):
-        raise ParseError(where, "allOf must be a list")
+        raise ParseError(_location(where), "allOf must be a list")
     else:
-        all_of = tuple([parse_schema(b, f"{where}/allOf/{i}") for i, b in enumerate(all_of)])
+        all_of = tuple([parse_schema(b, (where, "allOf", i)) for i, b in enumerate(all_of)])
 
     condition = then = otherwise = None
     if "if" in value:
-        condition = parse_schema(value["if"], f"{where}/if")
+        condition = parse_schema(value["if"], (where, "if"))
         if "then" in value:
-            then = parse_schema(value["then"], f"{where}/then")
+            then = parse_schema(value["then"], (where, "then"))
         if "else" in value:
-            otherwise = parse_schema(value["else"], f"{where}/else")
+            otherwise = parse_schema(value["else"], (where, "else"))
 
     enum = get("enum", _MISSING)
     enum_values: tuple[object, ...] = ()
     if enum is not _MISSING:
         if not isinstance(enum, list):
-            raise ParseError(where, "enum must be a list")
+            raise ParseError(_location(where), "enum must be a list")
         enum_values = tuple(enum)
 
     format_tag = get("format")
@@ -464,7 +459,7 @@ def parse_schema(value: object, where: str = "<inline>") -> RawNode:
         kind = ANY
     if enum is not _MISSING and not enum_values and kind != ENUM:
         # A node tells an empty enum from none only by its ENUM kind.
-        raise ParseError(where, "an empty enum beside other constraints is outside the supported subset")
+        raise ParseError(_location(where), "an empty enum beside other constraints is outside the supported subset")
 
     # The $ref targets below, in the resolver's site order: allOf comes
     # last, though it is parsed before if/then/else.
@@ -550,7 +545,7 @@ def _parse_file(doc_id: str, data: bytes) -> SchemaDocument | ParseError:
         raw = json.loads(text)
         if not isinstance(raw, dict):
             return ParseError(doc_id, "top level must be an object document")
-        return SchemaDocument(doc_id, raw, parse_schema(raw, doc_id), raw.get("$schema", ""))
+        return tuple.__new__(SchemaDocument, (doc_id, raw, parse_schema(raw, doc_id), raw.get("$schema", "")))
     except UnicodeDecodeError as exc:
         return ParseError(doc_id, f"not UTF-8: {exc.reason} at byte offset {exc.start}")
     except json.JSONDecodeError as exc:
@@ -618,7 +613,7 @@ def _navigate_fragment(doc: SchemaDocument, fragment: str) -> object:
         token = token.replace("~1", "/").replace("~0", "~")
         if isinstance(current, dict) and token in current:
             current = current[token]
-        elif isinstance(current, list) and token.isdigit() and int(token) < len(current):
+        elif isinstance(current, list) and token.isascii() and token.isdigit() and int(token) < len(current):
             current = current[int(token)]
         else:
             raise UnknownRef(f"fragment {fragment!r} not found in {doc.id}")
@@ -773,7 +768,6 @@ class _Resolver:
                     joined = self._target_ids.get((base_dir, path_part))
                     target_id = joined or _resolve_target_id(base_dir, doc_id, path_part)
                     self._target_ids[base_dir, path_part] = target_id
-                self.corpus.get(target_id)
                 target = self._site_keys[doc_id, ref] = (target_id, target_fragment)
             targets.append(target)
             yield target
@@ -822,21 +816,25 @@ class _Resolver:
                     self._node(raw.otherwise, doc_id, f"{path}/else", stack) if raw.otherwise else None,
                 ),
             )
-        return ResolvedNode(
+        return tuple.__new__(ResolvedNode, (
             raw.kind, doc_id, path, raw.type_tag, children, item, raw.required, raw.additional_allowed,
             one_of_groups, conditionals, raw.enum_values, raw.format_tag, ref_names, ref_docs, None,
-        )
+        ))
 
     def _reference(self, raw: RawNode, doc_id: str, path: str, stack: tuple[int, int]) -> ResolvedNode:
+        # the node of the state ``_state`` names, without building the state
         key = self._site_keys[doc_id, raw.refs[0]]
-        state = self._state(key, stack)
-        if state is None:
-            target_id, fragment = key
-            return ResolvedNode(
-                CYCLE, doc_id, path, None, (), None, (), True, (), (), (), None,
-                (_type_name_for_target(target_id, fragment),), (target_id,), target_id,
-            )
-        return self._memo[state]
+        component, mask = stack
+        target_component, bit = self._place[key]
+        if target_component != component:
+            return self._memo[key, 0]
+        if not mask & bit:
+            return self._memo[key, mask]
+        target_id, fragment = key
+        return tuple.__new__(ResolvedNode, (
+            CYCLE, doc_id, path, None, (), None, (), True, (), (), (), None,
+            (_type_name_for_target(target_id, fragment),), (target_id,), target_id,
+        ))
 
     def _merge_all_of(
         self, raw: RawNode, doc_id: str, path: str, stack: tuple[int, int],
@@ -914,11 +912,11 @@ class _Resolver:
 
         if merged_children or type_tag == "object":
             kind = OBJECT
-        return ResolvedNode(
+        return tuple.__new__(ResolvedNode, (
             kind, doc_id, path, type_tag, tuple(merged_children), item, tuple(required),
             all(p.additional_allowed for _, p in participants), tuple(one_of_groups),
             tuple(conditionals), enum_values or (), format_tag, tuple(ref_names), tuple(ref_docs), None,
-        )
+        ))
 
 
 def resolve(corpus: CorpusHandle, entry_id: str) -> ResolvedNode:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schemalens
-from schemalens import corpus
+from schemalens import corpus, metrics
 from schemalens.cli import main
 from schemalens.corpus import capability_grid, capability_matrix
 from schemalens.evaluation import run_comparison
@@ -105,6 +105,18 @@ def test_metrics_records_round_trip(capsys, manifest, graphs, criteria):
     for schema, values in raw.items():
         for criterion_id, value in values.items():
             assert parsed[(schema, criterion_id)] == value
+
+
+def test_criteria_without_a_type_are_labelled_by_collection_or_bare(capsys, tmp_path, graphs):
+    criteria = [{"id": 1, "metric": "colDepth", "collection": "weight"}, {"id": 2, "metric": "nbrCol"}]
+    code, out, _ = run_cli(capsys, *_metrics_with_criteria(tmp_path, {"criteria": criteria}), "--format", "records")
+    assert code == 0
+    records = json.loads(out)
+    assert {(r["criterion"], r["target"]) for r in records} == {(1, "colDepth(weight)"), (2, "nbrCol()")}
+    assert {(r["schema"], r["criterion"]): r["value"] for r in records} == {
+        **{(title, 1): metrics.col_depth(graph, "weight") for title, graph in graphs.items()},
+        **{(title, 2): metrics.nbr_col(graph) for title, graph in graphs.items()},
+    }
 
 
 def test_metrics_collection_renames_the_default_collection(capsys):
@@ -221,6 +233,24 @@ def test_validate_records_format(capsys, manifest):
     records = json.loads(out)
     assert records[0]["valid"] is True
     assert records[0]["violations"] == []
+
+
+def test_validate_records_of_an_invalid_instance_match_the_table(capsys, tmp_path, scenario_documents):
+    _, doc = scenario_documents[0]
+    _, mutant = envelope_mutants(doc)[0]
+    bad = _write(tmp_path / "bad.json", mutant)
+    code, out, _ = run_cli(capsys, "validate", "--format", "records", bad)
+    assert code == 1
+    [record] = json.loads(out)
+    assert (record["file"], record["valid"]) == (bad, False)
+    assert record["violations"]
+    assert all(list(v) == ["instancePath", "schemaPath", "keyword", "message"] for v in record["violations"])
+    code, table, _ = run_cli(capsys, "validate", bad)
+    assert code == 1
+    rows = [line.split(" ", 4)[2:4] for line in table.splitlines()[1:]]
+    assert [(v["instancePath"] or "/", f"[{v['keyword']}]") for v in record["violations"]] == [
+        (path, keyword) for path, keyword in rows
+    ]
 
 
 def test_validate_prints_each_path_in_its_normal_form(capsys, manifest, monkeypatch, tmp_path):

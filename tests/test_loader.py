@@ -1,5 +1,6 @@
 import hashlib
 import json
+import operator
 import random
 import re
 
@@ -402,6 +403,21 @@ def test_a_fragment_indexes_into_a_list():
     assert (x.type_tag, x.doc_id, x.path, x.ref_docs) == ("integer", "lib.json", "/oneOf/1", ("lib.json",))
 
 
+@pytest.mark.parametrize("token", ["¹", "٠"], ids=["superscript-one", "arabic-indic-zero"])
+def test_a_fragment_index_is_ascii_digits_only(token):
+    # str.isdigit() holds for both; int() refuses the first and reads the
+    # second as 0.
+    docs = {
+        "e.json": {"type": "object", "properties": {"x": {"$ref": f"lib.json#/oneOf/{token}"}}},
+        "lib.json": {"oneOf": [{"type": "string"}, {"type": "integer"}]},
+    }
+    with pytest.raises(UnknownRef, match=f"^fragment {re.escape(repr(f'/oneOf/{token}'))} not found in lib.json$"):
+        resolve(make_corpus(docs), "e.json")
+    # a leading zero still indexes, as it does for the oracle
+    docs["e.json"]["properties"]["x"]["$ref"] = "lib.json#/oneOf/01"
+    assert resolve(make_corpus(docs), "e.json").child_map()["x"].type_tag == "integer"
+
+
 def test_refs_escaping_the_corpus_root_are_rejected():
     corpus = make_corpus(
         {"e.json": {"type": "object", "properties": {"x": {"$ref": "../../outside.json"}}}}
@@ -523,6 +539,34 @@ def test_resolved_nodes_are_identities(lei_corpus):
     root, again = resolve(corpus, entry), resolve(corpus, entry)
     assert hash(root) == hash(root) and root != again
     assert len(repr(root)) < 100
+
+
+def test_resolved_nodes_are_identity_records(lei_corpus, scenario_documents):
+    first, second = resolve(lei_corpus, "eventCore.json"), resolve(lei_corpus, "eventCore.json")
+    leaf = next(node for node in _distinct_nodes(first) if node.kind == "atomic")
+    [twin] = [n for n in _distinct_nodes(second) if (n.doc_id, n.path) == (leaf.doc_id, leaf.path)]
+    assert leaf.structural_key() == twin.structural_key()
+    assert leaf != twin and not leaf == twin
+    for compare in ("__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(ResolvedNode, compare) is getattr(object, compare)
+        with pytest.raises(TypeError):
+            getattr(operator, compare)(leaf, twin)
+    # the tuple protocol runs over the fields
+    assert len(leaf) == len(ResolvedNode._fields) == 15
+    assert tuple(leaf) == tuple(getattr(leaf, name) for name in ResolvedNode._fields)
+    assert leaf[0] is leaf.kind
+    # the instance dict holds the two cached values and nothing else
+    assert validate(scenario_documents[0][1], first).valid
+    first.structural_key()
+    assert set(first.__dict__) == {"checks", "_structural_key"}
+    assert all(set(node.__dict__) <= {"checks", "_structural_key"} for node in _distinct_nodes(first))
+    assert first._replace(path="x").__dict__ == {}
+    for name in ("kind", "checks", "other"):
+        with pytest.raises(AttributeError):
+            setattr(first, name, None)
+        with pytest.raises(AttributeError):
+            delattr(first, name)
+    assert set(first.__dict__) == {"checks", "_structural_key"}
 
 
 def test_relative_refs_resolve_against_the_referencing_document(lei_corpus):
@@ -906,6 +950,19 @@ def test_a_clique_over_the_budget_is_refused_before_any_node_is_built(monkeypatc
     with pytest.raises(ResolutionTooLarge, match=f"^node0.json: .* more than {loader.STATE_BUDGET} "):
         resolve(make_corpus(clique_docs(k)), "node0.json")
     assert built == []
+
+
+def test_a_clique_over_the_budget_builds_no_node(monkeypatch):
+    # Nodes are built with tuple.__new__, which calls no __init__: count the
+    # resolver's one way in to building any node instead.
+    built = []
+    original = loader._Resolver._node
+    monkeypatch.setattr(loader._Resolver, "_node", lambda self, *args: built.append(args[1:3]) or original(self, *args))
+    with pytest.raises(ResolutionTooLarge):
+        resolve(make_corpus(clique_docs(13)), "node0.json")
+    assert built == []
+    resolve(make_corpus(clique_docs(3)), "node0.json")
+    assert built
 
 
 def test_a_chain_needs_no_state_under_a_cycle_stack(monkeypatch):
