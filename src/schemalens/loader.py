@@ -166,9 +166,10 @@ class ResolvedNode(namedtuple(
     @cached_property
     def checks(self) -> tuple:
         """The validator's checks for this node (``validator.compile_checks``),
-        compiled on the node's first validation, never by ``resolve``. Not a
-        field, so ``_fields``, :meth:`_replace` and :meth:`structural_key`
-        ignore it."""
+        compiled the first time they run, never by ``resolve``. A leaf whose
+        parent tests it inline runs them only for a value that test does not
+        accept, so it may never be compiled. Not a field, so ``_fields``,
+        :meth:`_replace` and :meth:`structural_key` ignore it."""
         from .validator import compile_checks
 
         return compile_checks(self)
@@ -580,7 +581,8 @@ def load_corpus(directory: str | Path) -> CorpusHandle:
 
 
 def json_equal(a: object, b: object) -> bool:
-    """JSON-semantics equality: booleans are distinct from numbers."""
+    """JSON-semantics equality: booleans are distinct from numbers, and a
+    ``str`` subclass equals an equal string, as jsonschema has it."""
     if isinstance(a, bool) or isinstance(b, bool):
         return isinstance(a, bool) and isinstance(b, bool) and a is b
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
@@ -589,6 +591,8 @@ def json_equal(a: object, b: object) -> bool:
         return len(a) == len(b) and all(json_equal(x, y) for x, y in zip(a, b))
     if isinstance(a, dict) and isinstance(b, dict):
         return a.keys() == b.keys() and all(json_equal(v, b[k]) for k, v in a.items())
+    if isinstance(a, str) and isinstance(b, str):
+        return a == b
     if type(a) is not type(b):
         return False
     return a == b
@@ -856,35 +860,37 @@ class _Resolver:
         enum_values = host.enum_values if raw.kind == ENUM or host.enum_values else None
         kind = host.kind
 
+        def conflict(i: int, problem: str) -> MergeConflict:
+            return MergeConflict(f"{doc_id}{path}: allOf branch {i} {problem}")
+
         for i, branch_raw in enumerate(raw.all_of):
             branch = self._node(branch_raw, doc_id, f"{path}/allOf/{i}", stack)
-            where = f"{doc_id}{path}: allOf branch {i}"
             if branch.kind == CYCLE:
-                raise MergeConflict(f"{where} is a cyclic reference and cannot be merged")
+                raise conflict(i, "is a cyclic reference and cannot be merged")
             participants.append((f"allOf branch {i}", branch))
             if type_tag and branch.type_tag and type_tag != branch.type_tag:
                 if {type_tag, branch.type_tag} != {"integer", "number"}:
-                    raise MergeConflict(f"{where} has type {branch.type_tag!r}, not {type_tag!r}")
+                    raise conflict(i, f"has type {branch.type_tag!r}, not {type_tag!r}")
                 type_tag = "integer"
             type_tag = type_tag or branch.type_tag
             if format_tag and branch.format_tag and format_tag != branch.format_tag:
-                raise MergeConflict(f"{where} has format {branch.format_tag!r}, not {format_tag!r}")
+                raise conflict(i, f"has format {branch.format_tag!r}, not {format_tag!r}")
             format_tag = format_tag or branch.format_tag
             if item and branch.item and not _same_shape(item, branch.item):
-                raise MergeConflict(f"{where} disagrees on items")
+                raise conflict(i, "disagrees on items")
             item = item or branch.item
             if branch.kind == ENUM or branch.enum_values:
                 admitted = branch.enum_values
                 if enum_values is not None:
                     admitted = tuple(v for v in enum_values if any(json_equal(v, w) for w in admitted))
                 if not admitted:
-                    raise MergeConflict(f"{where} leaves no enum value that every participant admits")
+                    raise conflict(i, "leaves no enum value that every participant admits")
                 enum_values = admitted
             for name, sub in branch.children:
                 if name in names:
                     existing = merged_children[names[name]][1]
                     if not _same_shape(existing, sub):
-                        raise MergeConflict(f"{where} disagrees on property {name!r}")
+                        raise conflict(i, f"disagrees on property {name!r}")
                 else:
                     names[name] = len(merged_children)
                     merged_children.append((name, sub))

@@ -10,13 +10,23 @@ merges it during resolution. All violations are collected, not just the
 first; identical inputs yield identical violation lists. An instance that
 reaches a cycle stub is refused with CycleReached.
 
-Each distinct node's checks are compiled once, lazily, on the node's first
-validation (never by ``resolve``), and cached on the node
+Each distinct node's checks are compiled once, lazily, the first time they
+run (never by ``resolve``), and cached on the node
 (``ResolvedNode.checks``): a tuple of closures holding only the checks its
-keywords need, with the type test chosen at compile time. A check that
-descends calls the child's checks directly, so an instance nesting level
-costs one Python frame. Since resolved nodes are shared, compilation costs
-once per distinct node, not per instance.
+keywords need, with the type test chosen at compile time; a typed object
+tests its type inside its object check. A check that descends calls the
+child's checks directly, so an instance nesting level costs one Python
+frame. Since resolved nodes are shared, compilation costs once per distinct
+node, not per instance.
+
+A parent's object or items check tests a leaf member inline, without a
+call, when the leaf's checks are a string, integer or number type test, a
+string-only enum or a known format (see ``_inline_test``). The inline test
+can only accept: a value it does not accept runs the leaf's compiled
+checks, which report every violation, so a leaf is compiled only when such
+a value reaches it. A cold validation of the 19 bundled LEI scenarios
+compiles 50 of the envelope's 309 nodes, against 166 when every leaf was
+compiled.
 
 Checks whose violations nobody reads -- oneOf branches, if-conditions and
 ``dispatch_event_schema``'s tests -- run the same checks in quiet mode: they
@@ -137,10 +147,14 @@ Check = Callable[[object, str, "list[Violation] | None"], None]
 
 def compile_checks(node: ResolvedNode) -> tuple[Check, ...]:
     """The checks ``node`` needs, in the order they run: type, enum, format,
-    the object keywords, items, each oneOf group, each if/then/else.
-    ``ResolvedNode.checks`` caches the result on the node, so each distinct
-    node is compiled once, on its first validation. A check that descends
-    runs its child's checks itself, so an instance level costs one frame."""
+    the object keywords, items, each oneOf group, each if/then/else. A node
+    typed ``object`` with no enum or format gets one check for its type and
+    object keywords. ``ResolvedNode.checks`` caches the result on the node,
+    so each distinct node is compiled once, the first time its checks run. A
+    check that descends runs its child's checks itself, so an instance level
+    costs one frame; a leaf child that the parent's inline test accepts (see
+    ``_inline_test``) costs none, and its checks run, and are compiled, only
+    for a value that test does not accept."""
     if node.kind == loader.CYCLE:
         target = node.cycle_target
 
@@ -150,14 +164,20 @@ def compile_checks(node: ResolvedNode) -> tuple[Check, ...]:
         return (cycle,)
     spath = f"{node.doc_id}#{node.path}"
     checks = []
-    if node.type_tag in _TYPE_TESTS:
+    enum = node.kind == loader.ENUM or node.enum_values
+    known_format = node.format_tag in _FORMAT_CHECKS
+    object_keywords = node.required or node.children or not node.additional_allowed
+    # A typed object whose type test would run just before its object
+    # keywords tests its type in the object check: one call, not two.
+    typed = object_keywords and node.type_tag == "object" and not enum and not known_format
+    if node.type_tag in _TYPE_TESTS and not typed:
         checks.append(_type_check(node.type_tag, spath))
-    if node.kind == loader.ENUM or node.enum_values:
+    if enum:
         checks.append(_enum_check(node.enum_values, spath))
-    if node.format_tag in _FORMAT_CHECKS:
+    if known_format:
         checks.append(_format_check(node.format_tag, spath))
-    if node.required or node.children or not node.additional_allowed:
-        checks.append(_object_check(node, spath))
+    if object_keywords:
+        checks.append(_object_check(node, spath, typed))
     if node.item is not None:
         checks.append(_items_check(node.item))
     for group in node.one_of_groups:
@@ -199,7 +219,7 @@ def _enum_check(values: tuple[object, ...], spath: str) -> Check:
         strings = frozenset(values)
 
         def check(value: object, ipath: str, out) -> None:
-            if type(value) is not str or value not in strings:
+            if not isinstance(value, str) or value not in strings:
                 if out is None:
                     raise _Invalid
                 out.append(Violation(ipath, spath, "enum", f"{value!r} is not one of the allowed values"))
@@ -224,22 +244,55 @@ def _format_check(tag: str, spath: str) -> Check:
     return check
 
 
-def _object_check(node: ResolvedNode, spath: str) -> Check:
+_INLINE_TYPES = {"string": (str,), "integer": (int,), "number": (int, float)}
+
+
+def _inline_test(node: ResolvedNode) -> tuple[tuple[type, ...], Callable[[object], bool] | None]:
+    """``(types, test)`` such that a value whose exact type is in ``types``
+    and that passes ``test`` (when not None) passes every check of ``node``.
+    Only a leaf whose checks are a string, integer or number type test, a
+    string-only enum or a known format has one; any other node gets
+    ``((), None)``, which accepts nothing. The test can only accept: a value
+    it does not accept runs ``node.checks``, which report as they always do."""
+    if (node.kind == loader.CYCLE or node.required or node.children or not node.additional_allowed
+            or node.item is not None or node.one_of_groups or node.conditionals):
+        return (), None
+    values, tag = node.enum_values, node.format_tag
+    if node.kind == loader.ENUM or values:
+        if node.type_tag in (None, "string") and tag is None and values and all(type(v) is str for v in values):
+            return (str,), frozenset(values).__contains__
+    elif tag is not None:
+        if node.type_tag in (None, "string") and tag in _FORMAT_CHECKS:
+            return (str,), _FORMAT_CHECKS[tag]
+    elif node.type_tag in _INLINE_TYPES:
+        return _INLINE_TYPES[node.type_tag], None
+    return (), None
+
+
+def _object_check(node: ResolvedNode, spath: str, typed: bool) -> Check:
+    """The object keywords; with ``typed``, the ``type: object`` test too,
+    whose failure ``_type_check`` reports. A leaf member that its inline
+    test (see ``_inline_test``) accepts costs no call."""
     required = node.required
-    children = tuple((name, f"/{name}", child) for name, child in node.children)
+    children = tuple((name, f"/{name}", child, *_inline_test(child)) for name, child in node.children)
     declared = None if node.additional_allowed else frozenset(name for name, _ in node.children)
+    type_check = _type_check("object", spath) if typed else None
 
     def check(value: object, ipath: str, out) -> None:
         if type(value) is not dict and not isinstance(value, Mapping):
+            if type_check is not None:
+                type_check(value, ipath, out)
             return
         for name in required:
             if name not in value:
                 if out is None:
                     raise _Invalid
                 out.append(Violation(ipath, spath, "required", f"missing required property {name!r}"))
-        for name, step, child in children:
+        for name, step, child, types, test in children:
             if name in value:
                 member = value[name]
+                if type(member) in types and (test is None or test(member)):
+                    continue
                 # A quiet check builds no path: a CycleReached gets its step
                 # on the way out.
                 path = ipath if out is None else ipath + step
@@ -263,13 +316,16 @@ def _object_check(node: ResolvedNode, spath: str) -> Check:
 
 
 def _items_check(item: ResolvedNode) -> Check:
+    types, test = _inline_test(item)
+
     def check(value: object, ipath: str, out) -> None:
         if isinstance(value, list):
-            item_checks = item.checks
             for i, element in enumerate(value):
+                if type(element) in types and (test is None or test(element)):
+                    continue
                 path = ipath if out is None else f"{ipath}/{i}"
                 try:
-                    for item_check in item_checks:
+                    for item_check in item.checks:
                         item_check(element, path, out)
                 except CycleReached as exc:
                     if out is None:

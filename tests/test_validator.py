@@ -2,8 +2,10 @@ import calendar
 import copy
 import hashlib
 import json
+import math
 import random
 import sys
+from types import MappingProxyType
 
 import pytest
 
@@ -241,6 +243,31 @@ def test_dispatch_admits_a_branch_the_validator_admits():
         dispatch_event_schema(schema, {"eventName": True})
     for name, valid in [(7, True), ("Arrival", True), ("Weight", False), (True, False)]:
         assert validate({"message": {"eventName": name}}, schema).valid is valid
+
+
+def test_dispatch_to_a_branch_whose_event_has_no_ref_names_the_branch_document():
+    corpus = make_corpus(
+        {
+            "inline.json": {
+                "type": "object",
+                "properties": {
+                    "message": {
+                        "oneOf": [
+                            {"properties": {"eventName": {"enum": ["Weight"]}, "event": {"type": "object"}}},
+                            {"$ref": "walk.json"},
+                            {"properties": {"eventName": {"enum": ["Score"]}, "event": {"$ref": "s.json"}}},
+                        ],
+                    }
+                },
+            },
+            "walk.json": {"properties": {"eventName": {"enum": ["Walk"]}, "event": {"type": "object"}}},
+            "s.json": {"type": "object"},
+        }
+    )
+    schema = resolve(corpus, "inline.json")
+    assert dispatch_event_schema(schema, {"eventName": "Weight"}) == "inline.json"
+    assert dispatch_event_schema(schema, {"eventName": "Walk"}) == "walk.json"
+    assert dispatch_event_schema(schema, {"eventName": "Score"}) == "s.json"
 
 
 _ABSENT = object()
@@ -501,10 +528,65 @@ def test_each_node_is_compiled_on_its_first_validation():
     )
     a, b = (child for _, child in schema.children)
     assert not any("checks" in node.__dict__ for node in (schema, a, b))
+    # A leaf member its parent's inline test accepts compiles nothing.
     assert validate({"a": "x"}, schema).valid
-    assert "checks" in schema.__dict__ and "checks" in a.__dict__ and "checks" not in b.__dict__
+    assert "checks" in schema.__dict__ and "checks" not in a.__dict__ and "checks" not in b.__dict__
+    # One it does not accept falls through to the leaf's own checks.
+    assert not validate({"a": 5}, schema).valid
+    assert "checks" in a.__dict__ and "checks" not in b.__dict__
     assert schema.checks is schema.checks
     assert "checks" not in ResolvedNode._fields
+
+
+class _Str(str):
+    pass
+
+
+# Leaves the parent tests inline (the first six), then leaves that have no
+# inline test, whose every value runs the leaf's own checks.
+_LEAVES = {
+    "string": {"type": "string"},
+    "date-time": {"type": "string", "format": "date-time"},
+    "ipv4": {"type": "string", "format": "ipv4"},
+    "string-enum": {"type": "string", "enum": ["a", "b"]},
+    "integer": {"type": "integer"},
+    "number": {"type": "number"},
+    "unknown-format": {"type": "string", "format": "x-unknown"},
+    "untyped-enum": {"enum": ["a", "b"]},
+    "mixed-enum": {"enum": ["a", 1, None]},
+}
+_LEAF_VALUES = [
+    "", _Str("a"), True, 0, 1.0, 1.5, math.nan, None, [], {}, MappingProxyType({"a": 1}),
+    "2020-01-01T00:00:00Z", "2021-02-29T00:00:00Z", "10.0.0.1", "a", "c",
+]
+
+
+def _placements(leaf):
+    """(schema, instance builder) with ``leaf`` as a property, as an items
+    schema, and inside the branch a discriminated oneOf selects."""
+    branch = {"required": ["kind"], "properties": {"kind": {"enum": ["x"]}, "p": leaf}}
+    other = {"required": ["kind"], "properties": {"kind": {"enum": ["y"]}}}
+    return [
+        ({"type": "object", "properties": {"p": leaf}}, lambda value: {"p": value}),
+        ({"type": "array", "items": leaf}, lambda value: ["a", value, value]),
+        ({"oneOf": [branch, other]}, lambda value: {"kind": "x", "p": value}),
+    ]
+
+
+@pytest.mark.parametrize("leaf", list(_LEAVES.values()), ids=list(_LEAVES))
+def test_an_inline_leaf_test_accepts_only_what_the_leaf_accepts(leaf):
+    for schema, build in _placements(leaf):
+        docs = {"s.json": schema}
+        resolved = resolve(make_corpus(docs), "s.json")
+        oracle = oracle_for_docs(docs, "s.json")
+        for value in _LEAF_VALUES:
+            instance = build(value)
+            native = sorted((v.instance_path, v.keyword) for v in validate(instance, resolved).violations)
+            expected = sorted(
+                ("".join(f"/{step}" for step in error.absolute_path), error.validator)
+                for error in oracle.iter_errors(instance)
+            )
+            assert native == expected, (schema, value)
 
 
 # ----------------------------------------------------------- deep instances
