@@ -19,14 +19,14 @@ child's checks directly, so an instance nesting level costs one Python
 frame. Since resolved nodes are shared, compilation costs once per distinct
 node, not per instance.
 
-A parent's object or items check tests a leaf member inline, without a
-call, when the leaf's checks are a string, integer or number type test, a
-string-only enum or a known format (see ``_inline_test``). The inline test
-can only accept: a value it does not accept runs the leaf's compiled
-checks, which report every violation, so a leaf is compiled only when such
-a value reaches it. A cold validation of the 19 bundled LEI scenarios
-compiles 50 of the envelope's 309 nodes, against 166 when every leaf was
-compiled.
+A parent's object check tests a leaf member inline, without a call, when
+the leaf's checks are a string, integer or number type test, a string-only
+enum or a known format (see ``_inline_test``); array elements always run
+their ``items`` schema's checks. The inline test can only accept: a value
+it does not accept runs the leaf's compiled checks, which report every
+violation, so a leaf is compiled only when such a value reaches it. A cold
+validation of the 19 bundled LEI scenarios compiles 50 of the envelope's
+309 nodes, against 166 when every leaf was compiled.
 
 Checks whose violations nobody reads -- oneOf branches, if-conditions and
 ``dispatch_event_schema``'s tests -- run the same checks in quiet mode: they
@@ -316,16 +316,13 @@ def _object_check(node: ResolvedNode, spath: str, typed: bool) -> Check:
 
 
 def _items_check(item: ResolvedNode) -> Check:
-    types, test = _inline_test(item)
-
     def check(value: object, ipath: str, out) -> None:
         if isinstance(value, list):
+            item_checks = item.checks
             for i, element in enumerate(value):
-                if type(element) in types and (test is None or test(element)):
-                    continue
                 path = ipath if out is None else f"{ipath}/{i}"
                 try:
-                    for item_check in item.checks:
+                    for item_check in item_checks:
                         item_check(element, path, out)
                 except CycleReached as exc:
                     if out is None:

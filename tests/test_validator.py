@@ -542,8 +542,8 @@ class _Str(str):
     pass
 
 
-# Leaves the parent tests inline (the first six), then leaves that have no
-# inline test, whose every value runs the leaf's own checks.
+# Leaves a parent's object check tests inline (the first six), then leaves
+# that have no inline test, whose every value runs the leaf's own checks.
 _LEAVES = {
     "string": {"type": "string"},
     "date-time": {"type": "string", "format": "date-time"},
