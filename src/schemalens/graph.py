@@ -20,7 +20,10 @@ per member of each distinct resolved node, the members of a node shared by
 every spec that embeds it. ``build_graph`` makes that DAG, and
 ``MetricGraph(dag)`` is the one way to make a graph. Metrics are dynamic
 programs over the DAG (:meth:`MetricGraph.fold`), so a ref diamond costs its
-depth, not 2^depth; ``graph.nodes`` is the range of the tree's node ids,
+depth, not 2^depth. A spec's value depends only on the specs below it, so
+every fold runs over the whole DAG, in the one postorder each graph walks
+once and keeps, and a metric about a collection reads the value at the
+collection's spec; ``graph.nodes`` is the range of the tree's node ids,
 counted by the same fold. :func:`to_dot` walks the DAG in the tree's preorder
 and writes one line per tree node, so it refuses with GraphTooLarge a tree of
 more than TREE_NODE_BUDGET nodes. Building, folding and drawing all run on
@@ -30,7 +33,7 @@ explicit stacks, so a ref chain of any length builds, measures and draws.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from operator import attrgetter
 
 from . import loader
@@ -97,8 +100,8 @@ class Spec:
 _kids = attrgetter("kids")
 
 
-def _subtree_size(spec: Spec, sizes: list[int]) -> int:
-    return 1 + sum(sizes)
+def _subtree_size(spec: Spec, sizes: dict[Spec, int]) -> int:
+    return 1 + sum(map(sizes.__getitem__, spec.kids))
 
 
 class CardinalityAnnotation(namedtuple("CardinalityAnnotation", "collection path cardinality")):
@@ -130,33 +133,32 @@ class MetricGraph:
 
     def __init__(self, dag: Spec):
         self._dag = dag
-        self._orders: dict[Spec, tuple[list[Spec], list[Spec]]] = {}
+        self._order: tuple[list[Spec], list[Spec]] | None = None
 
     def dag(self) -> Spec:
         """The root of the graph's DAG."""
         return self._dag
 
-    def postorder(self, start: Spec | None = None) -> tuple[list[Spec], list[Spec]]:
-        """The distinct specs reachable from ``start`` (default: the root):
-        those without kids, and those with kids, each after all of its
-        kids."""
-        start = start or self.dag()
-        if start not in self._orders:
-            order = loader.postorder(start, _kids)
-            self._orders[start] = [s for s in order if not s.kids], [s for s in order if s.kids]
-        return self._orders[start]
+    def postorder(self) -> tuple[list[Spec], list[Spec]]:
+        """The distinct specs of the DAG: those without kids, and those with
+        kids, each after all of its kids. The DAG is walked once per graph,
+        on first use, and the order kept."""
+        if self._order is None:
+            order = loader.postorder(self._dag, _kids)
+            self._order = [s for s in order if not s.kids], [s for s in order if s.kids]
+        return self._order
 
-    def fold(
-        self, combine: Callable[[Spec, list], object], leaf: object, start: Spec | None = None
-    ) -> dict[Spec, object]:
-        """A dynamic program over the DAG below ``start`` (default: the
-        root): the value of every spec. A spec without kids has value
-        ``leaf``; for any other, ``combine(spec, values)`` receives the
-        values of ``spec.kids`` in order, once per distinct spec."""
-        leaves, inner = self.postorder(start)
+    def fold(self, combine: Callable[[Spec, dict], object], leaf: object) -> dict[Spec, object]:
+        """A dynamic program over the whole DAG: the value of every spec. A
+        spec without kids has value ``leaf``; for any other,
+        ``combine(spec, values)`` runs once, after the value of each of
+        ``spec.kids`` is in ``values``, and returns the spec's. Since a value
+        depends only on the specs below, one fold answers for every start:
+        read the collection's spec, or the root's."""
+        leaves, inner = self.postorder()
         values: dict[Spec, object] = dict.fromkeys(leaves, leaf)
         for spec in inner:
-            values[spec] = combine(spec, [values[kid] for kid in spec.kids])
+            values[spec] = combine(spec, values)
         return values
 
     def node_count(self) -> int:
@@ -176,9 +178,11 @@ class MetricGraph:
     def knows_name(self, name: str) -> bool:
         """Whether a node other than the synthetic root bears ``name``."""
         root = self.dag()
-        return any(
-            spec is not root and spec.matches(name) for specs in self.postorder() for spec in specs
-        )
+        for specs in self.postorder():
+            for spec in specs:
+                if spec is not root and spec.matches(name):
+                    return True
+        return False
 
 
 def _collection_spec(top: Spec, name: str) -> Spec:
@@ -237,19 +241,19 @@ def _class_parts(node: ResolvedNode) -> tuple[ResolvedNode, ...] | list[Resolved
     return [arm for _, then, other in node.conditionals for arm in (then, other) if arm]
 
 
-def _richness(node: ResolvedNode) -> int:
-    return (
-        len(node.children)
-        + len(node.one_of_branches())
-        + len(node.enum_values)
-        + (1 if node.item else 0)
-    )
+def _is_placeholder(node: ResolvedNode) -> bool:
+    """Whether ``node`` declares no member, oneOf branch, enum value or
+    item."""
+    return not (node.children or node.enum_values or node.item is not None or any(node.one_of_groups))
 
 
-def effective_children(node: ResolvedNode) -> list[tuple[str, ResolvedNode]]:
+def effective_children(node: ResolvedNode) -> Sequence[tuple[str, ResolvedNode]]:
     """The node's property map with oneOf-branch and then/else declarations
-    unioned in. Alternative subtrees for an already-declared name only win
-    when the declared subtree is an empty placeholder."""
+    unioned in; ``node.children`` itself when there are none. Alternative
+    subtrees for an already-declared name only win when the declared
+    subtree is an empty placeholder."""
+    if not node.one_of_groups and not node.conditionals:
+        return node.children
     merged: dict[str, ResolvedNode] = dict(node.children)
     order: list[str] = [name for name, _ in node.children]
 
@@ -260,7 +264,7 @@ def effective_children(node: ResolvedNode) -> list[tuple[str, ResolvedNode]]:
             if name not in merged:
                 merged[name] = sub
                 order.append(name)
-            elif _richness(merged[name]) == 0 and _richness(sub) > 0:
+            elif _is_placeholder(merged[name]) and not _is_placeholder(sub):
                 merged[name] = sub
 
     for branch in node.one_of_branches():
@@ -324,15 +328,12 @@ def build_graph(
     top = Spec(ROOT, "root", kids=tuple(spec for spec, _ in below))
     members: dict[ResolvedNode, tuple[Spec, ...]] = {}
     classes: dict[ResolvedNode, tuple[str, bool]] = {}
-    todo = list(collections.values())
-    while todo:
-        node = todo.pop()
-        if node not in members:
-            start = len(below)
-            members[node] = _member_specs(node, below, classes)
-            todo.extend(sub for _, sub in below[start:])
+    # ``below`` is the work list: _member_specs appends to it as it is read.
     for spec, node in below:
-        spec.kids = members[node]
+        kids = members.get(node)
+        if kids is None:
+            kids = members[node] = _member_specs(node, below, classes)
+        spec.kids = kids
     for ann in annotations:
         top = _annotate(top, ann)
     return MetricGraph(top)

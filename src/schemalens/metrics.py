@@ -17,7 +17,10 @@ node was inlined from a $ref to that type; atomic named members match too
 Every metric is defined on the graph's tree and computed as one dynamic
 program over its DAG (``MetricGraph.fold``): each distinct spec is combined
 once from the values of its children, so no metric builds the tree or pays
-for the number of paths. All functions are pure reads of an immutable graph.
+for the number of paths. A fold covers the whole DAG, in the one postorder
+the graph keeps, and a metric reads the value at its collection, at each
+collection, or at the root. All functions are pure reads of an immutable
+graph.
 """
 
 from __future__ import annotations
@@ -100,61 +103,74 @@ def col_existence(graph: MetricGraph, type_name: str) -> int:
     return int(any(c.type_name == type_name for c in graph.dag().kids))
 
 
-def _holds(graph: MetricGraph, start: Spec, type_name: str) -> dict[Spec, bool]:
-    """Per spec below ``start``: whether the type occurs strictly below it."""
-    return graph.fold(
-        lambda spec, below: any(kid.matches(type_name) or found for kid, found in zip(spec.kids, below)),
-        False,
-        start,
-    )
+def _holds(graph: MetricGraph, type_name: str) -> dict[Spec, bool]:
+    """Per spec: whether the type occurs strictly below it."""
+
+    def combine(spec: Spec, values: dict[Spec, bool]) -> bool:
+        for kid in spec.kids:
+            if values[kid] or kid.matches(type_name):
+                return True
+        return False
+
+    return graph.fold(combine, False)
 
 
 def doc_existence(graph: MetricGraph, collection: str, type_name: str) -> int:
     """1 iff a node of the given type occurs on some child path of the
     collection."""
     start = graph.collection_spec(collection)
-    return int(_holds(graph, start, type_name)[start])
+    return int(_holds(graph, type_name)[start])
 
 
 def nbr_col(graph: MetricGraph) -> int:
     return len(graph.dag().kids)
 
 
-def _depth_below(spec: Spec, below: list[int]) -> int:
-    return max(depth + (kid.kind == EMBEDDED) for kid, depth in zip(spec.kids, below))
+def _depth_below(spec: Spec, values: dict[Spec, int]) -> int:
+    deepest = 0
+    for kid in spec.kids:
+        depth = values[kid] + (kid.kind == EMBEDDED)
+        if depth > deepest:
+            deepest = depth
+    return deepest
 
 
 def col_depth(graph: MetricGraph, collection: str) -> int:
     """Maximum embedded-node count over the collection's child paths
     (0 for a childless collection)."""
     start = graph.collection_spec(collection)
-    return graph.fold(_depth_below, 0, start)[start]
+    return graph.fold(_depth_below, 0)[start]
 
 
 def global_depth(graph: MetricGraph) -> int:
-    return max((graph.fold(_depth_below, 0, c)[c] for c in graph.dag().kids), default=0)
+    depths = graph.fold(_depth_below, 0)
+    return max((depths[c] for c in graph.dag().kids), default=0)
 
 
-def _deepest_level(graph: MetricGraph, start: Spec, type_name: str) -> int:
-    """The deepest level at which the type occurs below ``start``, 0 when
-    it does not. A kid sits at level 1; a level below an Embedded kid is one
-    more than below the kid itself."""
+def _deepest_levels(graph: MetricGraph, type_name: str) -> dict[Spec, int]:
+    """Per spec: the deepest level at which the type occurs below it, 0
+    when it does not. A kid sits at level 1; a level below an Embedded kid
+    is one more than below the kid itself."""
 
-    def combine(spec: Spec, below: list[int]) -> int:
+    def combine(spec: Spec, values: dict[Spec, int]) -> int:
         deepest = 0
-        for kid, level in zip(spec.kids, below):
+        for kid in spec.kids:
+            level = values[kid]
             if level:
-                deepest = max(deepest, level + (kid.kind == EMBEDDED))
+                level += kid.kind == EMBEDDED
             elif kid.matches(type_name):
-                deepest = max(deepest, 1)
+                level = 1
+            if level > deepest:
+                deepest = level
         return deepest
 
-    return graph.fold(combine, 0, start)[start]
+    return graph.fold(combine, 0)
 
 
 def doc_depth_in_col(graph: MetricGraph, collection: str, type_name: str) -> int:
     """Deepest level at which the type occurs below the collection."""
-    level = _deepest_level(graph, graph.collection_spec(collection), type_name)
+    start = graph.collection_spec(collection)
+    level = _deepest_levels(graph, type_name)[start]
     if not level:
         raise TypeAbsent(f"type {type_name!r} does not occur in collection {collection!r}")
     return level
@@ -162,11 +178,8 @@ def doc_depth_in_col(graph: MetricGraph, collection: str, type_name: str) -> int
 
 def _doc_depths(graph: MetricGraph, type_name: str) -> list[int]:
     """docDepthInCol of the type in every collection that holds it."""
-    depths = []
-    for c in graph.dag().kids:
-        level = _deepest_level(graph, c, type_name)
-        if level:
-            depths.append(level)
+    levels = _deepest_levels(graph, type_name)
+    depths = [levels[c] for c in graph.dag().kids if levels[c]]
     if not depths:
         raise TypeAbsent(f"type {type_name!r} occurs in no collection")
     return depths
@@ -186,7 +199,7 @@ def _spec_for_type(graph: MetricGraph, type_name: str, collection: str) -> Spec:
     spec = graph.collection_spec(collection)
     if spec.matches(type_name) or type_name == collection:
         return spec
-    holds = _holds(graph, spec, type_name)
+    holds = _holds(graph, type_name)
     if not holds[spec]:
         raise TypeAbsent(f"type {type_name!r} does not occur in collection {collection!r}")
     while True:
@@ -248,9 +261,14 @@ def ref_load(graph: MetricGraph, name: str, direction: str = "incoming") -> int:
         raise UnknownCollection(f"name {name!r} appears nowhere in the graph")
     else:
         start, counted = graph.dag(), name
-    below = graph.fold(
-        lambda spec, counts: sum(_reference_count(kid, counted) + n for kid, n in zip(spec.kids, counts)), 0, start
-    )[start]
+
+    def combine(spec: Spec, values: dict[Spec, int]) -> int:
+        total = 0
+        for kid in spec.kids:
+            total += values[kid] + _reference_count(kid, counted)
+        return total
+
+    below = graph.fold(combine, 0)[start]
     # incoming counts the whole graph, the root included
     return below if counted is None else _reference_count(start, counted) + below
 
@@ -269,15 +287,17 @@ def doc_copies_in_col(graph: MetricGraph, type_name: str, collection: str) -> in
     otherwise the cardinality product along each embedding chain, summed
     over occurrence sites (1 per site when nothing is annotated)."""
     start = graph.collection_spec(collection)
-    return graph.fold(
-        lambda spec, below: sum(
-            (kid.card or 1) * (kid.matches(type_name) + copies) for kid, copies in zip(spec.kids, below)
-        ),
-        0,
-        start,
-    )[start]
+
+    def combine(spec: Spec, values: dict[Spec, int]) -> int:
+        total = 0
+        for kid in spec.kids:
+            total += (kid.card or 1) * (kid.matches(type_name) + values[kid])
+        return total
+
+    return graph.fold(combine, 0)[start]
 
 
 def doc_type_copies(graph: MetricGraph, type_name: str) -> int:
     """Number of collections whose paths contain the type."""
-    return sum(_holds(graph, c, type_name)[c] for c in graph.dag().kids)
+    holds = _holds(graph, type_name)
+    return sum(holds[c] for c in graph.dag().kids)

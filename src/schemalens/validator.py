@@ -47,6 +47,10 @@ other groups evaluate every branch. Neither shortcut changes the top-level
 violation list, which stays complete. ``dispatch_event_schema`` picks a
 message's event branch with the same compiled checks.
 
+A JSON object is a ``dict``, a subclass included, as in jsonschema's type
+checker: another ``Mapping`` (a ``MappingProxyType``, say) is not one, so it
+fails ``type: object`` and the object keywords pass over it.
+
 Only ``(instance_path, keyword)`` pairs are contract-bearing; message text is
 informational.
 """
@@ -55,7 +59,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from . import loader
 from .errors import AmbiguousBranch, CycleReached, NoBranch, Record, SchemaUnresolved
@@ -100,7 +104,7 @@ _FORMAT_CHECKS = {"date-time": is_date_time, "ipv4": is_ipv4}
 
 
 def _is_object(value: object) -> bool:
-    return type(value) is dict or isinstance(value, Mapping)
+    return isinstance(value, dict)
 
 
 def _is_number(value: object) -> bool:
@@ -202,7 +206,7 @@ def _type_check(tag: str, spath: str) -> Check:
                 fail(value, ipath, out)
     elif tag == "object":
         def check(value: object, ipath: str, out) -> None:
-            if type(value) is not dict and not isinstance(value, Mapping):
+            if not isinstance(value, dict):
                 fail(value, ipath, out)
     else:
         test = _TYPE_TESTS[tag]
@@ -279,7 +283,7 @@ def _object_check(node: ResolvedNode, spath: str, typed: bool) -> Check:
     type_check = _type_check("object", spath) if typed else None
 
     def check(value: object, ipath: str, out) -> None:
-        if type(value) is not dict and not isinstance(value, Mapping):
+        if not isinstance(value, dict):
             if type_check is not None:
                 type_check(value, ipath, out)
             return
@@ -425,7 +429,7 @@ def validate(instance: object, schema: ResolvedNode) -> ValidationOutcome:
     return ValidationOutcome(valid=not violations, violations=violations)
 
 
-def dispatch_event_schema(schema: ResolvedNode, message: Mapping[str, object]) -> str:
+def dispatch_event_schema(schema: ResolvedNode, message: dict[str, object]) -> str:
     """Pick the event sub-schema a message dispatches to.
 
     Uses the message node's conditional (itemType gates which event names are
@@ -434,6 +438,10 @@ def dispatch_event_schema(schema: ResolvedNode, message: Mapping[str, object]) -
     eventName passes, tested with the validator's compiled checks, as is
     the gate. Returns the event schema's document id. Raises NoBranch when
     nothing matches and AmbiguousBranch when more than one branch does.
+
+    ``message`` is a ``dict``: the gate's checks, like every compiled
+    check, take another ``Mapping`` for a non-object and do not read its
+    members, so pass ``dict(message)`` for one.
     """
     if not isinstance(schema, ResolvedNode):
         raise SchemaUnresolved("dispatch needs a resolved schema tree")

@@ -720,6 +720,12 @@ def test_every_public_name_imports():
     assert all(namespace[name] is getattr(schemalens, name) for name in schemalens.__all__)
 
 
+def test_the_package_lists_every_public_name_once_in_order():
+    names = dir(schemalens)
+    assert names == sorted(set(names))
+    assert set(schemalens.__all__) | {"__version__"} <= set(names)
+
+
 # The public names whose module `import schemalens` leaves unloaded.
 _LAZY_NAMES = {
     "corpus": ["CorpusManifest", "capability_matrix", "load_manifest"],

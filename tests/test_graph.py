@@ -8,7 +8,7 @@ from dataclasses import astuple
 import pytest
 
 from schemalens import graph as graph_module
-from schemalens import metrics
+from schemalens import loader, metrics
 from schemalens.errors import GraphTooLarge, SchemaLensError, UnknownCollection
 from schemalens.graph import (
     ARRAY_DOCUMENT,
@@ -362,6 +362,43 @@ def test_to_dot_matches_golden_digest(manifest):
 def _diamond_graph(depth, annotations=()):
     docs, entry = diamond_docs(depth, fragments=False)
     return build_graph({"c": resolve(make_corpus(docs), entry)}, annotations)
+
+
+def test_a_graph_is_walked_once_whatever_is_asked_of_it(monkeypatch):
+    # Every fold reads the one postorder of the whole DAG; a query about a
+    # collection reads the value at its spec.
+    corpus = make_corpus({
+        "a.json": {"type": "object", "properties": {"owner": {"$ref": "owner.json"}, "tag": {"type": "string"}}},
+        "b.json": {"type": "object", "properties": {"owners": {"type": "array", "items": {"$ref": "owner.json"}}}},
+        "owner.json": {"type": "object", "properties": {"name": {"type": "string"}}},
+    })
+    graph = build_graph({"a": resolve(corpus, "a.json"), "b": resolve(corpus, "b.json")})
+    walks = []
+    postorder = loader.postorder
+
+    def counted(*args, **kwargs):
+        walks.append(args[0])
+        return postorder(*args, **kwargs)
+
+    monkeypatch.setattr(graph_module.loader, "postorder", counted)
+    assert graph.node_count() == len(graph.nodes) == 9
+    to_dot(graph)
+    metrics.nbr_col(graph)
+    metrics.global_depth(graph)
+    metrics.ref_load(graph, "owner")
+    metrics.doc_type_copies(graph, "owner")
+    metrics.max_doc_depth(graph, "owner")
+    metrics.min_doc_depth(graph, "owner")
+    for collection in ("a", "b"):
+        metrics.col_existence(graph, collection)
+        metrics.col_depth(graph, collection)
+        metrics.doc_existence(graph, collection, "owner")
+        metrics.doc_depth_in_col(graph, collection, "owner")
+        metrics.doc_copies_in_col(graph, "owner", collection)
+        metrics.attribute_counts(graph, "owner", collection)
+        metrics.doc_width(graph, collection, collection)
+        metrics.ref_load(graph, collection, direction="outgoing")
+    assert walks == [graph.dag()]
 
 
 def test_node_count_of_a_depth_30_diamond_builds_no_node():

@@ -9,10 +9,12 @@ from schemalens.evaluation import run_comparison
 from schemalens.graph import (
     ATOMIC, ATTRIBUTE, COLLECTION, EMBEDDED, ROOT, CardinalityAnnotation, MetricGraph, Spec, build_graph,
 )
-from schemalens.loader import resolve
+from schemalens.loader import ARRAY, CYCLE, OBJECT, ResolvedNode, resolve
 from schemalens.metrics import AttributeCounts, WidthCoefficients
 
-from harness import diamond_docs, enumerate_paths, make_corpus, random_annotations, tree_walk, unfold
+from harness import (
+    diamond_docs, enumerate_paths, make_corpus, oracle_ref_load, random_annotations, tree_walk, unfold,
+)
 
 
 def _resolve_single(schema_dict):
@@ -129,6 +131,11 @@ def test_width_coefficients_parse():
     assert coeffs == metrics.DEFAULT_COEFFICIENTS
     with pytest.raises(ValueError):
         WidthCoefficients.parse("1,2,3")
+
+
+def test_absent_is_one_marker_that_shows_as_its_name():
+    assert metrics.Absent() is metrics.ABSENT
+    assert repr(metrics.ABSENT) == "Absent"
 
 
 # ------------------------------------------------------------ depth metrics
@@ -324,6 +331,20 @@ def test_ref_load_outgoing_direction():
     assert metrics.ref_load(graph, "p", direction="outgoing") == 0
     with pytest.raises(ValueError):
         metrics.ref_load(graph, "a", direction="sideways")
+
+
+def test_ref_load_counts_a_cycle_stub_that_names_no_target():
+    # resolve names every cycle stub after its $ref. A stub without
+    # ref_names becomes a Reference named after its property, or
+    # "<property>Item" as an array's item, and refLoad counts it by that name.
+    stub = ResolvedNode(kind=CYCLE, doc_id="<test>", path="/properties/back")
+    backs = ResolvedNode(kind=ARRAY, doc_id="<test>", path="/properties/backs", item=stub)
+    entry = ResolvedNode(kind=OBJECT, doc_id="<test>", path="", children=(("back", stub), ("backs", backs)))
+    graph = build_graph({"c": entry})
+    for name in ("back", "backsItem"):
+        assert metrics.ref_load(graph, name) == oracle_ref_load(graph, name) == 1
+    assert metrics.ref_load(graph, "backs") == oracle_ref_load(graph, "backs") == 0
+    assert metrics.ref_load(graph, "c", direction="outgoing") == 2
 
 
 # ------------------------------------------------------------- redundancy

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import sys
+from collections import OrderedDict
 from types import MappingProxyType
 
 import pytest
@@ -587,6 +588,45 @@ def test_an_inline_leaf_test_accepts_only_what_the_leaf_accepts(leaf):
                 for error in oracle.iter_errors(instance)
             )
             assert native == expected, (schema, value)
+
+
+class _DictSubclass(dict):
+    pass
+
+
+# jsonschema's ``object`` is ``isinstance(value, dict)``: a dict subclass is
+# an object, any other Mapping is not.
+_MAPPINGS = {"MappingProxyType": MappingProxyType, "dict subclass": _DictSubclass, "OrderedDict": OrderedDict}
+
+_OBJECT_SCHEMAS = [
+    {"type": "object", "required": ["p"], "properties": {"p": {"type": "string"}}, "additionalProperties": False},
+    {"required": ["p"], "properties": {"p": {"type": "string"}}},
+    {"oneOf": [
+        {"required": ["p"], "properties": {"p": {"enum": ["x"]}}},
+        {"required": ["p"], "properties": {"p": {"enum": ["y"]}}},
+    ]},
+]
+
+
+@pytest.mark.parametrize("wrap", list(_MAPPINGS.values()), ids=list(_MAPPINGS))
+def test_only_a_dict_is_a_json_object_as_in_the_oracle(wrap):
+    for inner in _OBJECT_SCHEMAS:
+        placements = [
+            (inner, lambda value: value),
+            ({"type": "object", "properties": {"m": inner}}, lambda value: {"m": value}),
+        ]
+        for schema, build in placements:
+            docs = {"s.json": schema}
+            resolved = resolve(make_corpus(docs), "s.json")
+            oracle = oracle_for_docs(docs, "s.json")
+            for members in ({"p": "x"}, {"p": 5}, {}):
+                instance = build(wrap(members))
+                native = sorted((v.instance_path, v.keyword) for v in validate(instance, resolved).violations)
+                expected = sorted(
+                    ("".join(f"/{step}" for step in error.absolute_path), error.validator)
+                    for error in oracle.iter_errors(instance)
+                )
+                assert native == expected, (schema, instance)
 
 
 # ----------------------------------------------------------- deep instances
