@@ -11,10 +11,12 @@ files -- before it loads a corpus, so a bad one is refused at no cost.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
 from pathlib import Path
+from stat import S_ISDIR, S_ISREG
 
 from . import report
 from .corpus import (
@@ -33,6 +35,9 @@ from .metrics import DEFAULT_COEFFICIENTS, WidthCoefficients
 from .validator import validate_batch
 
 ENV_CORPUS = "SCHEMALENS_CORPUS"
+
+# The stat errors ``Path.is_dir`` and ``Path.is_file`` read as "no such path".
+_ABSENT = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -129,8 +134,8 @@ def _config(path: str | None, manifest: CorpusManifest, name: str) -> str | Path
     bundled default."""
     if path is not None:
         return path
-    beside = manifest.root / "configs" / name
-    return beside if beside.is_file() else bundled_data_dir() / "configs" / name
+    beside = manifest.root.joinpath("configs", name)
+    return beside if beside.is_file() else bundled_data_dir().joinpath("configs", name)
 
 
 def _criteria(args, manifest: CorpusManifest):
@@ -188,13 +193,29 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _instance_paths(raw_paths: list[str]) -> list[Path]:
-    paths: list[Path] = []
+def _instance_paths(raw_paths: list[str]) -> list[str]:
+    """The instance files ``raw_paths`` name, each spelled as its ``Path``
+    prints: a file, or a directory's files in the loader's walk. One stat
+    per argument, whose errors read as ``Path.is_dir``'s do: a path that
+    is absent is refused by name, any other stat error is raised."""
+    paths: list[str] = []
     for raw in raw_paths:
-        path = Path(raw)
-        if path.is_dir():
-            paths.extend(path.joinpath(*parts) for parts, _ in _schema_files(path))
-        elif path.is_file():
+        path = str(Path(raw))
+        try:
+            mode = os.stat(path).st_mode
+        except OSError as exc:
+            if exc.errno not in _ABSENT:
+                raise
+            mode = 0
+        except ValueError:  # an embedded NUL
+            mode = 0
+        if S_ISDIR(mode):
+            files = _schema_files(path)
+            if path == ".":  # Path(".") / "a.json" prints as "a.json", not as the walk's "./a.json"
+                paths.extend("/".join(parts) for parts, _ in files)
+            else:
+                paths.extend(file for _, file in files)
+        elif S_ISREG(mode):
             paths.append(path)
         else:
             raise SchemaLensError(f"no such file or directory: {raw}")
@@ -271,28 +292,38 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, or with ``command``'s alone. The
-    one-subcommand parser's usage line still names them all, so its usage
-    errors read as the full parser's do."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="schemalens",
         description="Structural metrics, weighted evaluation and validation "
         "for livestock event schema corpora.",
     )
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else [command]:
-        help_text, add_arguments, _ = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` gives: the same namespace,
+    output and exit code. A known command builds only its own parser, the
+    subparser the full parser would hand the arguments after it to. The
+    full parser is built for help, an unknown command or none, and to word
+    the error for an unrecognized argument with its usage line."""
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        return build_parser().parse_args(argv)
+    parser = argparse.ArgumentParser(prog=f"schemalens {command}")
+    _COMMANDS[command][1](parser)
+    args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=command))
+    if extras:
+        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # A session parses one command, so it builds only that subparser; help,
-    # an unknown command or none at all builds every one.
-    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return _COMMANDS[args.command][2](args)
     except (SchemaLensError, OSError, ValueError, RecursionError) as exc:

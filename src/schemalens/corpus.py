@@ -88,6 +88,10 @@ class CapabilityVerdict(Record):
 
 
 class CorpusManifest(Record):
+    """A parsed manifest. ``scenarios`` maps each scenario id to its
+    instance files as the manifest spells them, relative to ``root``;
+    :meth:`scenario_files` joins them."""
+
     __slots__ = ("root", "collection", "schema_sets", "case_study_events", "scenarios")
 
     def __init__(
@@ -96,7 +100,7 @@ class CorpusManifest(Record):
         collection: str,
         schema_sets: dict[str, SchemaSet],
         case_study_events: list[tuple[str, str]],
-        scenarios: dict[int, list[Path]],
+        scenarios: dict[int, list[str]],
     ):
         self.root = root
         self.collection = collection
@@ -130,13 +134,13 @@ class CorpusManifest(Record):
     def scenario_files(self, scenario_id: int) -> list[Path]:
         if scenario_id not in self.scenarios:
             raise UnknownScenario(f"scenario id must be 1..{len(self.scenarios)}, got {scenario_id}")
-        return self.scenarios[scenario_id]
+        return [self.root / rel for rel in self.scenarios[scenario_id]]
 
     def scenario_instances(self, scenario_id: int) -> list[dict[str, object]]:
         return [read_config(path) for path in self.scenario_files(scenario_id)]
 
     def all_scenario_files(self) -> list[Path]:
-        return [path for sid in sorted(self.scenarios) for path in self.scenarios[sid]]
+        return [self.root / rel for sid in sorted(self.scenarios) for rel in self.scenarios[sid]]
 
 
 def load_manifest(root: str | Path | None = None) -> CorpusManifest:
@@ -168,7 +172,7 @@ def load_manifest(root: str | Path | None = None) -> CorpusManifest:
         files = require(scenario_files, sid, manifest_path, list)
         if not all(isinstance(rel, str) for rel in files):
             raise ConfigError(f"{manifest_path}: key {sid!r} must be an array of strings")
-        scenarios[as_number(sid, int, manifest_path, sid)] = [root_dir / rel for rel in files]
+        scenarios[as_number(sid, int, manifest_path, sid)] = files
     case_study = [
         (require(row, "label", manifest_path, str), require(row, "event", manifest_path, str))
         for row in optional(data, "case_study_events", manifest_path, list, [])

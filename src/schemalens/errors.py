@@ -2,13 +2,15 @@
 
 Every error raised on a contract boundary derives from SchemaLensError so
 callers (and the CLI) can catch one base type and map it to exit code 2.
-The readers of config files and :class:`Record`, the base of the toolkit's
-mutable result classes, live here too.
+The file readers, shared by the loader and the config readers, and
+:class:`Record`, the base of the toolkit's mutable result classes, live
+here too.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 
@@ -121,12 +123,42 @@ _JSON_TYPE_NAMES = {
 }
 
 
+def read_bytes(path: str | Path) -> bytes:
+    """The bytes of the file at ``path``. Through ``os.read`` rather than
+    ``open(...).read()``, which also stats the file twice and seeks. The
+    OSError is the one ``os.open`` or ``os.read`` raises: on Linux a
+    directory opens, and reading it raises IsADirectoryError naming no
+    file."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
+def decode_text(data: bytes) -> str:
+    """A file's bytes read as ``Path.read_text(encoding="utf-8")`` reads
+    them: UTF-8, with ``\\r\\n`` and ``\\r`` read as ``\\n``."""
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def read_config(path: str | Path) -> object:
     """The JSON document in the file ``path``: a criteria, weights or
     manifest file, or an instance file. A ConfigError naming the path when
-    the file is not UTF-8, not JSON, or nested too deeply to decode."""
+    the file is not UTF-8, not JSON, or nested too deeply to decode; the
+    OSError naming it when the file cannot be read."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        data = read_bytes(path)
+    except IsADirectoryError as exc:
+        raise IsADirectoryError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        return json.loads(decode_text(data))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8: {exc.reason} at byte offset {exc.start}") from None
     except json.JSONDecodeError as exc:

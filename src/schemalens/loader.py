@@ -53,7 +53,9 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import cached_property
 from pathlib import Path
 
-from .errors import CorpusError, IoError, MergeConflict, ParseError, ResolutionTooLarge, UnknownRef
+from .errors import (
+    CorpusError, IoError, MergeConflict, ParseError, ResolutionTooLarge, UnknownRef, decode_text, read_bytes,
+)
 
 # Keywords that make a $ref sibling constraint-bearing (and therefore illegal
 # in this subset -- the loader inlines refs wholesale).
@@ -486,7 +488,7 @@ def parse_schema(value: object, where: str | tuple = "<inline>") -> RawNode:
     )
 
 
-def _schema_files(root: Path) -> list[tuple[tuple[str, ...], str]]:
+def _schema_files(root: str | Path) -> list[tuple[tuple[str, ...], str]]:
     """``(relative path parts, path)`` of the files that ``sorted(p for p in
     root.rglob("*.json") if p.is_file())`` lists, in its order, from one
     ``scandir`` per directory: names match case-sensitively, hidden ones
@@ -519,31 +521,18 @@ def _schema_files(root: Path) -> list[tuple[tuple[str, ...], str]]:
 
 def _read(path: str) -> bytes:
     """The bytes of the file at ``path``; IoError naming it if it cannot be
-    read. Through ``os.read`` rather than ``open(...).readall()``, which
-    also stats the file twice and seeks: a corpus file is read in the
-    middle of a resolve, where each system call costs more than in a
-    batch."""
+    read."""
     try:
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            chunks = []
-            while chunk := os.read(fd, 1 << 16):
-                chunks.append(chunk)
-        finally:
-            os.close(fd)
+        return read_bytes(path)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    return b"".join(chunks)
 
 
 def _parse_file(doc_id: str, data: bytes) -> SchemaDocument | ParseError:
     """The document in one file's bytes, read as ``Path.read_text`` would
     (UTF-8 with universal newlines), or the ParseError that refuses it."""
     try:
-        text = data.decode("utf-8")
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        raw = json.loads(text)
+        raw = json.loads(decode_text(data))
         if not isinstance(raw, dict):
             return ParseError(doc_id, "top level must be an object document")
         return tuple.__new__(SchemaDocument, (doc_id, raw, parse_schema(raw, doc_id), raw.get("$schema", "")))
@@ -571,7 +560,7 @@ def load_corpus(directory: str | Path) -> CorpusHandle:
     Raises CorpusError when the directory holds no schema files at all and
     IoError when it cannot be read.
     """
-    root = Path(directory)
+    root = directory if isinstance(directory, Path) else Path(directory)
     if not root.is_dir():
         raise IoError(f"not a readable directory: {root}")
     files = {"/".join(parts): path for parts, path in _schema_files(root)}

@@ -437,17 +437,19 @@ def dispatch_event_schema(schema: ResolvedNode, message: dict[str, object]) -> s
     the branches whose non-cycle eventName declaration the message's
     eventName passes, tested with the validator's compiled checks, as is
     the gate. Returns the event schema's document id. Raises NoBranch when
-    nothing matches and AmbiguousBranch when more than one branch does.
+    the message is not a ``dict`` or nothing matches, and AmbiguousBranch
+    when more than one branch does.
 
-    ``message`` is a ``dict``: the gate's checks, like every compiled
-    check, take another ``Mapping`` for a non-object and do not read its
-    members, so pass ``dict(message)`` for one.
+    ``message`` is a ``dict``: like every compiled check, dispatch takes
+    another ``Mapping`` for a non-object, so pass ``dict(message)`` for one.
     """
     if not isinstance(schema, ResolvedNode):
         raise SchemaUnresolved("dispatch needs a resolved schema tree")
     message_node = schema.child_map().get("message")
     if message_node is None:
         raise SchemaUnresolved("schema has no 'message' member to dispatch on")
+    if not isinstance(message, dict):
+        raise NoBranch(f"no event branch accepts a message that is not an object: {type(message).__name__}")
     event_name = message.get("eventName")
 
     for condition, then, _ in message_node.conditionals:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schemalens
-from schemalens import corpus, metrics
+from schemalens import cli, corpus, metrics
 from schemalens.cli import main
 from schemalens.corpus import capability_grid, capability_matrix
 from schemalens.evaluation import run_comparison
@@ -44,6 +44,49 @@ def test_help_and_usage_texts_are_pinned(capsys, monkeypatch, case):
         main(case["argv"])
     captured = capsys.readouterr()
     assert (exit_info.value.code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
+
+
+# Argument lists a command's own parser must read as the full parser does.
+_PARSER_CASES = [
+    ["metrics", "--format=csv"],
+    ["evaluate", "--form", "csv", "--sch", "lei"],
+    ["metrics", "--schema", "lei", "--schema", "icar"],
+    ["validate", "--", "i.json"],
+    ["graph", "extra"],
+    ["metrics", "--format", "csv", "--bogus"],
+    ["metrics", "--corpus"],
+    ["capability", "--format", "tsv"],
+    ["evaluate", "--breakdown", "--format", "csv", "-h"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_CASES, ids=" ".join)
+def test_a_command_parses_as_the_full_parser_does(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    seen = []
+    commands = {name: (text, add, lambda args: seen.append(args) or 0) for name, (text, add, _) in cli._COMMANDS.items()}
+    monkeypatch.setattr(cli, "_COMMANDS", commands)
+
+    def outcome(parse):
+        """(exit code, namespace, stdout, stderr); the namespace is None
+        when parsing exits."""
+        try:
+            code, namespace = parse()
+        except SystemExit as exit_info:
+            code, namespace = exit_info.code, None
+        return (code, namespace, *capsys.readouterr())
+
+    through_main = outcome(lambda: (main(argv), seen.pop() if seen else None))
+    assert through_main == outcome(lambda: (0, cli.build_parser().parse_args(argv)))
+
+
+def test_a_known_command_builds_no_full_parser(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    code, out, _ = run_cli(capsys, "capability", "--format", "csv")
+    assert code == 0 and out.startswith("event,LEI,ICAR,ISC")
 
 
 def test_metrics_table_contains_the_width_row(capsys):
@@ -263,6 +306,37 @@ def test_validate_prints_each_path_in_its_normal_form(capsys, manifest, monkeypa
     assert run_cli(capsys, "validate", *paths) == (0, "a.json: valid\nd/b.json: valid\n", "")
     code, out, err = run_cli(capsys, "validate", "--format", "records", *paths)
     assert (code, [record["file"] for record in json.loads(out)], err) == (0, ["a.json", "d/b.json"], "")
+
+
+def test_validate_prints_a_directory_s_files_in_their_normal_form(capsys, manifest, monkeypatch, tmp_path):
+    source = manifest.root / "scenarios" / "scenario-01" / "arrival.json"
+    (tmp_path / "d").mkdir()
+    shutil.copy(source, tmp_path / "a.json")
+    shutil.copy(source, tmp_path / "d" / "b.json")
+    monkeypatch.chdir(tmp_path)
+    out = "a.json: valid\nd/b.json: valid\nd/b.json: valid\nd/b.json: valid\n"
+    assert run_cli(capsys, "validate", ".", "d/", ".//d") == (0, out, "")
+
+
+@pytest.mark.parametrize("refused", [False, True], ids=["symlink-loop", "stat-refused"])
+def test_validate_reads_a_stat_error_as_path_is_dir_does(capsys, monkeypatch, tmp_path, refused):
+    # A loop is absent to Path.is_dir; any other stat error is raised, as a
+    # directory without search permission gives to a user other than root.
+    path = tmp_path / "x.json"
+    if refused:
+        path.write_text("{}")
+        stat = os.stat
+
+        def refusing(target, *args, **kwargs):
+            if os.fspath(target) == str(path):
+                raise PermissionError(13, "Permission denied", os.fspath(target))
+            return stat(target, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", refusing)
+    else:
+        path.symlink_to(path)
+    message = f"[Errno 13] Permission denied: '{path}'" if refused else f"no such file or directory: {path}"
+    assert run_cli(capsys, "validate", str(path)) == (2, "", f"schemalens: error: {message}\n")
 
 
 def test_validate_nonexistent_file_exits_2(capsys):
@@ -530,6 +604,35 @@ def test_malformed_inputs_exit_2_with_one_line(capsys, tmp_path, make_argv, expe
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("schemalens: error:")
     assert expected in err
+
+
+def _mkdir(path):
+    path.mkdir()
+    return path
+
+
+@pytest.mark.parametrize(
+    "make_case",
+    [
+        lambda tmp: (["metrics", "--criteria", str(_mkdir(tmp / "c.json"))], f"[Errno 21] Is a directory: '{tmp}/c.json'"),
+        lambda tmp: (["evaluate", "--weights", str(_mkdir(tmp / "w.json"))], f"[Errno 21] Is a directory: '{tmp}/w.json'"),
+        # load_manifest looks for a file before it reads one
+        lambda tmp: (["metrics", "--corpus", str(_mkdir(tmp / "manifest.json").parent)], f"no manifest.json under {tmp}"),
+        lambda tmp: (
+            _metrics_with_criteria(tmp, "\ufeff{}"),
+            f"{tmp}/c.json: not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+        ),
+        lambda tmp: (
+            ["evaluate", "--weights", _write(tmp / "w.json", '{\r\n"cases": [\r\n  1,,\r\n]}')],
+            f"{tmp}/w.json: not valid JSON: Expecting value: line 3 column 5 (char 17)",
+        ),
+        lambda tmp: (_validate_bytes(tmp, b'{\r"a":\r}'), f"{tmp}/i.json: not valid JSON: Expecting value: line 3 column 1 (char 7)"),
+    ],
+    ids=["criteria-directory", "weights-directory", "manifest-directory", "criteria-bom", "weights-crlf", "instance-cr"],
+)
+def test_a_config_file_read_fault_keeps_its_message(capsys, tmp_path, make_case):
+    argv, message = make_case(tmp_path)
+    assert run_cli(capsys, *argv) == (2, "", f"schemalens: error: {message}\n")
 
 
 @pytest.mark.parametrize("referenced", [False, True], ids=["unreferenced", "referenced"])

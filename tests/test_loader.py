@@ -1,8 +1,11 @@
+import errno
 import hashlib
 import json
 import operator
+import os
 import random
 import re
+import shutil
 
 import jsonschema
 import pytest
@@ -102,6 +105,25 @@ def test_the_walk_finds_what_rglob_finds(tmp_path):
     assert {"a/b.json", ".hidden.json", "d.json/inner.json", "linked-file.json"} <= set(expected)
     assert not {"X.JSON", "broken.json", "loop.json", "linked-dir.json", "linked-dir/o.json"} & set(expected)
     assert expected.index("a/b.json") < expected.index("a-b.json")
+
+
+def test_a_directory_the_walk_may_not_list_is_skipped(capsys, monkeypatch, manifest, tmp_path):
+    # chmod(0) cannot lock out a root user, so the refusal is os.scandir's own
+    root = tmp_path / "instances"
+    for rel in ["a.json", "locked/b.json", "open/c.json"]:
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(manifest.root / "scenarios" / "scenario-01" / "arrival.json", root / rel)
+    locked, scandir = str(root / "locked"), os.scandir
+
+    def refusing(path):
+        if path == locked:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", refusing)
+    assert list(load_corpus(root).documents) == ["a.json", "open/c.json"]
+    assert main(["validate", str(root)]) == 0
+    assert capsys.readouterr().out == f"{root}/a.json: valid\n{root}/open/c.json: valid\n"
 
 
 def test_a_crlf_syntax_error_reports_the_offset_read_text_reports(tmp_path):

@@ -176,6 +176,17 @@ def test_dispatch_unknown_event_name(lei_envelope):
         dispatch_event_schema(lei_envelope, {"eventName": "Nonexistent", "item": {"itemType": "Animals"}})
 
 
+@pytest.mark.parametrize("message", [[1], "x", None], ids=["array", "string", "null"])
+def test_dispatch_refuses_a_message_that_is_not_an_object(lei_envelope, message):
+    with pytest.raises(NoBranch, match="no event branch accepts a message that is not an object"):
+        dispatch_event_schema(lei_envelope, message)
+
+
+def test_dispatch_of_an_empty_message_names_its_missing_event_name(lei_envelope):
+    with pytest.raises(NoBranch, match="^no event branch accepts eventName None$"):
+        dispatch_event_schema(lei_envelope, {})
+
+
 def test_dispatch_requires_a_resolved_schema():
     with pytest.raises(SchemaUnresolved, match="dispatch needs a resolved schema tree"):
         dispatch_event_schema({"type": "object"}, {"eventName": "Weight"})
