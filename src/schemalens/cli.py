@@ -237,7 +237,7 @@ def cmd_validate(args) -> int:
     if args.format == "records":
         records = [
             {
-                "file": str(path),
+                "file": path,
                 "valid": outcome.valid,
                 "violations": [
                     {

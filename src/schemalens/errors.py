@@ -85,14 +85,16 @@ class SchemaUnresolved(SchemaLensError):
 
 class CycleReached(SchemaLensError):
     """Validation reached a cycle stub: the instance goes on into a schema
-    that references itself, which the validator does not follow."""
+    that references itself, which the validator does not follow.
+    ``instance_path`` is where the stub was reached. A quiet check builds no
+    path and raises it with None; the outermost quiet check locates it by a
+    rerun with a sink, so one that leaves validation has the full path."""
 
-    def __init__(self, instance_path: str, target: str | None):
-        super().__init__(instance_path, target)
+    def __init__(self, instance_path: str | None, target: str | None):
+        super().__init__(
+            f"{instance_path or '/'}: validation does not follow the recursive reference to {target!r}"
+        )
         self.instance_path, self.target = instance_path, target
-
-    def __str__(self) -> str:
-        return f"{self.instance_path or '/'}: validation does not follow the recursive reference to {self.target!r}"
 
 
 class NoBranch(SchemaLensError):

@@ -307,7 +307,7 @@ class CorpusHandle:
             return found
         if found is None:
             raise UnknownRef(f"no document {doc_id!r} in corpus {self.root_dir}")
-        raise found
+        raise found.with_traceback(None)  # the stored error keeps no frames of earlier raises
 
     def _parsed(self) -> dict[str, SchemaDocument | ParseError]:
         for doc_id, found in self._files.items():
@@ -815,14 +815,10 @@ class _Resolver:
         ))
 
     def _reference(self, raw: RawNode, doc_id: str, path: str, stack: tuple[int, int]) -> ResolvedNode:
-        # the node of the state ``_state`` names, without building the state
         key = self._site_keys[doc_id, raw.refs[0]]
-        component, mask = stack
-        target_component, bit = self._place[key]
-        if target_component != component:
-            return self._memo[key, 0]
-        if not mask & bit:
-            return self._memo[key, mask]
+        state = self._state(key, stack)
+        if state is not None:
+            return self._memo[state]
         target_id, fragment = key
         return tuple.__new__(ResolvedNode, (
             CYCLE, doc_id, path, None, (), None, (), True, (), (), (), None,

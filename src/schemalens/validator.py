@@ -32,9 +32,9 @@ Checks whose violations nobody reads -- oneOf branches, if-conditions and
 ``dispatch_event_schema``'s tests -- run the same checks in quiet mode: they
 get the sink None, and a failing check raises at once, before it builds a
 Violation or formats a message. A quiet check builds no instance path
-either: it passes down the path it was given, and a CycleReached raised
-below gets each property step or ``/<i>`` prefixed on its way out. A caller
-that wants a branch's violations runs that branch again with a list sink.
+either: it gets the path None and passes it on. A caller that wants a
+branch's violations runs that branch again with a list sink, and so does
+``_quiet_valid`` to locate a CycleReached its quiet run raised.
 This module alone decides how a oneOf group selects a branch. A group is
 discriminated (see ``_discriminator``) when every branch declares one tag
 property with a string-only enum and no string is admitted by two branches;
@@ -103,10 +103,6 @@ def is_ipv4(value: str) -> bool:
 _FORMAT_CHECKS = {"date-time": is_date_time, "ipv4": is_ipv4}
 
 
-def _is_object(value: object) -> bool:
-    return isinstance(value, dict)
-
-
 def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -123,7 +119,7 @@ _TYPE_TESTS: dict[str, Callable[[object], bool]] = {
     "integer": _is_integer,
     "boolean": lambda value: isinstance(value, bool),
     "null": lambda value: value is None,
-    "object": _is_object,
+    "object": lambda value: isinstance(value, dict),
     "array": lambda value: isinstance(value, list),
 }
 
@@ -145,8 +141,9 @@ class _Invalid(Exception):
 
 
 # One check: (value, instance path, violation sink) -> None. A quiet check
-# gets the sink None and raises _Invalid where it would append a violation.
-Check = Callable[[object, str, "list[Violation] | None"], None]
+# gets the path and the sink None and raises _Invalid where it would append
+# a violation.
+Check = Callable[[object, "str | None", "list[Violation] | None"], None]
 
 
 def compile_checks(node: ResolvedNode) -> tuple[Check, ...]:
@@ -162,7 +159,7 @@ def compile_checks(node: ResolvedNode) -> tuple[Check, ...]:
     if node.kind == loader.CYCLE:
         target = node.cycle_target
 
-        def cycle(value: object, ipath: str, out) -> None:
+        def cycle(value: object, ipath: str | None, out) -> None:
             raise CycleReached(ipath, target)
 
         return (cycle,)
@@ -194,24 +191,24 @@ def compile_checks(node: ResolvedNode) -> tuple[Check, ...]:
 def _type_check(tag: str, spath: str) -> Check:
     expected = f"expected {tag}, got "
 
-    def fail(value: object, ipath: str, out) -> None:
+    def fail(value: object, ipath: str | None, out) -> None:
         if out is None:
             raise _Invalid
         out.append(Violation(ipath, spath, "type", expected + type(value).__name__))
 
     # The two commonest tags test inline, saving a call per check.
     if tag == "string":
-        def check(value: object, ipath: str, out) -> None:
+        def check(value: object, ipath: str | None, out) -> None:
             if not isinstance(value, str):
                 fail(value, ipath, out)
     elif tag == "object":
-        def check(value: object, ipath: str, out) -> None:
+        def check(value: object, ipath: str | None, out) -> None:
             if not isinstance(value, dict):
                 fail(value, ipath, out)
     else:
         test = _TYPE_TESTS[tag]
 
-        def check(value: object, ipath: str, out) -> None:
+        def check(value: object, ipath: str | None, out) -> None:
             if not test(value):
                 fail(value, ipath, out)
     return check
@@ -222,14 +219,14 @@ def _enum_check(values: tuple[object, ...], spath: str) -> Check:
         # json_equal holds between a string and only an equal string.
         strings = frozenset(values)
 
-        def check(value: object, ipath: str, out) -> None:
+        def check(value: object, ipath: str | None, out) -> None:
             if not isinstance(value, str) or value not in strings:
                 if out is None:
                     raise _Invalid
                 out.append(Violation(ipath, spath, "enum", f"{value!r} is not one of the allowed values"))
         return check
 
-    def check(value: object, ipath: str, out) -> None:
+    def check(value: object, ipath: str | None, out) -> None:
         if not any(json_equal(value, allowed) for allowed in values):
             if out is None:
                 raise _Invalid
@@ -240,7 +237,7 @@ def _enum_check(values: tuple[object, ...], spath: str) -> Check:
 def _format_check(tag: str, spath: str) -> Check:
     test = _FORMAT_CHECKS[tag]
 
-    def check(value: object, ipath: str, out) -> None:
+    def check(value: object, ipath: str | None, out) -> None:
         if isinstance(value, str) and not test(value):
             if out is None:
                 raise _Invalid
@@ -282,7 +279,7 @@ def _object_check(node: ResolvedNode, spath: str, typed: bool) -> Check:
     declared = None if node.additional_allowed else frozenset(name for name, _ in node.children)
     type_check = _type_check("object", spath) if typed else None
 
-    def check(value: object, ipath: str, out) -> None:
+    def check(value: object, ipath: str | None, out) -> None:
         if not isinstance(value, dict):
             if type_check is not None:
                 type_check(value, ipath, out)
@@ -297,16 +294,9 @@ def _object_check(node: ResolvedNode, spath: str, typed: bool) -> Check:
                 member = value[name]
                 if type(member) in types and (test is None or test(member)):
                     continue
-                # A quiet check builds no path: a CycleReached gets its step
-                # on the way out.
                 path = ipath if out is None else ipath + step
-                try:
-                    for child_check in child.checks:
-                        child_check(member, path, out)
-                except CycleReached as exc:
-                    if out is None:
-                        exc.instance_path = step + exc.instance_path
-                    raise
+                for child_check in child.checks:
+                    child_check(member, path, out)
         if declared is not None and not declared.issuperset(value):
             if out is None:
                 raise _Invalid
@@ -320,18 +310,13 @@ def _object_check(node: ResolvedNode, spath: str, typed: bool) -> Check:
 
 
 def _items_check(item: ResolvedNode) -> Check:
-    def check(value: object, ipath: str, out) -> None:
+    def check(value: object, ipath: str | None, out) -> None:
         if isinstance(value, list):
             item_checks = item.checks
             for i, element in enumerate(value):
                 path = ipath if out is None else f"{ipath}/{i}"
-                try:
-                    for item_check in item_checks:
-                        item_check(element, path, out)
-                except CycleReached as exc:
-                    if out is None:
-                        exc.instance_path = f"/{i}{exc.instance_path}"
-                    raise
+                for item_check in item_checks:
+                    item_check(element, path, out)
     return check
 
 
@@ -375,8 +360,8 @@ def _one_of_check(group: tuple[ResolvedNode, ...], spath: str) -> Check:
     name, table, required = _discriminator(group) or (None, None, False)
     alternatives = f" of {len(group)} alternatives, expected exactly 1"
 
-    def check(value: object, ipath: str, out) -> None:
-        if table is not None and _is_object(value) and (required or name in value):
+    def check(value: object, ipath: str | None, out) -> None:
+        if table is not None and isinstance(value, dict) and (required or name in value):
             # Every branch lists the strings it admits for the tag, so a
             # present non-string tag fails them all, and a string tag all but
             # the branch it selects; an absent tag fails them all when every
@@ -396,7 +381,7 @@ def _one_of_check(group: tuple[ResolvedNode, ...], spath: str) -> Check:
 def _conditional_check(
     condition: ResolvedNode, then: ResolvedNode | None, otherwise: ResolvedNode | None
 ) -> Check:
-    def check(value: object, ipath: str, out) -> None:
+    def check(value: object, ipath: str | None, out) -> None:
         arm = then if _quiet_valid(value, condition, ipath) else otherwise
         if arm is not None:
             for arm_check in arm.checks:
@@ -404,17 +389,25 @@ def _conditional_check(
     return check
 
 
-def _quiet_valid(value: object, node: ResolvedNode, ipath: str = "") -> bool:
+def _quiet_valid(value: object, node: ResolvedNode, ipath: str | None = "") -> bool:
     """Whether ``value`` passes ``node``'s checks, recording no violation.
-    The checks run from instance path "", so a CycleReached they raise gets
-    ``ipath``, the value's own path, prefixed here."""
+    The quiet run gets the path None: it builds no instance path. When it
+    reaches a cycle stub, the checks run again from ``ipath``, the value's
+    own path, with a throwaway sink: the quiet run met no failure before the
+    stub, so the rerun takes the same steps to it and raises CycleReached
+    with the full path. A quiet caller passes its own path, None, on, and
+    the CycleReached goes up unlocated to the first caller above it that
+    has a path, so nested quiet checks do not each rerun the ones below
+    them, which would double the work at every level."""
     try:
         for check in node.checks:
-            check(value, "", None)
+            check(value, None, None)
     except _Invalid:
         return False
-    except CycleReached as exc:
-        exc.instance_path = ipath + exc.instance_path
+    except CycleReached:
+        if ipath is not None:
+            for check in node.checks:
+                check(value, ipath, [])
         raise
     return True
 

@@ -339,6 +339,14 @@ def test_validate_reads_a_stat_error_as_path_is_dir_does(capsys, monkeypatch, tm
     assert run_cli(capsys, "validate", str(path)) == (2, "", f"schemalens: error: {message}\n")
 
 
+def test_validate_refuses_a_path_with_a_nul_by_name(capsys):
+    # os.stat raises ValueError for an embedded NUL; Path.is_dir reads the
+    # path as absent.
+    assert not Path("a\x00b.json").is_dir()
+    message = "schemalens: error: no such file or directory: a\x00b.json\n"
+    assert run_cli(capsys, "validate", "a\x00b.json") == (2, "", message)
+
+
 def test_validate_nonexistent_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "validate", "/nonexistent/instance.json")
     assert code == 2

@@ -1,4 +1,5 @@
 import errno
+import gc
 import hashlib
 import json
 import operator
@@ -6,6 +7,8 @@ import os
 import random
 import re
 import shutil
+import traceback
+import weakref
 
 import jsonschema
 import pytest
@@ -1267,6 +1270,31 @@ def test_each_get_of_a_refused_file_raises_its_parse_error(tmp_path, monkeypatch
     assert handle.errors == raised[:1] and all(error is raised[0] for error in raised)
     with pytest.raises(UnknownRef):
         handle.get("missing.json")
+
+
+def test_raising_a_refused_file_again_keeps_no_earlier_resolve_alive(tmp_path, monkeypatch):
+    (tmp_path / "a.json").write_text(json.dumps({"properties": {"b": {"$ref": "b.json"}}}))
+    (tmp_path / "b.json").write_text("{not json")
+    handle = load_corpus(tmp_path)
+    resolvers = []
+    init = loader._Resolver.__init__
+
+    def tracked(self, corpus):
+        resolvers.append(weakref.ref(self))
+        init(self, corpus)
+
+    monkeypatch.setattr(loader._Resolver, "__init__", tracked)
+    depths = []
+    for _ in range(5):
+        with pytest.raises(ParseError, match="^b.json: invalid JSON") as info:
+            resolve(handle, "a.json")
+        depths.append(len(traceback.extract_tb(info.value.__traceback__)))
+        del info
+    gc.collect()
+    # The stored error's traceback holds only the last raise, and so only
+    # the last resolver's frames.
+    assert len(set(depths)) == 1
+    assert [ref() is None for ref in resolvers] == [True] * 4 + [False]
 
 
 def test_the_bundled_corpora_hold_only_subset_keywords(manifest):

@@ -517,13 +517,44 @@ def test_reaching_a_cycle_stub_is_refused(instance):
             {"a": {"b": [{}, {}, {"c": 1}]}},
             "/a/b/2/c",
         ),
+        (
+            {"properties": {"a": {"oneOf": [
+                {"required": ["t"], "properties": {"t": {"enum": ["x"]}, "n": {"items": {"$ref": "a.json"}}}},
+                {"required": ["t"], "properties": {"t": {"enum": ["y"]}}},
+            ]}}},
+            {"a": {"t": "x", "n": [1, {}]}},
+            "/a/n/0",
+        ),
     ],
-    ids=["oneOf", "if", "nested", "oneOf-items", "if-items"],
+    ids=["oneOf", "if", "nested", "oneOf-items", "if-items", "discriminated-oneOf"],
 )
 def test_reaching_a_cycle_stub_in_a_quiet_check_is_refused(document, instance, where):
     schema = resolve(make_corpus({"a.json": document}), "a.json")
     with pytest.raises(CycleReached, match=f"^{where}: "):
         validate(instance, schema)
+
+
+def test_a_cycle_stub_under_nested_quiet_checks_is_located_in_quadratic_work(monkeypatch):
+    # Levels alternate oneOf and if. A quiet check passes the path None on, so a
+    # level reruns its checks to locate the stub only within a rerun above it:
+    # work grows with the square of the depth, not with 2 ** depth.
+    depth = 12
+    document, instance = {"$ref": "a.json"}, 1
+    for level in range(depth):
+        document = {"properties": {"a": {"oneOf": [document]} if level % 2 else {"if": document}}}
+        instance = {"a": instance}
+    schema = resolve(make_corpus({"a.json": document}), "a.json")
+    calls = []
+    quiet_valid = validator._quiet_valid
+
+    def counted(*args):
+        calls.append(args)
+        return quiet_valid(*args)
+
+    monkeypatch.setattr(validator, "_quiet_valid", counted)
+    with pytest.raises(CycleReached, match=f"^{'/a' * depth}: "):
+        validate(instance, schema)
+    assert len(calls) <= depth * depth
 
 
 @pytest.mark.parametrize("instance", [{"x": "ok"}, {"x": 1}, {}, 5])
