@@ -172,7 +172,10 @@ def load_manifest(root: str | Path | None = None) -> CorpusManifest:
         files = require(scenario_files, sid, manifest_path, list)
         if not all(isinstance(rel, str) for rel in files):
             raise ConfigError(f"{manifest_path}: key {sid!r} must be an array of strings")
-        scenarios[as_number(sid, int, manifest_path, sid)] = files
+        scenario = as_number(sid, int, manifest_path, sid)
+        if scenario in scenarios:
+            raise ConfigError(f"{manifest_path}: key {sid!r} repeats scenario {scenario}")
+        scenarios[scenario] = files
     case_study = [
         (require(row, "label", manifest_path, str), require(row, "event", manifest_path, str))
         for row in optional(data, "case_study_events", manifest_path, list, [])

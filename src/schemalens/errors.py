@@ -10,6 +10,7 @@ here too.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -192,14 +193,24 @@ def optional(data: dict, key: str, source: object, expected: type, default: obje
 def as_number(value: object, to: type, source: object, key: str) -> object:
     """``to(value)`` for ``to`` in (int, float), or a ConfigError naming
     ``source`` and the key when the value does not convert (a container,
-    null, or a non-numeric string)."""
+    null, or a non-numeric string), is a boolean, is not finite, or, for an
+    int, is a number with a fraction."""
+    def refuse(expected: str, found: object) -> ConfigError:
+        return ConfigError(f"{source}: key {key!r} must be {expected}, not {found}")
+
+    if isinstance(value, bool):
+        raise refuse("a number", _JSON_TYPE_NAMES[bool])
     try:
-        return to(value)
+        number = to(value)
     except (TypeError, ValueError):
-        raise ConfigError(
-            f"{source}: key {key!r} must be a number, "
-            f"not {_JSON_TYPE_NAMES.get(type(value), type(value).__name__)}"
-        ) from None
+        raise refuse("a number", _JSON_TYPE_NAMES.get(type(value), type(value).__name__)) from None
+    except OverflowError:
+        raise refuse("a finite number", value) from None
+    if isinstance(number, float) and not math.isfinite(number):
+        raise refuse("a finite number", value)
+    if isinstance(value, float) and number != value:
+        raise refuse("a whole number", value)
+    return number
 
 
 class Record:

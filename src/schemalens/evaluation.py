@@ -252,13 +252,14 @@ def load_weight_cases(path: str | Path) -> list[WeightCase]:
         raise ConfigError(f"{path}: key 'cases' must hold at least one weight case")
     cases = []
     for entry in entries:
-        case = WeightCase(
-            name=require(entry, "name", path, str),
-            weights={
-                as_number(k, int, path, k): as_number(v, float, path, k)
-                for k, v in require(entry, "weights", path, dict).items()
-            },
-        )
+        name = require(entry, "name", path, str)
+        weights: dict[int, float] = {}
+        for key, value in require(entry, "weights", path, dict).items():
+            criterion = as_number(key, int, path, key)
+            if criterion in weights:
+                raise ConfigError(f"{path}: key {key!r} repeats criterion {criterion} in case {name!r}")
+            weights[criterion] = as_number(value, float, path, key)
+        case = WeightCase(name=name, weights=weights)
         if abs(case.total() - 100.0) > WEIGHT_SUM_TOLERANCE:
             raise ConfigError(f"{path}: weights of case {case.name!r} sum to {case.total()}, not 100")
         if any(c.name == case.name for c in cases):

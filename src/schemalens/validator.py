@@ -13,20 +13,23 @@ reaches a cycle stub is refused with CycleReached.
 Each distinct node's checks are compiled once, lazily, the first time they
 run (never by ``resolve``), and cached on the node
 (``ResolvedNode.checks``): a tuple of closures holding only the checks its
-keywords need, with the type test chosen at compile time; a typed object
-tests its type inside its object check. A check that descends calls the
-child's checks directly, so an instance nesting level costs one Python
-frame. Since resolved nodes are shared, compilation costs once per distinct
-node, not per instance.
+keywords need. The type, enum and format checks are one closure
+(``_value_check``) given its test at compile time; a typed object tests its
+type inside its object check. A check that descends calls the child's
+checks directly, so an instance nesting level costs one Python frame. Since
+resolved nodes are shared, compilation costs once per distinct node, not
+per instance.
 
 A parent's object check tests a leaf member inline, without a call, when
 the leaf's checks are a string, integer or number type test, a string-only
 enum or a known format (see ``_inline_test``); array elements always run
-their ``items`` schema's checks. The inline test can only accept: a value
-it does not accept runs the leaf's compiled checks, which report every
-violation, so a leaf is compiled only when such a value reaches it. A cold
-validation of the 19 bundled LEI scenarios compiles 50 of the envelope's
-309 nodes, against 166 when every leaf was compiled.
+their ``items`` schema's checks. ``_string_enum`` alone decides what a
+string-only enum is, for the inline test, the enum check and a oneOf tag.
+The inline test can only accept: a value it does not accept runs the
+leaf's compiled checks, which report every violation, so a leaf is
+compiled only when such a value reaches it. A cold validation of the 19
+bundled LEI scenarios compiles 50 of the envelope's 309 nodes, against 166
+when every leaf was compiled.
 
 Checks whose violations nobody reads -- oneOf branches, if-conditions and
 ``dispatch_event_schema``'s tests -- run the same checks in quiet mode: they
@@ -188,61 +191,51 @@ def compile_checks(node: ResolvedNode) -> tuple[Check, ...]:
     return tuple(checks)
 
 
+def _value_check(
+    keyword: str, spath: str, accepts: Callable[[object], bool], describe: Callable[[object], str]
+) -> Check:
+    """A ``keyword`` check that tests the value alone. A value ``accepts``
+    refuses raises _Invalid in a quiet run; a reporting run records one
+    violation worded by ``describe``, which a quiet run never calls."""
+    def check(value: object, ipath: str | None, out) -> None:
+        if not accepts(value):
+            if out is None:
+                raise _Invalid
+            out.append(Violation(ipath, spath, keyword, describe(value)))
+    return check
+
+
 def _type_check(tag: str, spath: str) -> Check:
     expected = f"expected {tag}, got "
+    return _value_check("type", spath, _TYPE_TESTS[tag], lambda value: expected + type(value).__name__)
 
-    def fail(value: object, ipath: str | None, out) -> None:
-        if out is None:
-            raise _Invalid
-        out.append(Violation(ipath, spath, "type", expected + type(value).__name__))
 
-    # The two commonest tags test inline, saving a call per check.
-    if tag == "string":
-        def check(value: object, ipath: str | None, out) -> None:
-            if not isinstance(value, str):
-                fail(value, ipath, out)
-    elif tag == "object":
-        def check(value: object, ipath: str | None, out) -> None:
-            if not isinstance(value, dict):
-                fail(value, ipath, out)
-    else:
-        test = _TYPE_TESTS[tag]
-
-        def check(value: object, ipath: str | None, out) -> None:
-            if not test(value):
-                fail(value, ipath, out)
-    return check
+def _string_enum(values: tuple[object, ...]) -> frozenset[str] | None:
+    """The set of ``values`` when there are some and all are strings, else
+    None. json_equal holds between a string and only an equal string, so
+    such an enum admits exactly the strings in the set."""
+    if values and all(type(v) is str for v in values):
+        return frozenset(values)
+    return None
 
 
 def _enum_check(values: tuple[object, ...], spath: str) -> Check:
-    if values and all(type(v) is str for v in values):
-        # json_equal holds between a string and only an equal string.
-        strings = frozenset(values)
-
-        def check(value: object, ipath: str | None, out) -> None:
-            if not isinstance(value, str) or value not in strings:
-                if out is None:
-                    raise _Invalid
-                out.append(Violation(ipath, spath, "enum", f"{value!r} is not one of the allowed values"))
-        return check
-
-    def check(value: object, ipath: str | None, out) -> None:
-        if not any(json_equal(value, allowed) for allowed in values):
-            if out is None:
-                raise _Invalid
-            out.append(Violation(ipath, spath, "enum", f"{value!r} is not one of the allowed values"))
-    return check
+    strings = _string_enum(values)
+    if strings is not None:
+        def accepts(value: object) -> bool:
+            return isinstance(value, str) and value in strings
+    else:
+        def accepts(value: object) -> bool:
+            return any(json_equal(value, allowed) for allowed in values)
+    return _value_check("enum", spath, accepts, lambda value: f"{value!r} is not one of the allowed values")
 
 
 def _format_check(tag: str, spath: str) -> Check:
     test = _FORMAT_CHECKS[tag]
-
-    def check(value: object, ipath: str | None, out) -> None:
-        if isinstance(value, str) and not test(value):
-            if out is None:
-                raise _Invalid
-            out.append(Violation(ipath, spath, "format", f"{value!r} is not a valid {tag}"))
-    return check
+    return _value_check(
+        "format", spath, lambda value: not isinstance(value, str) or test(value),
+        lambda value: f"{value!r} is not a valid {tag}",
+    )
 
 
 _INLINE_TYPES = {"string": (str,), "integer": (int,), "number": (int, float)}
@@ -260,8 +253,8 @@ def _inline_test(node: ResolvedNode) -> tuple[tuple[type, ...], Callable[[object
         return (), None
     values, tag = node.enum_values, node.format_tag
     if node.kind == loader.ENUM or values:
-        if node.type_tag in (None, "string") and tag is None and values and all(type(v) is str for v in values):
-            return (str,), frozenset(values).__contains__
+        if node.type_tag in (None, "string") and tag is None and (strings := _string_enum(values)) is not None:
+            return (str,), strings.__contains__
     elif tag is not None:
         if node.type_tag in (None, "string") and tag in _FORMAT_CHECKS:
             return (str,), _FORMAT_CHECKS[tag]
@@ -327,13 +320,8 @@ def _tag_table(group: tuple[ResolvedNode, ...], name: str) -> dict[str, Resolved
     table: dict[str, ResolvedNode] = {}
     for branch in group:
         child = branch.child_map().get(name)
-        if (
-            child is None
-            or child.kind == loader.CYCLE
-            or not child.enum_values
-            or not all(isinstance(v, str) for v in child.enum_values)
-            or not table.keys().isdisjoint(child.enum_values)
-        ):
+        strings = None if child is None or child.kind == loader.CYCLE else _string_enum(child.enum_values)
+        if strings is None or not table.keys().isdisjoint(strings):
             return None
         table.update(dict.fromkeys(child.enum_values, branch))
     return table

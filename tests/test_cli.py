@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -468,6 +469,10 @@ def _metrics_with_criterion(tmp_path, **slots):
     return _metrics_with_criteria(tmp_path, {"criteria": [{"id": 1, "metric": "nbrCol", **slots}]})
 
 
+def _evaluate_with_weights(tmp_path, weights):
+    return ["evaluate", "--weights", _write(tmp_path / "w.json", {"cases": [{"name": "x", "weights": weights}]})]
+
+
 def _validate_bytes(tmp_path, data):
     (tmp_path / "i.json").write_bytes(data)
     return ["validate", str(tmp_path / "i.json")]
@@ -589,6 +594,25 @@ def _validate_recursive(tmp_path, instance):
             lambda tmp: _on_manifest(tmp, _manifest_with_entry(envelope=None), "validate", _write(tmp / "i.json", {})),
             "schema set 'lei' has no instance envelope to validate against",
         ),
+        (
+            lambda tmp: _metrics_with_criteria(tmp, '{"criteria": [{"id": 1e400, "metric": "nbrCol"}]}'),
+            "c.json: key 'id' must be a finite number, not inf",
+        ),
+        (lambda tmp: _metrics_with_criterion(tmp, id=True), "c.json: key 'id' must be a number, not a boolean"),
+        (lambda tmp: _metrics_with_criterion(tmp, id=2.9), "c.json: key 'id' must be a whole number, not 2.9"),
+        (lambda tmp: _evaluate_with_weights(tmp, {"1": True, "2": 99}), "w.json: key '1' must be a number, not a boolean"),
+        (
+            lambda tmp: _evaluate_with_weights(tmp, {"1": math.nan, "2": 100}),
+            "w.json: key '1' must be a finite number, not nan",
+        ),
+        (
+            lambda tmp: _evaluate_with_weights(tmp, {"1": 50, "01": 50, "2": 50}),
+            "w.json: key '01' repeats criterion 1 in case 'x'",
+        ),
+        (
+            lambda tmp: _metrics_on_manifest(tmp, _manifest_with(scenarios={"1": [], "01": []})),
+            "manifest.json: key '01' repeats scenario 1",
+        ),
     ],
     ids=[
         "criteria", "criterion-metric", "cases", "case-name", "schemas",
@@ -604,7 +628,9 @@ def _validate_recursive(tmp_path, instance):
         "metrics-schema-empty", "evaluate-schema-blank", "graph-schema-two", "validate-schema-two",
         "coefficients-infinite", "coefficients-negative-infinite",
         "coefficients-not-int", "coefficients-not-float", "criteria-too-deep", "case-name-repeated",
-        "title-repeated", "validate-no-instance-files", "envelope-null",
+        "title-repeated", "validate-no-instance-files", "envelope-null", "criterion-id-overflow",
+        "criterion-id-boolean", "criterion-id-fraction", "weight-boolean", "weight-nan",
+        "weight-key-repeated", "scenario-id-repeated",
     ],
 )
 def test_malformed_inputs_exit_2_with_one_line(capsys, tmp_path, make_argv, expected):

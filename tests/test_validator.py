@@ -14,6 +14,7 @@ from schemalens import validator
 from schemalens.errors import AmbiguousBranch, CycleReached, MergeConflict, NoBranch, ParseError, SchemaUnresolved
 from schemalens.loader import ResolvedNode, resolve
 from schemalens.validator import (
+    Violation,
     dispatch_event_schema,
     is_date_time,
     is_ipv4,
@@ -630,6 +631,46 @@ def test_an_inline_leaf_test_accepts_only_what_the_leaf_accepts(leaf):
                 for error in oracle.iter_errors(instance)
             )
             assert native == expected, (schema, value)
+
+
+# (leaf, a value it refuses, the keyword, the message, a value it accepts)
+_VALUE_CHECKS = {
+    "boolean": ({"type": "boolean"}, 1, "type", "expected boolean, got int", False),
+    "null": ({"type": "null"}, 0, "type", "expected null, got int", None),
+    "array": ({"type": "array"}, {}, "type", "expected array, got dict", []),
+    "integer": ({"type": "integer"}, 1.5, "type", "expected integer, got float", 2.0),
+    "number": ({"type": "number"}, "1", "type", "expected number, got str", 1.5),
+    "mixed-enum": ({"enum": ["a", 1, None]}, True, "enum", "True is not one of the allowed values", 1.0),
+    "date-time": (
+        {"format": "date-time"}, "2021-02-29T00:00:00Z", "format",
+        "'2021-02-29T00:00:00Z' is not a valid date-time", "2020-02-29T00:00:00Z",
+    ),
+    "ipv4": ({"format": "ipv4"}, "01.2.3.4", "format", "'01.2.3.4' is not a valid ipv4", "1.2.3.4"),
+}
+
+
+@pytest.mark.parametrize(
+    "leaf, refused, keyword, message, accepted", list(_VALUE_CHECKS.values()), ids=list(_VALUE_CHECKS)
+)
+def test_a_value_check_words_its_violation_and_fails_a_quiet_branch(leaf, refused, keyword, message, accepted):
+    # /p reports the leaf's own violation; /q runs the leaf quietly, as a
+    # oneOf branch beside one that admits none of these values.
+    docs = {"s.json": {"properties": {"p": leaf, "q": {"oneOf": [leaf, {"enum": ["never"]}]}}}}
+    resolved = resolve(make_corpus(docs), "s.json")
+    oracle = oracle_for_docs(docs, "s.json")
+    assert validate({"p": refused, "q": refused}, resolved).violations == [
+        Violation("/p", "s.json#/properties/p", keyword, message),
+        Violation("/q", "s.json#/properties/q", "oneOf", "matched 0 of 2 alternatives, expected exactly 1"),
+    ]
+    assert validate({"p": accepted, "q": accepted}, resolved).violations == []
+    for value in (refused, accepted):
+        instance = {"p": value, "q": value}
+        native = sorted((v.instance_path, v.keyword) for v in validate(instance, resolved).violations)
+        expected = sorted(
+            ("".join(f"/{step}" for step in error.absolute_path), error.validator)
+            for error in oracle.iter_errors(instance)
+        )
+        assert native == expected, value
 
 
 class _DictSubclass(dict):
